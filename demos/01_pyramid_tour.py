@@ -41,7 +41,7 @@ for f in p.face_lattice.singular_faces():
 q = Quasilattice.from_normals(p)
 fam = admissible_index_sets(p)
 print("admissible index sets:", list(fam))
-print("classification:", classify_choice(p, q, fam).label)
+print("classification:", classify_choice(p, q).label)
 
 # chart over I = {2,3,4}: every normal rewritten in that basis
 i_set = (2, 3, 4)
@@ -50,7 +50,7 @@ print("change of basis A_I for I =", i_set)
 for h, row in zip(i_set, a):
     print("  row", h, [str(x) for x in row])
 
-chart = regular_chart(p, i_set, fam)
+chart = regular_chart(p, i_set)
 print("slacks:", {r: str(s) for r, s in sorted(chart.slacks.items())})
 print("pi1 rank of the chart domain:", chart.pi1_rank)
 
@@ -58,7 +58,7 @@ print("pi1 rank of the chart domain:", chart.pi1_rank)
 for vec, const in psi_equations(p, chart.basis):
     print("level set:", [str(x) for x in vec], "+", str(const))
 
-gamma = gamma_group(p, q, i_set, fam)
+gamma = gamma_group(p, q, i_set)
 print("chart group generators:",
       [[str(x) for x in g] for g in gamma.generators])
 print("chart group structure:", gamma.structure().label)
@@ -78,7 +78,7 @@ print("slice reproduces the lift:",
 
 # around the apex: the flag chart and the embedding constants
 apex = p.face_lattice.face((1, 2, 3, 4))
-sch = singular_chart(p, apex, i_set, fam)
+sch = singular_chart(p, apex, i_set)
 nb = cone_neighborhood(p, sch)
 print("apex cone: common block", sch.common, "epsilon", nb.epsilon)
 

@@ -34,21 +34,21 @@ fam = admissible_index_sets(p)
 # against the span of its own normals, every admissible triple is a
 # basis, so all chart groups collapse
 q = Quasilattice.from_normals(p)
-choice = classify_choice(p, q, fam)
+choice = classify_choice(p, q)
 print("own span: rational:", choice.rational,
       " delzant-like:", choice.delzant_like)
 i0 = next(iter(fam))
 print("Gamma over", i0, "is",
-      gamma_group(p, q, i0, fam).structure().label)
+      gamma_group(p, q, i0).structure().label)
 
 # against the standard lattice the normals have determinant 4 and the
 # chart groups become finite
 q_std = Quasilattice(reg, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-choice = classify_choice(p, q_std, fam)
+choice = classify_choice(p, q_std)
 print("standard lattice: rational:", choice.rational,
       " delzant-like:", choice.delzant_like)
 for i_set in list(fam)[:3]:
-    st = gamma_group(p, q_std, i_set, fam).structure()
+    st = gamma_group(p, q_std, i_set).structure()
     print("Gamma over", i_set, "is", st.label)
 
 # each vertex link is a square; one level of recursion suffices

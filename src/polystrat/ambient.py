@@ -110,8 +110,11 @@ class IndexFamily:
         return tuple(sorted(index_set)) in self._vertex_of
 
 
-def admissible_index_sets(p: HPolytope, lattice=None) -> IndexFamily:
+def admissible_index_sets(p: HPolytope) -> IndexFamily:
     """All I contained in a vertex's active set with {X_h : h in I} a basis."""
+    key = ("admissible_index_sets",)
+    if key in p.memo:
+        return p.memo[key]
     by_vertex = {}
     for vid, v in enumerate(p.vertices):
         good = []
@@ -124,7 +127,8 @@ def admissible_index_sets(p: HPolytope, lattice=None) -> IndexFamily:
                 [("degenerate-point",
                   f"no admissible index set at vertex {vid}")])
         by_vertex[vid] = good
-    return IndexFamily(by_vertex)
+    family = p.memo[key] = IndexFamily(by_vertex)
+    return family
 
 
 def change_of_basis(p: HPolytope, index_set):
@@ -135,9 +139,9 @@ def change_of_basis(p: HPolytope, index_set):
     step when many index sets are in play.
     """
     i_sorted = tuple(sorted(index_set))
-    cache = p.__dict__.setdefault("_a_cache", {})
-    if i_sorted in cache:
-        return cache[i_sorted]
+    key = ("change_of_basis", i_sorted)
+    if key in p.memo:
+        return p.memo[key]
     if len(i_sorted) != p.n:
         raise ValueError(f"index set {i_sorted} has size {len(i_sorted)}, "
                          f"need n={p.n}")
@@ -147,8 +151,7 @@ def change_of_basis(p: HPolytope, index_set):
         a = mat_solve(m_i, m_all)
     except SingularMatrixError:
         raise ValueError(f"normals of {i_sorted} are not a basis") from None
-    a = tuple(tuple(row) for row in a)
-    cache[i_sorted] = a
+    a = p.memo[key] = tuple(tuple(row) for row in a)
     return a
 
 
@@ -180,17 +183,15 @@ def _kernel_vector(p, a, i_sorted, j, support):
     return tuple(v)
 
 
-def adapted_kernel_basis(p: HPolytope, index_set, face: Face | None = None,
-                         family: IndexFamily | None = None,
-                         a_matrix=None) -> AdaptedBasisData:
-    if family is None:
-        family = admissible_index_sets(p)
+def adapted_kernel_basis(p: HPolytope, index_set,
+                         face: Face | None = None) -> AdaptedBasisData:
+    family = admissible_index_sets(p)
     i_sorted = tuple(sorted(index_set))
     if i_sorted not in family:
         raise ValueError(f"{i_sorted} is not an admissible index set")
     vid = family.vertex_of(i_sorted)
     i_mu = p.vertices[vid].active
-    a = a_matrix if a_matrix is not None else change_of_basis(p, i_sorted)
+    a = change_of_basis(p, i_sorted)
 
     if face is None:
         labels = [j for j in range(1, p.d + 1) if j not in i_sorted]
@@ -233,15 +234,13 @@ def adapted_kernel_basis(p: HPolytope, index_set, face: Face | None = None,
         face_index_set=tuple(sorted(i_f)), stabilizer_count=len(stab_labels))
 
 
-def find_flag_index_set(p: HPolytope, face: Face,
-                        family: IndexFamily | None = None):
+def find_flag_index_set(p: HPolytope, face: Face):
     """First (vertex, I) pair meeting card(I cap I_F) = n - p.
 
     Scans the face's vertices in order; a suitable I exists for at least
     one of them whenever the input data is consistent.
     """
-    if family is None:
-        family = admissible_index_sets(p)
+    family = admissible_index_sets(p)
     want = p.n - face.dim
     i_f = set(face.index_set)
     for vid in face.vertex_ids:
@@ -252,8 +251,7 @@ def find_flag_index_set(p: HPolytope, face: Face,
                      f"for face {face.index_set}")
 
 
-def check_vertex_lambda_identity(p: HPolytope, vertex_id: int, index_set,
-                                 a_matrix=None):
+def check_vertex_lambda_identity(p: HPolytope, vertex_id: int, index_set):
     """Verify lambda_k = sum_h a_hk lambda_h for the active constraints.
 
     Returns (ok, slacks) where slacks maps each inactive label r to the
@@ -262,7 +260,7 @@ def check_vertex_lambda_identity(p: HPolytope, vertex_id: int, index_set,
     """
     i_sorted = tuple(sorted(index_set))
     i_mu = p.vertices[vertex_id].active
-    a = a_matrix if a_matrix is not None else change_of_basis(p, i_sorted)
+    a = change_of_basis(p, i_sorted)
     ok = True
     for k in i_mu:
         if k in i_sorted:
@@ -297,8 +295,7 @@ class ChoiceClassification:
         return "rational" if self.rational else "nonrational"
 
 
-def classify_choice(p: HPolytope, q: Quasilattice,
-                    family: IndexFamily | None = None) -> ChoiceClassification:
+def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     """Rationality and Delzant-likeness of the chosen normals and lattice.
 
     The Z-span of the generators is an honest lattice exactly when their
@@ -306,8 +303,6 @@ def classify_choice(p: HPolytope, q: Quasilattice,
     rank of the generator coefficients flattened over the monomials
     appearing after clearing one common denominator.
     """
-    if family is None:
-        family = admissible_index_sets(p)
     flat_entries = [x for g in q.generators for x in g]
     nums, _den = over_common_denominator(flat_entries)
     monos = sorted({m for num in nums for m in num})
@@ -324,7 +319,7 @@ def classify_choice(p: HPolytope, q: Quasilattice,
 
     delzant = rational
     if delzant:
-        for i_set in family:
+        for i_set in admissible_index_sets(p):
             if q.source_polytope is p:
                 coords = change_of_basis(p, i_set)
             else:

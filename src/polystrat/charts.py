@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ambient import AdaptedBasisData, IndexFamily, adapted_kernel_basis, \
-    admissible_index_sets, change_of_basis, check_vertex_lambda_identity, \
-    find_flag_index_set
+from .ambient import AdaptedBasisData, adapted_kernel_basis, \
+    check_vertex_lambda_identity, find_flag_index_set
 from .lp import open_feasible_point
 from .polytope import Face, HPolytope
 
@@ -36,8 +35,8 @@ class DomainError(Exception):
         super().__init__(message)
 
 
-def _num(a_matrix):
-    return [[x.evaluate() for x in row] for row in a_matrix]
+def _num(matrix):
+    return [[x.evaluate() for x in row] for row in matrix]
 
 
 def psi_equations(p: HPolytope, basis: AdaptedBasisData):
@@ -65,6 +64,7 @@ class RegularChart:
     mid_labels: tuple  # I_mu minus I
     out_labels: tuple  # labels not in I_mu
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
+    slack_scalars: dict  # r -> Scalar sum_h a_hr lambda_h - lambda_r
     slacks: dict  # r -> Fraction, positive
     i_star: tuple  # labels h in I whose rho_h = 0 hyperplane misses C_I
     pi1_rank: int
@@ -106,14 +106,15 @@ def _facet_interior_witness(p: HPolytope, h: int, strict_labels) -> bool:
     return all(p.constraint_value(j, avg) > 0 for j in strict_labels)
 
 
-def regular_chart(p: HPolytope, index_set,
-                  family: IndexFamily | None = None) -> RegularChart:
-    if family is None:
-        family = admissible_index_sets(p)
-    basis = adapted_kernel_basis(p, index_set, family=family)
+def regular_chart(p: HPolytope, index_set) -> RegularChart:
+    """The chart over an admissible I, memoized on the polytope."""
+    key = ("regular_chart", tuple(sorted(index_set)))
+    if key in p.memo:
+        return p.memo[key]
+    basis = adapted_kernel_basis(p, index_set)
     i_sorted = basis.index_set
-    ok, slack_syms = check_vertex_lambda_identity(
-        p, basis.vertex_id, i_sorted, a_matrix=basis.a_matrix)
+    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
+                                                  i_sorted)
     if not ok:
         raise ValueError(f"offset identity fails for I={i_sorted}")
     slacks = {r: s.evaluate() for r, s in slack_syms.items()}
@@ -140,15 +141,16 @@ def regular_chart(p: HPolytope, index_set,
     else:
         star_pos = []
     i_star = tuple(i_sorted[h] for h in star_pos)
-    return RegularChart(index_set=i_sorted, vertex_id=basis.vertex_id,
-                        basis=basis, mid_labels=mid, out_labels=out,
-                        a_num=tuple(tuple(r) for r in a_num), slacks=slacks,
-                        i_star=i_star, pi1_rank=len(i_star))
+    chart = p.memo[key] = RegularChart(
+        index_set=i_sorted, vertex_id=basis.vertex_id, basis=basis,
+        mid_labels=mid, out_labels=out, a_num=tuple(tuple(r) for r in a_num),
+        slack_scalars=slack_syms, slacks=slacks, i_star=i_star,
+        pi1_rank=len(i_star))
+    return chart
 
 
-def chart_pi1_rank(p: HPolytope, index_set,
-                   family: IndexFamily | None = None):
-    chart = regular_chart(p, index_set, family)
+def chart_pi1_rank(p: HPolytope, index_set):
+    chart = regular_chart(p, index_set)
     return chart.pi1_rank, chart.i_star
 
 
@@ -228,13 +230,18 @@ class SingularChart:
         return len(self.w_labels)
 
 
-def singular_chart(p: HPolytope, face: Face, index_set=None,
-                   family: IndexFamily | None = None) -> SingularChart:
-    if family is None:
-        family = admissible_index_sets(p)
+def singular_chart(p: HPolytope, face: Face,
+                   index_set=None) -> SingularChart:
+    """The flag-adapted chart at a face, memoized on the polytope.
+
+    Without index_set the first I meeting the flag condition is used.
+    """
     if index_set is None:
-        index_set, _vid = find_flag_index_set(p, face, family)
-    basis = adapted_kernel_basis(p, index_set, face=face, family=family)
+        index_set, _vid = find_flag_index_set(p, face)
+    key = ("singular_chart", face.index_set, tuple(sorted(index_set)))
+    if key in p.memo:
+        return p.memo[key]
+    basis = adapted_kernel_basis(p, index_set, face=face)
     i_sorted = basis.index_set
     i_mu = basis.vertex_index_set
     i_f = set(face.index_set)
@@ -243,16 +250,16 @@ def singular_chart(p: HPolytope, face: Face, index_set=None,
     union = i_f | set(i_sorted)
     mid = tuple(k for k in i_mu if k not in union)
     out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
-    ok, slack_syms = check_vertex_lambda_identity(
-        p, basis.vertex_id, i_sorted, a_matrix=basis.a_matrix)
+    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
+                                                  i_sorted)
     if not ok:
         raise ValueError(f"offset identity fails for I={i_sorted}")
     slacks = {r: s.evaluate() for r, s in slack_syms.items()}
-    return SingularChart(face_index_set=face.index_set, index_set=i_sorted,
-                         common=common, w_labels=w_labels, mid_labels=mid,
-                         out_labels=out, basis=basis,
-                         a_num=tuple(tuple(r) for r in _num(basis.a_matrix)),
-                         slacks=slacks)
+    chart = p.memo[key] = SingularChart(
+        face_index_set=face.index_set, index_set=i_sorted, common=common,
+        w_labels=w_labels, mid_labels=mid, out_labels=out, basis=basis,
+        a_num=tuple(tuple(r) for r in _num(basis.a_matrix)), slacks=slacks)
+    return chart
 
 
 def singular_slice(p: HPolytope, chart: SingularChart, w):

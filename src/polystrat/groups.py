@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ambient import IndexFamily, Quasilattice, admissible_index_sets, \
-    change_of_basis
+from .ambient import Quasilattice, admissible_index_sets, change_of_basis, \
+    find_flag_index_set
 from .intlattice import integer_kernel, quotient_structure, solve_integer
 from .linalg import SingularMatrixError, mat_solve
 from .polytope import Face, HPolytope
@@ -184,23 +184,22 @@ def _coords_in_basis(p: HPolytope, q: Quasilattice, index_set):
             for g in range(len(q.generators))]
 
 
-def gamma_group(p: HPolytope, q: Quasilattice, index_set,
-                family: IndexFamily | None = None) -> GroupDescriptor:
+def gamma_group(p: HPolytope, q: Quasilattice, index_set) -> GroupDescriptor:
     """Gamma_I: the quasilattice modulo the Z-span of {X_h : h in I}.
 
     Generators are the coordinates of each quasilattice generator in the
     I-basis; when the quasilattice is generated by the normals these are
-    the columns of A_I.
+    the columns of A_I.  I must be admissible.
     """
     i_sorted = tuple(sorted(index_set))
-    if family is not None and i_sorted not in family:
+    if i_sorted not in admissible_index_sets(p):
         raise ValueError(f"{i_sorted} is not an admissible index set")
     coords = _coords_in_basis(p, q, i_sorted)
     return GroupDescriptor(p.registry, i_sorted, coords)
 
 
-def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face, index_set,
-                     family: IndexFamily | None = None) -> GroupDescriptor:
+def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
+                     index_set) -> GroupDescriptor:
     """Gamma_{I cap I_F}: intersection of the face span with the quasilattice,
     modulo the Z-span of {X_h : h in I cap I_F}.
 
@@ -259,8 +258,8 @@ class SplitGamma:
     pairs: tuple
 
 
-def split_gamma(p: HPolytope, q: Quasilattice, face: Face, index_set,
-                family: IndexFamily | None = None) -> SplitGamma:
+def split_gamma(p: HPolytope, q: Quasilattice, face: Face,
+                index_set) -> SplitGamma:
     i_sorted = tuple(sorted(index_set))
     common = tuple(sorted(set(face.index_set) & set(i_sorted)))
     if len(common) != p.n - face.dim:
@@ -268,7 +267,7 @@ def split_gamma(p: HPolytope, q: Quasilattice, face: Face, index_set,
             f"flag condition fails: card(I cap I_F)={len(common)} "
             f"!= n-p={p.n - face.dim}")
     rest = tuple(h for h in i_sorted if h not in common)
-    gamma = gamma_group(p, q, i_sorted, family)
+    gamma = gamma_group(p, q, i_sorted)
     face_part = gamma.project(common)
     complement_part = gamma.project(rest)
     pos_c = [i_sorted.index(h) for h in common]
@@ -293,12 +292,8 @@ class StabilizerReport:
     vertex_id: int
 
 
-def stabilizer_report(p: HPolytope, face: Face,
-                      family: IndexFamily | None = None) -> StabilizerReport:
-    from .ambient import find_flag_index_set
-    if family is None:
-        family = admissible_index_sets(p)
-    i_set, vid = find_flag_index_set(p, face, family)
+def stabilizer_report(p: HPolytope, face: Face) -> StabilizerReport:
+    i_set, vid = find_flag_index_set(p, face)
     return StabilizerReport(face_index_set=face.index_set,
                             dim=stabilizer_dim(face, p.n),
                             index_set=i_set, vertex_id=vid)

@@ -8,11 +8,6 @@ generated abelian groups presented by relation matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .linalg import mat_det, mat_inverse, mat_rank, mat_solve
-
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -147,76 +142,3 @@ def quotient_structure(rel_rows, ncols: int) -> tuple[int, list[int]]:
         return ncols, []
     facs = invariant_factors(rel_rows)
     return ncols - len(facs), [f for f in facs if f > 1]
-
-
-# ---------------------------------------------------------------------------
-# lattices with rational coordinates
-
-
-def _clear_denominators(rows):
-    den = 1
-    for row in rows:
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-    scaled = [[int(Fraction(x) * den) for x in row] for row in rows]
-    return scaled, den
-
-
-def lattice_basis(rows) -> list[list[Fraction]]:
-    """Basis of the lattice generated over Z by the given rational rows."""
-    if not rows:
-        return []
-    scaled, den = _clear_denominators(rows)
-    d, _, v = smith_normal_form(scaled)
-    m = len(scaled[0])
-    vinv = mat_inverse([[Fraction(x) for x in row] for row in v])
-    basis = []
-    for i in range(min(len(scaled), m)):
-        di = d[i][i]
-        if di:
-            basis.append([Fraction(di) * vinv[i][j] / den for j in range(m)])
-    return basis
-
-
-def lattice_coordinates(vec, basis_rows) -> list[Fraction]:
-    """Coordinates of vec in the given basis; raises if vec is outside the span."""
-    at = [list(col) for col in
-          zip(*[[Fraction(x) for x in r] for r in basis_rows])]
-    rhs = [Fraction(x) for x in vec]
-    k = len(basis_rows)
-    rows, b, kept = [], [], []
-    for i, row in enumerate(at):
-        if mat_rank(kept + [row]) > len(kept):
-            kept.append(row)
-            rows.append(row)
-            b.append(rhs[i])
-            if len(rows) == k:
-                break
-    c = mat_solve(rows, b)
-    # verify the equations that were not used in the square solve
-    for i, row in enumerate(at):
-        acc = sum((x * y for x, y in zip(row, c)), Fraction(0))
-        if acc != rhs[i]:
-            raise ValueError("vector outside the lattice span")
-    return c
-
-
-def lattice_index(sub_rows, full_rows) -> int:
-    """Index [L_full : L_sub] for a finite-index sublattice, given bases.
-
-    Raises if the sub rows are not contained in the full lattice or the
-    ranks differ.
-    """
-    if len(sub_rows) != len(full_rows):
-        raise ValueError("lattice bases of different rank")
-    coords = []
-    for srow in sub_rows:
-        c = lattice_coordinates(srow, full_rows)
-        if any(f.denominator != 1 for f in c):
-            raise ValueError("sublattice rows not contained in full lattice")
-        coords.append([int(f) for f in c])
-    det = int(mat_det([[Fraction(x) for x in row] for row in coords]))
-    if det == 0:
-        raise ValueError("sublattice of lower rank")
-    return abs(det)

@@ -28,31 +28,6 @@ def coerce_vector(vec) -> list:
     return [_promote(x) for x in vec]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def rref(rows):
     """Reduced row echelon form.
 
@@ -91,50 +66,6 @@ def mat_rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def mat_kernel(rows):
-    """Basis of the right kernel {x : rows @ x = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def mat_det(rows):
-    m = coerce_matrix(rows)
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    det = None
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return m[0][0] - m[0][0]  # zero of the right type
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        pv = m[c][c]
-        det = pv if det is None else det * pv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det if sign > 0 else -det
-
-
 def mat_solve(a, b):
     """Solve a @ x = b for square invertible a.
 
@@ -150,14 +81,3 @@ def mat_solve(a, b):
         raise SingularMatrixError("matrix is singular")
     sol = [row[n:] for row in red[:n]]
     return [row[0] for row in sol] if vector else sol
-
-
-def mat_inverse(a):
-    n = len(a)
-    eye = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    return mat_solve(a, eye)
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []

@@ -17,10 +17,11 @@ parent faces.  Disagreement is a hard error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ambient import adapted_kernel_basis, find_flag_index_set
+from .charts import singular_chart
+from .linalg import mat_rank
 from .polytope import Face, HPolytope, ValidationError
 from .scalars import ParamRegistry, Scalar
 
@@ -55,7 +56,11 @@ def _coerce_b(p: HPolytope, face: Face, b):
 
 @dataclass(frozen=True)
 class ConeSection:
-    """Transversal slice data of the cone at a singular face."""
+    """Transversal slice data of the cone at a singular face.
+
+    polytope is the validated intrinsic presentation of the slice: one
+    constraint per label of the face, in the annihilator basis.
+    """
 
     face_index_set: tuple
     b: tuple  # Scalars over sorted(I_F)
@@ -65,6 +70,7 @@ class ConeSection:
     y_num: tuple  # Fractions
     xi0: tuple  # minimum-norm point of the slice plane, Fractions
     ann_basis: tuple  # orthogonal rational basis of ann(Y) in the span
+    polytope: HPolytope = field(compare=False, repr=False)
 
 
 def cone_section(p: HPolytope, face: Face, b=None,
@@ -105,27 +111,22 @@ def cone_section(p: HPolytope, face: Face, b=None,
     if len(basis) != expect:
         raise ValueError(f"section of face {labels} has dimension "
                          f"{len(basis)}, expected {expect}")
-    section = ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
-                          y=tuple(y), level=level, y_num=y_num, xi0=xi0,
-                          ann_basis=tuple(tuple(u) for u in basis))
-    _intrinsic_polytope(p, section)  # validates nonempty, bounded, full-dim
-    return section
-
-
-def _intrinsic_polytope(p: HPolytope, section: ConeSection) -> HPolytope:
-    labels = section.face_index_set
-    reg = ParamRegistry([])
     normals = []
     offsets = []
     for j in labels:
         xj = [p._num_x[j - 1][i] for i in range(p.n)]
-        normals.append([_dot(u, xj) for u in section.ann_basis])
-        offsets.append(p._num_l[j - 1] - _dot(section.xi0, xj))
+        normals.append([_dot(u, xj) for u in basis])
+        offsets.append(p._num_l[j - 1] - _dot(xi0, xj))
     try:
-        return HPolytope(reg, normals, offsets)
+        # validation checks the slice is nonempty, bounded, full-dim
+        poly = HPolytope(ParamRegistry([]), normals, offsets)
     except ValidationError as e:
         raise ValueError(f"cone section at {labels} is degenerate: "
                          f"{e}") from e
+    return ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
+                       y=tuple(y), level=level, y_num=y_num, xi0=xi0,
+                       ann_basis=tuple(tuple(u) for u in basis),
+                       polytope=poly)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class LinkPolytope:
 
 
 def link_polytope(p: HPolytope, section: ConeSection) -> LinkPolytope:
-    poly = _intrinsic_polytope(p, section)
+    poly = section.polytope
     labels = section.face_index_set
     parent = p.face_lattice
     face = parent.face(labels)
@@ -199,15 +200,11 @@ class FibrationData:
     split_ok: bool
 
 
-def fibration_data(p: HPolytope, face: Face, b=None, index_set=None,
-                   family=None) -> FibrationData:
-    from .linalg import mat_rank
-
+def fibration_data(p: HPolytope, face: Face, b=None,
+                   index_set=None) -> FibrationData:
     b = _coerce_b(p, face, b)
     labels = face.index_set
-    if index_set is None:
-        index_set, _vid = find_flag_index_set(p, face, family)
-    basis = adapted_kernel_basis(p, index_set, face=face, family=family)
+    basis = singular_chart(p, face, index_set).basis
     stab = basis.kernel[:basis.stabilizer_count]
     rows = [[vec[j - 1] for j in labels] for vec in stab]
     rows.append(list(b))
@@ -260,16 +257,24 @@ def _build_node(p: HPolytope, face: Face, chain, b, epsilon,
 
 
 def link_tree(p: HPolytope, options=None):
-    """One LinkNode per singular face, recursing until links are simple."""
+    """One LinkNode per singular face, recursing until links are simple.
+
+    The forest is memoized on the polytope, keyed by epsilon and the b
+    coefficients each singular face resolves to.
+    """
     options = options or {}
     b_map = options.get("b", {})
     epsilon = Fraction(options.get("epsilon", 1))
-    roots = []
-    for face in p.face_lattice.singular_faces():
-        b = b_map.get(face.index_set)
-        roots.append(_build_node(p, face, (face.index_set,), b, epsilon,
-                                 depth_left=p.n))
-    return tuple(roots)
+    faces = p.face_lattice.singular_faces()
+    bs = tuple(_coerce_b(p, face, b_map.get(face.index_set))
+               for face in faces)
+    key = ("link_tree", epsilon, bs)
+    if key not in p.memo:
+        p.memo[key] = tuple(
+            _build_node(p, face, (face.index_set,), b, epsilon,
+                        depth_left=p.n)
+            for face, b in zip(faces, bs))
+    return p.memo[key]
 
 
 def section_invariance_check(p: HPolytope, face: Face, b=None,

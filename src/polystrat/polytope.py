@@ -133,6 +133,9 @@ class HPolytope:
         self._vertices = None
         self._lattice = None
         self._interior = None
+        # objects derived from this polytope by other modules (index
+        # family, A_I, charts, link forest), keyed by (function, args)
+        self.memo = {}
         if validate:
             self._validate()
 
@@ -319,16 +322,3 @@ class HPolytope:
                       f"constraint {j} meets vertex {vid} only at the "
                       "evaluation point")])
         return pt
-
-
-def enumerate_vertices(p: HPolytope):
-    """(coordinates, active set) pairs, exact at the evaluation point."""
-    return [(v.coords, v.active) for v in p.vertices]
-
-
-def build_face_lattice(p: HPolytope) -> FaceLattice:
-    return p.face_lattice
-
-
-def is_simple(p: HPolytope) -> bool:
-    return p.is_simple

@@ -3,8 +3,8 @@
 A spec file is JSON: dimension, parameters (name/value pairs), normals
 and offsets as scalar-expression strings, an optional quasilattice
 (the string "normals" or explicit generator rows), and options (b
-overrides keyed by comma-joined face index sets, epsilon, tolerances,
-sample counts, seed).
+overrides keyed by comma-joined index sets of singular faces, epsilon,
+tolerances, sample counts, seed).
 
 The report is JSON with sorted keys; exact values are canonical
 scalar strings, floating residuals are fixed 12-significant-digit
@@ -18,8 +18,8 @@ import math
 import random
 from fractions import Fraction
 
-from .ambient import Quasilattice, admissible_index_sets, \
-    check_vertex_lambda_identity, classify_choice
+from .ambient import Quasilattice, admissible_index_sets, classify_choice, \
+    find_flag_index_set
 from .charts import cone_embedding, cone_neighborhood, face_interior_point, \
     lift_point, moment_values, psi_equations, regular_chart, regular_slice, \
     sample_cone_points, sample_polytope_points, singular_chart, \
@@ -110,28 +110,50 @@ def parse_spec(data: dict):
         "tolerances": dict(DEFAULT_TOL),
         "b": {},
     }
-    if not isinstance(options["samples"], int) or options["samples"] < 1:
+    # exact type checks: bool is a subclass of int
+    if type(options["samples"]) is not int or options["samples"] < 1:
         raise SpecError("options.samples must be a positive integer")
-    if not isinstance(options["seed"], int):
+    if type(options["seed"]) is not int:
         raise SpecError("options.seed must be an integer")
     if options["epsilon"] <= 0:
         raise SpecError("options.epsilon must be positive")
-    for k, v in raw.get("tolerances", {}).items():
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise SpecError("options.tolerances must be an object")
+    for k, v in tolerances.items():
         if k not in DEFAULT_TOL:
             raise SpecError(f"unknown tolerance {k!r}")
+        if isinstance(v, bool):
+            raise SpecError(f"bad tolerance {k!r}: a boolean")
         try:
             options["tolerances"][k] = float(v)
         except (TypeError, ValueError) as e:
             raise SpecError(f"bad tolerance {k!r}: {e}") from e
-    for key, vals in raw.get("b", {}).items():
+    b_raw = raw.get("b", {})
+    if not isinstance(b_raw, dict):
+        raise SpecError("options.b must be an object")
+    for key, vals in b_raw.items():
         try:
             face = tuple(sorted(int(t) for t in key.split(",")))
         except ValueError as e:
             raise SpecError(f"bad face key {key!r} in options.b") from e
+        if not isinstance(vals, list):
+            raise SpecError(f"options.b entry for {key!r} must be a list")
         try:
-            options["b"][face] = tuple(reg.scalar(v) for v in vals)
-        except ScalarError as e:
+            b = tuple(reg.scalar(v) for v in vals)
+            positive = all(s.sign() > 0 for s in b)
+        except (ScalarError, TypeError, ValueError, ArithmeticError) as e:
             raise SpecError(f"bad b entry for {key!r}: {e}") from e
+        target = p.face_lattice.by_index_set.get(face)
+        if target is None or not target.singular:
+            raise SpecError(f"options.b key {key!r} is not a singular face")
+        if len(b) != len(face):
+            raise SpecError(f"options.b entry for {key!r} must list "
+                            f"{len(face)} coefficients")
+        if not positive:
+            raise SpecError(f"options.b entry for {key!r} must be positive "
+                            "at the evaluation point")
+        options["b"][face] = b
     return p, q, options
 
 
@@ -162,17 +184,17 @@ def _faces_section(p: HPolytope):
     }
 
 
-def _charts_section(p: HPolytope, q: Quasilattice, fam, charts=None):
-    if charts is None:
-        charts = [regular_chart(p, i_set, fam) for i_set in fam]
+def _regular_charts(p: HPolytope):
+    return [regular_chart(p, i_set) for i_set in admissible_index_sets(p)]
+
+
+def _charts_section(p: HPolytope, q: Quasilattice):
     out = []
-    for chart in charts:
+    for chart in _regular_charts(p):
         i_set = chart.index_set
-        gamma = gamma_group(p, q, i_set, fam)
+        gamma = gamma_group(p, q, i_set)
         st = gamma.structure()
         eqs = psi_equations(p, chart.basis)
-        _ok, slack_syms = check_vertex_lambda_identity(
-            p, chart.vertex_id, i_set, a_matrix=chart.basis.a_matrix)
         out.append({
             "index_set": list(i_set),
             "vertex_index_set": list(chart.basis.vertex_index_set),
@@ -183,7 +205,7 @@ def _charts_section(p: HPolytope, q: Quasilattice, fam, charts=None):
                                for vec in chart.basis.kernel],
             "psi_constants": [str(c) for _vec, c in eqs],
             "slacks": {str(r): str(s)
-                       for r, s in sorted(slack_syms.items())},
+                       for r, s in sorted(chart.slack_scalars.items())},
             "pi1_rank": chart.pi1_rank,
             "i_star": list(chart.i_star),
             "gamma_generators": [[str(x) for x in gen]
@@ -203,14 +225,13 @@ def _group_json(g):
     }
 
 
-def _groups_section(p: HPolytope, q: Quasilattice, fam):
-    choice = classify_choice(p, q, fam)
+def _groups_section(p: HPolytope, q: Quasilattice):
+    choice = classify_choice(p, q)
     per_face = []
     for face in p.face_lattice.singular_faces():
-        from .ambient import find_flag_index_set
-        i_set, _vid = find_flag_index_set(p, face, fam)
-        split = split_gamma(p, q, face, i_set, fam)
-        face_group = gamma_face_group(p, q, face, i_set, fam)
+        i_set, _vid = find_flag_index_set(p, face)
+        split = split_gamma(p, q, face, i_set)
+        face_group = gamma_face_group(p, q, face, i_set)
         per_face.append({
             "face": list(face.index_set),
             "index_set": list(i_set),
@@ -284,20 +305,14 @@ def _links_section(p: HPolytope, options):
 
 # -- verification --------------------------------------------------------
 
-def _chunks(total, parts):
-    per = max(1, math.ceil(total / max(parts, 1)))
-    return per
-
-
 def _phase(rng):
     theta = 2 * math.pi * rng.random()
     return complex(math.cos(theta), math.sin(theta))
 
 
-def run_verification(p: HPolytope, fam, options, rng, charts=None):
+def run_verification(p: HPolytope, options, rng):
     n_samples = options["samples"]
-    if charts is None:
-        charts = [regular_chart(p, i_set, fam) for i_set in fam]
+    charts = _regular_charts(p)
     base = charts[0].basis
 
     lift_res = 0.0
@@ -309,7 +324,7 @@ def run_verification(p: HPolytope, fam, options, rng, charts=None):
                        max(abs(phi[i] - float(mu[i])) for i in range(p.n)))
 
     reg_res = 0.0
-    per = _chunks(n_samples, len(charts))
+    per = max(1, math.ceil(n_samples / len(charts)))
     for chart in charts:
         for mu in sample_polytope_points(p, per, rng, strict=True):
             u = [math.sqrt(float(p.constraint_value(h, mu))) * _phase(rng)
@@ -322,7 +337,6 @@ def run_verification(p: HPolytope, fam, options, rng, charts=None):
                               for i in range(p.n)))
 
     tor_res = 0.0
-    per = _chunks(n_samples, len(charts))
     for chart in charts:
         for mu in sample_polytope_points(p, per, rng, strict=True):
             u = [math.sqrt(float(p.constraint_value(h, mu)))
@@ -343,7 +357,7 @@ def run_verification(p: HPolytope, fam, options, rng, charts=None):
     if sing:
         sing_res = 0.0
         emb_res = 0.0
-        per = _chunks(n_samples, len(sing))
+        per = max(1, math.ceil(n_samples / len(sing)))
         for face in sing:
             chart = singular_chart(p, face)
             for _ in range(per):
@@ -411,25 +425,21 @@ def build_report(p: HPolytope, q: Quasilattice | None = None,
     if seed is not None:
         options = dict(options)
         options["seed"] = seed
-    fam = admissible_index_sets(p)
-    charts = None
-    if "charts" in sections or "verify" in sections:
-        charts = [regular_chart(p, i_set, fam) for i_set in fam]
     report = {"schema": "polystrat-report/1"}
     ok = True
     if "faces" in sections:
         report["polytope"] = _faces_section(p)
     if "charts" in sections:
-        report["charts"] = _charts_section(p, q, fam, charts=charts)
+        report["charts"] = _charts_section(p, q)
     if "groups" in sections:
-        choice, per_face = _groups_section(p, q, fam)
+        choice, per_face = _groups_section(p, q)
         report["choice"] = choice
         report["groups"] = {"per_singular_face": per_face}
     if "links" in sections:
         report["links"] = _links_section(p, options)
     if "verify" in sections:
         rng = random.Random(options["seed"])
-        block, ok = run_verification(p, fam, options, rng, charts=charts)
+        block, ok = run_verification(p, options, rng)
         report["verification"] = block
     return report, ok
 

@@ -649,18 +649,6 @@ def parse_scalar(registry: ParamRegistry, text: str) -> Scalar:
 # spec-facing free functions
 
 
-def evaluate_at(s: Scalar, values: Mapping[str, object] | None = None) -> Fraction:
-    return s.evaluate(values)
-
-
-def is_rational_constant(s: Scalar) -> bool:
-    return s.is_rational_constant()
-
-
-def sign_at(s: Scalar) -> int:
-    return s.sign()
-
-
 def over_common_denominator(scalars: Iterable[Scalar]):
     """Numerator polynomials of the given scalars over one common denominator.
 

@@ -201,7 +201,7 @@ def test_kernel_vectors_in_kernel_of_projection(pyramid, tent):
         p = fx[0]
         fam = admissible_index_sets(p)
         for i_set in fam:
-            basis = adapted_kernel_basis(p, i_set, family=fam)
+            basis = adapted_kernel_basis(p, i_set)
             for vec in basis.kernel:
                 for i in range(p.n):
                     img = sum((vec[j] * p.normals[j][i]
@@ -214,8 +214,8 @@ def test_adapted_basis_with_face_puts_stabilizer_first(tent):
     lat = p.face_lattice
     edge = lat.face((1, 2, 3, 4))
     fam = admissible_index_sets(p)
-    i_set, _vid = find_flag_index_set(p, edge, fam)
-    basis = adapted_kernel_basis(p, i_set, face=edge, family=fam)
+    i_set, _vid = find_flag_index_set(p, edge)
+    basis = adapted_kernel_basis(p, i_set, face=edge)
     assert basis.stabilizer_count == 1  # r - n + p = 4 - 4 + 1
     common = set(edge.index_set) & set(i_set)
     for vec in basis.kernel[:basis.stabilizer_count]:
@@ -271,7 +271,7 @@ def test_flag_index_set_meets_face(pyramid, tent):
         p = fx[0]
         fam = admissible_index_sets(p)
         for face in p.face_lattice.singular_faces():
-            i_set, vid = find_flag_index_set(p, face, fam)
+            i_set, vid = find_flag_index_set(p, face)
             assert i_set in fam
             assert vid in face.vertex_ids
             assert len(set(i_set) & set(face.index_set)) == p.n - face.dim

@@ -34,7 +34,7 @@ def tnt(tent):
 
 def test_pyramid_chart_blocks(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     assert ch.index_set == (2, 3, 4)
     assert p.vertices[ch.vertex_id].coords == (0, 0, 1)
     assert ch.mid_labels == (1,)
@@ -46,7 +46,7 @@ def test_pyramid_chart_blocks(pyr):
 
 def test_pyramid_chart_matrix(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     assert ch.a_num == (
         (Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0),
          Fraction(-3, 2)),
@@ -57,7 +57,7 @@ def test_pyramid_chart_matrix(pyr):
 
 def test_psi_equations_symbolic(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     table = C.psi_equations(p, ch.basis)
     assert len(table) == 2
     v1, c1 = table[0]
@@ -70,7 +70,7 @@ def test_psi_equations_symbolic(pyr):
 
 def test_tent_chart_blocks(tnt):
     p, fam = tnt
-    ch = C.regular_chart(p, (1, 2, 3, 6), fam)
+    ch = C.regular_chart(p, (1, 2, 3, 6))
     assert p.vertices[ch.vertex_id].coords == (1, -1, 0, 0)
     assert ch.mid_labels == (4, 7)
     assert ch.out_labels == (5, 8, 9)
@@ -82,7 +82,7 @@ def test_pi1_rank_zero_on_all_fixture_charts(pyr, tnt, cube3):
     pc, _, _ = cube3
     for p, fam in (pyr, tnt, (pc, admissible_index_sets(pc))):
         for i_set in fam:
-            rank, star = C.chart_pi1_rank(p, i_set, fam)
+            rank, star = C.chart_pi1_rank(p, i_set)
             assert rank == 0 and star == (), i_set
 
 
@@ -104,7 +104,7 @@ def test_apex_lift_pinned(pyr):
     z = C.lift_point(p, (Fraction(0), Fraction(0), Fraction(1)))
     assert list(z[:4]) == [0, 0, 0, 0]
     assert z[4] == pytest.approx(math.sqrt(3), abs=1e-15)
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     _, psi, phi = C.moment_values(p, z, ch.basis)
     assert max(abs(v) for v in psi) <= 1e-12
     assert np.allclose(phi, [0, 0, 1], atol=1e-12)
@@ -130,7 +130,7 @@ def test_lift_rejects_outside_point(pyr):
 
 def test_upsilon_at_origin_equals_offsets(pyr, tnt):
     for p, fam in (pyr, tnt):
-        ch = C.regular_chart(p, next(iter(fam)), fam)
+        ch = C.regular_chart(p, next(iter(fam)))
         ups, _, _ = C.moment_values(p, np.zeros(p.d, dtype=complex), ch.basis)
         assert ups == [float(l) for l in p.numeric_offsets()]
 
@@ -138,7 +138,7 @@ def test_upsilon_at_origin_equals_offsets(pyr, tnt):
 def test_lift_phi_roundtrip_sampled(pyr, tnt):
     rng = random.Random(11)
     for p, fam in (pyr, tnt):
-        ch = C.regular_chart(p, next(iter(fam)), fam)
+        ch = C.regular_chart(p, next(iter(fam)))
         for mu in C.sample_polytope_points(p, 12, rng, strict=True):
             z = C.lift_point(p, mu)
             _, psi, phi = C.moment_values(p, z, ch.basis)
@@ -151,7 +151,7 @@ def test_lift_phi_roundtrip_sampled(pyr, tnt):
 
 def test_pyramid_slice_domain_error(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     with pytest.raises(C.DomainError) as err:
         C.regular_slice(p, ch, [1, 1, 1])
     assert err.value.label == 5
@@ -159,7 +159,7 @@ def test_pyramid_slice_domain_error(pyr):
 
 def test_slice_boundary_is_rejected(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     # rho = (4, 9/4, 1/4) zeroes the mid inequality exactly; dyadic
     # moduli keep the float radicand at exactly 0.0
     with pytest.raises(C.DomainError) as err:
@@ -169,7 +169,7 @@ def test_slice_boundary_is_rejected(pyr):
 
 def test_slice_copies_u_block_exactly(pyr):
     p, fam = pyr
-    ch = C.regular_chart(p, (2, 3, 4), fam)
+    ch = C.regular_chart(p, (2, 3, 4))
     u = [0.3 + 0.4j, -0.2, 0.5j]
     z = C.regular_slice(p, ch, u)
     for pos, h in enumerate(ch.index_set):
@@ -180,7 +180,7 @@ def test_slice_lands_on_zero_level_sampled(pyr, tnt):
     rng = random.Random(23)
     for p, fam in (pyr, tnt):
         for i_set in list(fam)[:3]:
-            ch = C.regular_chart(p, i_set, fam)
+            ch = C.regular_chart(p, i_set)
             for u in C.sample_regular_domain(p, ch, 8, rng):
                 z = C.regular_slice(p, ch, u)
                 ups, psi, phi = C.moment_values(p, z, ch.basis)
@@ -223,7 +223,7 @@ def test_torus_phases_match_basis_columns(pyr):
 def test_torus_preserves_moment_values_sampled(pyr, tnt):
     rng = random.Random(37)
     for p, fam in (pyr, tnt):
-        ch = C.regular_chart(p, next(iter(fam)), fam)
+        ch = C.regular_chart(p, next(iter(fam)))
         z = C.lift_point(p, p.interior_point())
         _, psi0, phi0 = C.moment_values(p, z, ch.basis)
         for _ in range(8):
@@ -240,7 +240,7 @@ def test_torus_preserves_moment_values_sampled(pyr, tnt):
 def test_apex_singular_chart_blocks(pyr):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     assert sch.common == (2, 3, 4)
     assert sch.w_labels == ()
     assert sch.mid_labels == ()
@@ -252,7 +252,7 @@ def test_apex_singular_chart_blocks(pyr):
 def test_tent_edge_singular_chart_blocks(tnt):
     p, fam = tnt
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     assert sch.common == (1, 2, 3)
     assert sch.w_labels == (6,)
     assert sch.mid_labels == (7,)
@@ -263,7 +263,7 @@ def test_tent_edge_singular_chart_blocks(tnt):
 def test_singular_chart_blocks_partition_labels(pyr, tnt):
     for p, fam in (pyr, tnt):
         for face in p.face_lattice.singular_faces():
-            sch = C.singular_chart(p, face, family=fam)
+            sch = C.singular_chart(p, face)
             assert sch.index_set in fam
             assert sch.dim == face.dim
             labels = sorted(set(face.index_set) | set(sch.w_labels)
@@ -274,7 +274,7 @@ def test_singular_chart_blocks_partition_labels(pyr, tnt):
 def test_tent_singular_slice_pinned(tnt):
     p, fam = tnt
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     w = math.sqrt(0.5) * cmath.exp(0.37j)
     z = C.singular_slice(p, sch, [w])
     assert list(z[:4]) == [0, 0, 0, 0]
@@ -288,7 +288,7 @@ def test_tent_singular_slice_pinned(tnt):
 def test_singular_slice_rejects_zero_w(tnt):
     p, fam = tnt
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     with pytest.raises(C.DomainError) as err:
         C.singular_slice(p, sch, [0])
     assert err.value.label == 6
@@ -298,7 +298,7 @@ def test_singular_slice_lands_on_zero_level(tnt):
     p, fam = tnt
     rng = random.Random(41)
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     for w in C.sample_singular_domain(p, sch, 8, rng):
         z = C.singular_slice(p, sch, w)
         _, psi, _ = C.moment_values(p, z, sch.basis)
@@ -311,7 +311,7 @@ def test_singular_slice_lands_on_zero_level(tnt):
 def test_apex_cone_tip_and_homogeneity(pyr):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     psi, phi = C.moment_map_cone(p, sch, (0, 0, 0, 0))
     assert psi == [0.0]
     assert phi == (-2.0, 0.0, 0.0)
@@ -328,7 +328,7 @@ def test_apex_cone_tip_and_homogeneity(pyr):
 def test_apex_cone_neighborhood_pinned(pyr):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     nb = C.cone_neighborhood(p, sch)
     assert nb.b == (1, 1, 1, 1)
     assert nb.box_lo == () and nb.box_hi == ()
@@ -339,7 +339,7 @@ def test_apex_cone_neighborhood_pinned(pyr):
 def test_tent_edge_neighborhood_pinned(tnt):
     p, fam = tnt
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     nb = C.cone_neighborhood(p, sch)
     assert nb.box_lo == (Fraction(1, 4),)
     assert nb.box_hi == (Fraction(3, 4),)
@@ -350,7 +350,7 @@ def test_tent_edge_neighborhood_pinned(tnt):
 def test_cone_neighborhood_b_override(pyr):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     nb = C.cone_neighborhood(p, sch, b={1: 1, 2: 1, 3: 1, 4: 2})
     assert nb.b == (1, 1, 1, 2)
     assert nb.epsilon == Fraction(1)
@@ -361,7 +361,7 @@ def test_cone_neighborhood_b_override(pyr):
 def test_apex_cone_embedding_pinned(pyr):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     nb = C.cone_neighborhood(p, sch)
     # squared moduli (1, 2, 1, 1)/16 satisfy the cone equation
     # rho_1 - rho_2/2 + rho_3 - rho_4 = 0 with ball 5/16 < 1/2
@@ -377,7 +377,7 @@ def test_apex_cone_embedding_pinned(pyr):
 def test_cone_embedding_rejections(pyr, tnt):
     p, fam = pyr
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     nb = C.cone_neighborhood(p, sch)
     with pytest.raises(C.DomainError, match="face cone") as err:
         C.cone_embedding(p, sch, nb, [], [0.5, 0, 0, 0])
@@ -389,7 +389,7 @@ def test_cone_embedding_rejections(pyr, tnt):
 
     t, tfam = tnt
     edge = t.face_lattice.face((1, 2, 3, 4))
-    tch = C.singular_chart(t, edge, (1, 2, 3, 6), tfam)
+    tch = C.singular_chart(t, edge, (1, 2, 3, 6))
     tnb = C.cone_neighborhood(t, tch)
     with pytest.raises(C.DomainError) as err:
         C.cone_embedding(t, tch, tnb, [math.sqrt(0.9)], [0, 0, 0, 0])
@@ -399,7 +399,7 @@ def test_cone_embedding_rejections(pyr, tnt):
 def test_cone_embedding_at_zero_matches_singular_slice(tnt):
     p, fam = tnt
     edge = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, edge, (1, 2, 3, 6), fam)
+    sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     nb = C.cone_neighborhood(p, sch)
     w = [math.sqrt(0.5) * cmath.exp(2j * math.pi * 0.37)]
     z0 = C.singular_slice(p, sch, w)
@@ -411,7 +411,7 @@ def test_sampled_cone_points_embed(pyr):
     p, fam = pyr
     rng = random.Random(53)
     apex = p.face_lattice.face((1, 2, 3, 4))
-    sch = C.singular_chart(p, apex, (2, 3, 4), fam)
+    sch = C.singular_chart(p, apex, (2, 3, 4))
     nb = C.cone_neighborhood(p, sch)
     for zf in C.sample_cone_points(p, sch, nb, 6, rng):
         psi, _ = C.moment_map_cone(p, sch, zf)

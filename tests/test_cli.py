@@ -117,6 +117,25 @@ def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
     assert _diags(captured.err)[0]["error"] == "verification"
 
 
+@pytest.mark.parametrize("options", [
+    {"b": {"1,2,3,4": ["1", "1", "1", "-1"]}},
+    {"b": {"1,2,3,4": ["1", "1"]}},
+    {"b": {"1,2,3,4": 5}},
+    {"b": [["1", "1", "1", "1"]]},
+    {"tolerances": [1e-9]},
+    {"b": {"9,9": ["1", "1"]}},
+    {"samples": True},
+    {"seed": True},
+])
+def test_malformed_options_are_parse_errors(tmp_path, capsys, options):
+    path = _write_spec(tmp_path, _pyramid_spec(**options))
+    assert main(["analyze", path]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    diags = _diags(err)
+    assert len(diags) == 1 and diags[0]["error"] == "parse"
+
+
 # -- fixtures -------------------------------------------------------------
 
 

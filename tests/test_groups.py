@@ -53,21 +53,21 @@ def test_unit_fixtures_all_chart_groups_trivial(pyramid_unit, tent_unit):
         p, q, _ = fx
         fam = admissible_index_sets(p)
         for i_set in fam:
-            assert gamma_group(p, q, i_set, fam).structure().is_trivial
+            assert gamma_group(p, q, i_set).structure().is_trivial
 
 
 def test_unimodular_cube_groups_trivial(cube3):
     p, q, _ = cube3
     fam = admissible_index_sets(p)
     for i_set in fam:
-        assert gamma_group(p, q, i_set, fam).structure().is_trivial
+        assert gamma_group(p, q, i_set).structure().is_trivial
 
 
 def test_gamma_group_rejects_inadmissible(pyramid):
     p, q, _ = pyramid
     fam = admissible_index_sets(p)
     with pytest.raises(ValueError):
-        gamma_group(p, q, (1, 3, 5), fam)
+        gamma_group(p, q, (1, 3, 5))
 
 
 # -- face groups ---------------------------------------------------------------
@@ -126,8 +126,8 @@ def test_split_parts_trivial_for_delzant_data(tent_unit):
     p, q, _ = tent_unit
     fam = admissible_index_sets(p)
     for face in p.face_lattice.singular_faces():
-        i_set, _ = find_flag_index_set(p, face, fam)
-        split = split_gamma(p, q, face, i_set, fam)
+        i_set, _ = find_flag_index_set(p, face)
+        split = split_gamma(p, q, face, i_set)
         assert split.face_part.structure().is_trivial
         assert split.complement_part.structure().is_trivial
 

@@ -9,10 +9,14 @@ is checked within this process instead.
 import copy
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+import polystrat.ambient as ambient
+import polystrat.charts as charts
 from polystrat.cli import fixture_spec
+from polystrat.polytope import HPolytope
 from polystrat.report import SpecError, build_report, dot_export, fnum, \
     parse_spec, render_report
 
@@ -29,6 +33,13 @@ BASE = {
 def _broken(**changes):
     data = copy.deepcopy(BASE)
     data.update(changes)
+    return data
+
+
+def _pyramid(**options):
+    """The pyramid fixture, whose apex (1, 2, 3, 4) is a singular face."""
+    data = fixture_spec("pyramid")
+    data["options"] = options
     return data
 
 
@@ -49,14 +60,15 @@ def test_parse_spec_explicit_quasilattice():
 
 
 def test_parse_spec_options():
-    data = _broken(options={"samples": 7, "seed": 3, "epsilon": "1/2",
-                            "tolerances": {"residual": 1e-6},
-                            "b": {"1,3": ["1", "p1"]}})
+    data = _pyramid(samples=7, seed=3, epsilon="1/2",
+                    tolerances={"residual": 1e-6},
+                    b={"1,2,3,4": ["1", "1", "1", "p2"]})
     _p, _q, options = parse_spec(data)
     assert options["samples"] == 7 and options["seed"] == 3
     assert float(options["epsilon"]) == 0.5
     assert options["tolerances"]["residual"] == 1e-6
-    assert [str(s) for s in options["b"][(1, 3)]] == ["1", "p1"]
+    assert [str(s) for s in options["b"][(1, 2, 3, 4)]] == \
+        ["1", "1", "1", "p2"]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -81,6 +93,17 @@ def test_parse_spec_options():
     lambda d: _broken(options={"tolerances": {"residual": "tight"}}),
     lambda d: _broken(options={"b": {"1,x": ["1", "1"]}}),
     lambda d: _broken(options={"b": {"1,3": ["1", "(("]}}),
+    lambda d: _broken(options={"b": [["1", "1"]]}),
+    lambda d: _broken(options={"b": {"9,9": ["1", "1"]}}),
+    lambda d: _broken(options={"tolerances": [1e-9]}),
+    lambda d: _broken(options={"tolerances": {"residual": True}}),
+    lambda d: _broken(options={"samples": True}),
+    lambda d: _broken(options={"seed": False}),
+    lambda d: _pyramid(b={"1,2,3,4": ["1", "1", "1", "-1"]}),
+    lambda d: _pyramid(b={"1,2,3,4": ["1", "0", "1", "1"]}),
+    lambda d: _pyramid(b={"1,2,3,4": ["1", "1"]}),
+    lambda d: _pyramid(b={"1,2,3,4": 5}),
+    lambda d: _pyramid(b={"1,2": ["1", "1"]}),  # a nonsingular edge
 ])
 def test_parse_spec_rejects(mutate):
     with pytest.raises(SpecError):
@@ -135,6 +158,46 @@ def test_verification_block_fields(pyramid):
                 "max_torus_residual", "max_singular_slice_residual",
                 "max_embedding_residual"):
         assert float(block[key]) <= 1e-8, key
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_report_and_dot_derive_each_object_once(monkeypatch):
+    p, q, options = parse_spec(fixture_spec("tent"))
+    counts = Counter()
+    for owner, name in ((HPolytope, "__init__"),
+                        (ambient.IndexFamily, "__init__"),
+                        (charts, "RegularChart"), (charts, "SingularChart"),
+                        (charts, "check_vertex_lambda_identity")):
+        monkeypatch.setattr(owner, name, _counting(
+            counts, name if owner is charts else owner.__name__,
+            getattr(owner, name)))
+    report, ok = build_report(p, q, dict(options, samples=10))
+    dot_export(p, options)
+    assert ok
+
+    def walk(nodes):
+        for node in nodes:
+            yield node
+            yield from walk(node["children"])
+
+    nodes = sum(1 for _ in walk(report["links"]))
+    assert nodes == 33
+    # one intrinsic polytope per link node, none rebuilt for the DOT file
+    assert counts["HPolytope"] == nodes
+    # at most one index family per polytope: the tent and each link
+    assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
+    assert counts["RegularChart"] == len(report["charts"]) == 72
+    # one flag chart per link node, shared by its fibration, embedding
+    # constants and verification samples
+    assert counts["SingularChart"] == nodes
+    assert counts["check_vertex_lambda_identity"] == \
+        counts["RegularChart"] + counts["SingularChart"]
 
 
 # -- pinned content -------------------------------------------------------
