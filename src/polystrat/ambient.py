@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .linalg import SingularMatrixError, mat_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError
-from .scalars import Scalar, over_common_denominator
+from .scalars import Scalar, monomial_rows
 
 
 class Quasilattice:
@@ -58,12 +58,6 @@ class ProjectionMap:
     @property
     def d(self):
         return len(self.matrix[0])
-
-    def apply(self, v):
-        """pi(v) = sum_j v_j X_j for a length-d vector of Scalars."""
-        return tuple(
-            sum((row[j] * v[j] for j in range(self.d)), row[0] * 0)
-            for row in self.matrix)
 
 
 def projection_matrix(p: HPolytope) -> ProjectionMap:
@@ -205,11 +199,7 @@ def adapted_kernel_basis(p: HPolytope, index_set,
     if not i_f <= set(i_mu):
         raise ValueError(f"face {face.index_set} does not contain the "
                          f"vertex of {i_sorted}")
-    common = sorted(i_f & set(i_sorted))
-    if len(common) != p.n - face.dim:
-        raise ValueError(
-            f"flag condition fails: card(I cap I_F)={len(common)} "
-            f"!= n-p={p.n - face.dim}")
+    common = flag_intersection(p, face, i_sorted)
 
     stab_labels = [k for k in sorted(i_f) if k not in common]
     mid_labels = [l for l in i_mu
@@ -232,6 +222,16 @@ def adapted_kernel_basis(p: HPolytope, index_set,
         vertex_id=vid, vertex_index_set=i_mu, index_set=i_sorted,
         a_matrix=a, kernel=tuple(kernel), kernel_labels=tuple(labels),
         face_index_set=tuple(sorted(i_f)), stabilizer_count=len(stab_labels))
+
+
+def flag_intersection(p: HPolytope, face: Face, index_set):
+    """Sorted I cap I_F, provided it meets the flag condition card = n - p."""
+    common = tuple(sorted(set(face.index_set) & set(index_set)))
+    if len(common) != p.n - face.dim:
+        raise ValueError(
+            f"flag condition fails: card(I cap I_F)={len(common)} "
+            f"!= n-p={p.n - face.dim}")
+    return common
 
 
 def find_flag_index_set(p: HPolytope, face: Face):
@@ -262,20 +262,16 @@ def check_vertex_lambda_identity(p: HPolytope, vertex_id: int, index_set):
     i_mu = p.vertices[vertex_id].active
     a = change_of_basis(p, i_sorted)
     ok = True
-    for k in i_mu:
-        if k in i_sorted:
-            continue
-        combo = sum((a[pos][k - 1] * p.offsets[h - 1]
-                     for pos, h in enumerate(i_sorted)), p.registry.zero())
-        if not (combo - p.offsets[k - 1]).is_zero():
-            ok = False
     slacks = {}
     for r in range(1, p.d + 1):
-        if r in i_mu:
+        if r in i_sorted:
             continue
         combo = sum((a[pos][r - 1] * p.offsets[h - 1]
                      for pos, h in enumerate(i_sorted)), p.registry.zero())
         slack = combo - p.offsets[r - 1]
+        if r in i_mu:
+            ok = ok and slack.is_zero()
+            continue
         if slack.sign() <= 0:
             raise ValidationError(
                 [("degenerate-point",
@@ -295,43 +291,34 @@ class ChoiceClassification:
         return "rational" if self.rational else "nonrational"
 
 
+def basis_coordinates(p: HPolytope, q: Quasilattice, index_set):
+    """Each quasilattice generator expressed in the basis {X_h : h in I}."""
+    i_sorted = tuple(sorted(index_set))
+    if q.source_polytope is p:
+        a = change_of_basis(p, i_sorted)
+        return [tuple(a[h][j] for h in range(p.n)) for j in range(p.d)]
+    m_i = [[p.normals[h - 1][i] for h in i_sorted] for i in range(p.n)]
+    rhs = [[gen[i] for gen in q.generators] for i in range(p.n)]
+    try:
+        cols = mat_solve(m_i, rhs)
+    except SingularMatrixError:
+        raise ValueError(f"normals of {i_sorted} are not a basis") from None
+    return [tuple(cols[h][g] for h in range(p.n))
+            for g in range(len(q.generators))]
+
+
 def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     """Rationality and Delzant-likeness of the chosen normals and lattice.
 
     The Z-span of the generators is an honest lattice exactly when their
     Q-span has dimension n; with generic parameter values this is the
-    rank of the generator coefficients flattened over the monomials
-    appearing after clearing one common denominator.
+    rank of the generator coordinates flattened over the monomials
+    appearing after clearing one common denominator per coordinate.
     """
-    flat_entries = [x for g in q.generators for x in g]
-    nums, _den = over_common_denominator(flat_entries)
-    monos = sorted({m for num in nums for m in num})
-    rows = []
-    k = 0
-    for _g in q.generators:
-        row = []
-        for _c in range(q.n):
-            num = nums[k]
-            k += 1
-            row.extend(num.get(m, 0) for m in monos)
-        rows.append(row)
+    rows = [row for c in range(q.n)
+            for row in monomial_rows([g[c] for g in q.generators])]
     rational = mat_rank(rows) == q.n
-
-    delzant = rational
-    if delzant:
-        for i_set in admissible_index_sets(p):
-            if q.source_polytope is p:
-                coords = change_of_basis(p, i_set)
-            else:
-                rhs = [[g[i] for g in q.generators] for i in range(p.n)]
-                m_i = [[p.normals[h - 1][i] for h in i_set]
-                       for i in range(p.n)]
-                try:
-                    coords = mat_solve(m_i, rhs)
-                except SingularMatrixError:
-                    delzant = False
-                    break
-            if not all(c.is_integer() for row in coords for c in row):
-                delzant = False
-                break
+    delzant = rational and all(
+        c.is_integer() for i_set in admissible_index_sets(p)
+        for coords in basis_coordinates(p, q, i_set) for c in coords)
     return ChoiceClassification(rational=rational, delzant_like=delzant)

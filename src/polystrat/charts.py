@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ambient import AdaptedBasisData, adapted_kernel_basis, \
-    check_vertex_lambda_identity, find_flag_index_set
+    check_vertex_lambda_identity, find_flag_index_set, flag_intersection
 from .lp import open_feasible_point
 from .polytope import Face, HPolytope
 
@@ -70,8 +70,8 @@ class RegularChart:
     pi1_rank: int
 
 
-def i_star_of_system(rows, bounds):
-    """Positions h whose coordinate hyperplane misses the open cone.
+def i_star_of_system(rows, bounds, positions):
+    """Those of the given positions h whose hyperplane misses the open cone.
 
     The cone is {rho >= 0 : rows @ rho > bounds}; feasibility of each
     slice {rho_h = 0} is decided by exact linear programming.
@@ -79,13 +79,40 @@ def i_star_of_system(rows, bounds):
     if not rows:
         return ()
     nvar = len(rows[0])
-    out = []
-    for h in range(nvar):
-        pt = open_feasible_point(rows, bounds,
-                                 nonneg=range(nvar), zero=[h])
-        if pt is None:
-            out.append(h)
-    return tuple(out)
+    return tuple(h for h in positions
+                 if open_feasible_point(rows, bounds, nonneg=range(nvar),
+                                        zero=[h]) is None)
+
+
+def _domain(a_num, labels, slacks):
+    """(label, const, A_I column) for each chart domain inequality.
+
+    The radicand of label l is sum_h a_hl rho_h + const, with const the
+    slack for labels off the vertex and 0 on I_mu minus I.
+    """
+    return [(l, slacks.get(l, Fraction(0)), [row[l - 1] for row in a_num])
+            for l in labels]
+
+
+def _fill_radicals(chart, z, rho):
+    """Write the square root of every domain radicand of the chart into z.
+
+    rho lists the squared moduli on the positions of chart.index_set.
+    """
+    for label, const, col in _domain(chart.a_num, chart.mid_labels
+                                     + chart.out_labels, chart.slacks):
+        rad = sum(float(a) * r for a, r in zip(col, rho)) + float(const)
+        if rad <= 0:
+            raise DomainError(label, f"domain inequality for constraint "
+                                     f"{label} fails: {rad} <= 0")
+        z[label - 1] = math.sqrt(rad)
+    return z
+
+
+def _vertex_average(p: HPolytope, face: Face):
+    """Average of the face's vertices, a point of its relative interior."""
+    pts = [p.vertices[v].coords for v in face.vertex_ids]
+    return tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
 
 
 def _facet_interior_witness(p: HPolytope, h: int, strict_labels) -> bool:
@@ -99,8 +126,7 @@ def _facet_interior_witness(p: HPolytope, h: int, strict_labels) -> bool:
     face = p.face_lattice.by_index_set.get((h,))
     if face is None or not face.vertex_ids:
         return False
-    pts = [p.vertices[v].coords for v in face.vertex_ids]
-    avg = [sum(col, Fraction(0)) / len(pts) for col in zip(*pts)]
+    avg = _vertex_average(p, face)
     if p.constraint_value(h, avg) != 0:
         return False
     return all(p.constraint_value(j, avg) > 0 for j in strict_labels)
@@ -122,24 +148,13 @@ def regular_chart(p: HPolytope, index_set) -> RegularChart:
     mid = tuple(k for k in i_mu if k not in i_sorted)
     out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
     a_num = _num(basis.a_matrix)
-    rows, bounds = [], []
-    for k in mid:
-        rows.append([a_num[pos][k - 1] for pos in range(p.n)])
-        bounds.append(Fraction(0))
-    for r in out:
-        rows.append([a_num[pos][r - 1] for pos in range(p.n)])
-        bounds.append(-slacks[r])
+    domain = _domain(a_num, mid + out, slacks)
     # A facet-interior point certifies feasibility without an LP; only
     # the rare failures fall through to the exact simplex.
-    if rows:
-        star_pos = [pos for pos, h in enumerate(i_sorted)
-                    if not _facet_interior_witness(p, h, mid + out)]
-        star_pos = [pos for pos in star_pos
-                    if open_feasible_point(rows, bounds,
-                                           nonneg=range(p.n),
-                                           zero=[pos]) is None]
-    else:
-        star_pos = []
+    unsure = [pos for pos, h in enumerate(i_sorted)
+              if not _facet_interior_witness(p, h, mid + out)]
+    star_pos = i_star_of_system([col for _l, _c, col in domain],
+                                [-c for _l, c, _col in domain], unsure)
     i_star = tuple(i_sorted[h] for h in star_pos)
     chart = p.memo[key] = RegularChart(
         index_set=i_sorted, vertex_id=basis.vertex_id, basis=basis,
@@ -190,25 +205,10 @@ def regular_slice(p: HPolytope, chart: RegularChart, u):
     i_sorted = chart.index_set
     if len(u) != p.n:
         raise ValueError(f"u must have {p.n} coordinates on I={i_sorted}")
-    rho = [abs(complex(x)) ** 2 for x in u]
     z = np.zeros(p.d, dtype=complex)
     for pos, h in enumerate(i_sorted):
         z[h - 1] = complex(u[pos])
-    for l in chart.mid_labels:
-        rad = sum(float(chart.a_num[pos][l - 1]) * rho[pos]
-                  for pos in range(p.n))
-        if rad <= 0:
-            raise DomainError(l, f"domain inequality for constraint {l} "
-                                 f"fails: {rad} <= 0")
-        z[l - 1] = math.sqrt(rad)
-    for r in chart.out_labels:
-        rad = sum(float(chart.a_num[pos][r - 1]) * rho[pos]
-                  for pos in range(p.n)) + float(chart.slacks[r])
-        if rad <= 0:
-            raise DomainError(r, f"domain inequality for constraint {r} "
-                                 f"fails: {rad} <= 0")
-        z[r - 1] = math.sqrt(rad)
-    return z
+    return _fill_radicals(chart, z, [abs(complex(x)) ** 2 for x in u])
 
 
 # -- singular charts -----------------------------------------------------
@@ -245,7 +245,7 @@ def singular_chart(p: HPolytope, face: Face,
     i_sorted = basis.index_set
     i_mu = basis.vertex_index_set
     i_f = set(face.index_set)
-    common = tuple(sorted(i_f & set(i_sorted)))
+    common = flag_intersection(p, face, i_sorted)
     w_labels = tuple(h for h in i_sorted if h not in common)
     union = i_f | set(i_sorted)
     mid = tuple(k for k in i_mu if k not in union)
@@ -268,31 +268,15 @@ def singular_slice(p: HPolytope, chart: SingularChart, w):
     if len(w) != len(chart.w_labels):
         raise ValueError(f"w must have {len(chart.w_labels)} coordinates "
                          f"on {chart.w_labels}")
-    rho = {}
+    z = np.zeros(p.d, dtype=complex)
+    sq = {}
     for h, val in zip(chart.w_labels, w):
         val = complex(val)
         if val == 0:
             raise DomainError(h, f"coordinate {h} must be nonzero")
-        rho[h] = abs(val) ** 2
-    z = np.zeros(p.d, dtype=complex)
-    for h, val in zip(chart.w_labels, w):
-        z[h - 1] = complex(val)
-    pos_of = {h: i_sorted.index(h) for h in chart.w_labels}
-    for l in chart.mid_labels:
-        rad = sum(float(chart.a_num[pos_of[h]][l - 1]) * rho[h]
-                  for h in chart.w_labels)
-        if rad <= 0:
-            raise DomainError(l, f"domain inequality for constraint {l} "
-                                 f"fails: {rad} <= 0")
-        z[l - 1] = math.sqrt(rad)
-    for r in chart.out_labels:
-        rad = sum(float(chart.a_num[pos_of[h]][r - 1]) * rho[h]
-                  for h in chart.w_labels) + float(chart.slacks[r])
-        if rad <= 0:
-            raise DomainError(r, f"domain inequality for constraint {r} "
-                                 f"fails: {rad} <= 0")
-        z[r - 1] = math.sqrt(rad)
-    return z
+        z[h - 1] = val
+        sq[h] = abs(val) ** 2
+    return _fill_radicals(chart, z, [sq.get(h, 0.0) for h in i_sorted])
 
 
 def torus_action(p: HPolytope, index_set, x_vec, z):
@@ -367,23 +351,13 @@ def cone_neighborhood(p: HPolytope, chart: SingularChart, b=None,
     if any(v <= 0 for v in b.values()):
         raise ValueError("b coefficients must be positive")
 
-    pos_of = {h: chart.index_set.index(h) for h in chart.w_labels}
-    # rows of the domain inequalities over the w squared-moduli
-    ineqs = []  # (label, const, {h: coef})
-    for l in chart.mid_labels:
-        ineqs.append((l, Fraction(0),
-                      {h: chart.a_num[pos_of[h]][l - 1]
-                       for h in chart.w_labels}))
-    for r in chart.out_labels:
-        ineqs.append((r, chart.slacks[r],
-                      {h: chart.a_num[pos_of[h]][r - 1]
-                       for h in chart.w_labels}))
+    pos = {h: k for k, h in enumerate(chart.index_set)}
+    ineqs = _domain(chart.a_num, chart.mid_labels + chart.out_labels,
+                    chart.slacks)
 
     if chart.w_labels:
         if center is None:
-            face = p.face_lattice.face(i_f)
-            vs = [p.vertices[i].coords for i in face.vertex_ids]
-            mu0 = tuple(sum(col, Fraction(0)) / len(vs) for col in zip(*vs))
+            mu0 = _vertex_average(p, p.face_lattice.face(i_f))
         else:
             mu0 = tuple(Fraction(x) for x in center)
         rho0 = {h: p.constraint_value(h, mu0) for h in chart.w_labels}
@@ -392,36 +366,32 @@ def cone_neighborhood(p: HPolytope, chart: SingularChart, b=None,
         # shrink the relative box radius until every inequality keeps
         # half its center value on the closed box
         t = Fraction(1, 2)
-        for _label, const, coefs in ineqs:
-            g0 = const + sum(coefs[h] * rho0[h] for h in chart.w_labels)
-            spread = sum(abs(coefs[h]) * rho0[h] for h in chart.w_labels)
+        for _label, const, col in ineqs:
+            g0 = const + sum(col[pos[h]] * rho0[h] for h in chart.w_labels)
+            spread = sum(abs(col[pos[h]]) * rho0[h] for h in chart.w_labels)
             if spread > 0:
                 t = min(t, g0 / (2 * spread))
         box_lo = tuple(rho0[h] * (1 - t) for h in chart.w_labels)
         box_hi = tuple(rho0[h] * (1 + t) for h in chart.w_labels)
         # exact minimum over box corners of each radicand
         worst = None
-        for label, const, coefs in ineqs:
+        for label, const, col in ineqs:
             val = const
             for h, lo, hi in zip(chart.w_labels, box_lo, box_hi):
-                val += coefs[h] * (lo if coefs[h] >= 0 else hi)
+                val += col[pos[h]] * (lo if col[pos[h]] >= 0 else hi)
             worst = val if worst is None else min(worst, val)
         c = worst / 2 if worst is not None else None
-        margin = {label: c for label, _c, _f in ineqs}
+        margin = {label: c for label, _c, _col in ineqs}
     else:
         box_lo = box_hi = ()
         c = None
-        margin = {label: const for label, const, _f in ineqs}
+        margin = {label: const for label, const, _col in ineqs}
 
     # epsilon: the face-block contribution to radicand `label` is at
     # least -epsilon * max_h max(0, -a_h,label) / b_h
     eps = None
-    for label, _const, _coefs in ineqs:
-        m = Fraction(0)
-        for h in chart.common:
-            a = chart.a_num[chart.index_set.index(h)][label - 1]
-            if -a / b[h] > m:
-                m = -a / b[h]
+    for label, _const, col in ineqs:
+        m = max([Fraction(0)] + [-col[pos[h]] / b[h] for h in chart.common])
         if m > 0:
             cand = margin[label] / (2 * m)
             eps = cand if eps is None else min(eps, cand)
@@ -460,17 +430,8 @@ def cone_embedding(p: HPolytope, chart: SingularChart, nb: ConeNeighborhood,
         z[h - 1] = complex(val)
     for j, val in zip(i_f, z_f):
         z[j - 1] = complex(val)
-    rho = {h: abs(z[h - 1]) ** 2 for h in chart.index_set}
-    for label in chart.mid_labels + chart.out_labels:
-        rad = sum(float(chart.a_num[pos][label - 1]) * rho[h]
-                  for pos, h in enumerate(chart.index_set))
-        if label in chart.out_labels:
-            rad += float(chart.slacks[label])
-        if rad <= 0:
-            raise DomainError(label, f"radicand of coordinate {label} is "
-                                     f"{rad} <= 0 despite c/epsilon bounds")
-        z[label - 1] = math.sqrt(rad)
-    return z
+    return _fill_radicals(chart, z, [abs(z[h - 1]) ** 2
+                                     for h in chart.index_set])
 
 
 # -- sampling helpers (rejection against exact inequalities) --------------
@@ -494,18 +455,16 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True,
     return out
 
 
+def _phased_roots(p: HPolytope, labels, mu, rng):
+    """Square roots of the labels' slacks at mu, each with a random phase."""
+    return [math.sqrt(float(p.constraint_value(h, mu)))
+            * cmath.exp(2j * math.pi * rng.random()) for h in labels]
+
+
 def sample_regular_domain(p: HPolytope, chart: RegularChart, count, rng):
-    """Complex points of the chart domain, one per interior sample."""
-    pts = sample_polytope_points(p, count, rng, strict=True)
-    out = []
-    for mu in pts:
-        u = []
-        for h in chart.index_set:
-            r = p.constraint_value(h, mu)
-            u.append(math.sqrt(float(r))
-                     * cmath.exp(2j * math.pi * rng.random()))
-        out.append(u)
-    return out
+    """(mu, u) pairs: interior samples and chart domain points over them."""
+    return [(mu, _phased_roots(p, chart.index_set, mu, rng))
+            for mu in sample_polytope_points(p, count, rng, strict=True)]
 
 
 def face_interior_point(p: HPolytope, face: Face, rng, denom=1024):
@@ -517,19 +476,16 @@ def face_interior_point(p: HPolytope, face: Face, rng, denom=1024):
 
 
 def sample_singular_domain(p: HPolytope, chart: SingularChart, count, rng):
-    """Complex w vectors drawn from relative interior points of the face."""
+    """(mu, w) pairs: relative interior points of the face, w vectors over them.
+
+    The weights of face_interior_point are positive, so every w label,
+    being off I_F, has a positive slack at mu.
+    """
     face = p.face_lattice.face(chart.face_index_set)
     out = []
     for _ in range(count):
         mu = face_interior_point(p, face, rng)
-        w = []
-        for h in chart.w_labels:
-            r = p.constraint_value(h, mu)
-            if r <= 0:
-                raise RuntimeError("face interior sample landed on a wall")
-            w.append(math.sqrt(float(r))
-                     * cmath.exp(2j * math.pi * rng.random()))
-        out.append(w)
+        out.append((mu, _phased_roots(p, chart.w_labels, mu, rng)))
     return out
 
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ambient import Quasilattice, admissible_index_sets, change_of_basis, \
-    find_flag_index_set
+from .ambient import Quasilattice, admissible_index_sets, \
+    basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
-from .linalg import SingularMatrixError, mat_solve
 from .polytope import Face, HPolytope
-from .scalars import Scalar, over_common_denominator
+from .scalars import Scalar, monomial_rows
 
 
 @dataclass(frozen=True)
@@ -107,20 +106,12 @@ class GroupDescriptor:
             entries = [gen[c] for gen in self.generators]
             if target is not None:
                 entries.append(target[c])
-            nums, den = over_common_denominator(
-                entries + [self.registry.one()])
-            den_num = nums[-1]  # coefficients of 1 = Q_c / Q_c scaled
-            monos = set()
-            for num in nums:
-                monos |= set(num)
-            for mono in sorted(monos):
-                row = [nums[i].get(mono, Fraction(0)) for i in range(g)]
+            # the last entry 1 = Q_c / Q_c gives the shift's coefficients
+            for mrow in monomial_rows(entries + [self.registry.one()]):
                 shifts = [Fraction(0)] * k
-                shifts[c] = den_num.get(mono, Fraction(0))
-                b = nums[g].get(mono, Fraction(0)) if target is not None \
-                    else Fraction(0)
-                full = row + shifts + [b]
-                full = _clear_row(full)
+                shifts[c] = mrow[-1]
+                b = mrow[g] if target is not None else Fraction(0)
+                full = _clear_row(mrow[:g] + shifts + [b])
                 rows.append(full[:-1])
                 rhs.append(full[-1])
         return rows, rhs
@@ -168,22 +159,6 @@ class GroupDescriptor:
         return GroupStructure(free_rank=free, torsion=tuple(torsion))
 
 
-def _coords_in_basis(p: HPolytope, q: Quasilattice, index_set):
-    """Each quasilattice generator expressed in the basis {X_h : h in I}."""
-    i_sorted = tuple(sorted(index_set))
-    if q.source_polytope is p:
-        a = change_of_basis(p, i_sorted)
-        return [tuple(a[h][j] for h in range(p.n)) for j in range(p.d)]
-    m_i = [[p.normals[h - 1][i] for h in i_sorted] for i in range(p.n)]
-    rhs = [[gen[i] for gen in q.generators] for i in range(p.n)]
-    try:
-        cols = mat_solve(m_i, rhs)
-    except SingularMatrixError:
-        raise ValueError(f"normals of {i_sorted} are not a basis") from None
-    return [tuple(cols[h][g] for h in range(p.n))
-            for g in range(len(q.generators))]
-
-
 def gamma_group(p: HPolytope, q: Quasilattice, index_set) -> GroupDescriptor:
     """Gamma_I: the quasilattice modulo the Z-span of {X_h : h in I}.
 
@@ -194,7 +169,7 @@ def gamma_group(p: HPolytope, q: Quasilattice, index_set) -> GroupDescriptor:
     i_sorted = tuple(sorted(index_set))
     if i_sorted not in admissible_index_sets(p):
         raise ValueError(f"{i_sorted} is not an admissible index set")
-    coords = _coords_in_basis(p, q, i_sorted)
+    coords = basis_coordinates(p, q, i_sorted)
     return GroupDescriptor(p.registry, i_sorted, coords)
 
 
@@ -209,25 +184,12 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
     integer kernel.
     """
     i_sorted = tuple(sorted(index_set))
-    common = tuple(sorted(set(face.index_set) & set(i_sorted)))
-    if len(common) != p.n - face.dim:
-        raise ValueError(
-            f"flag condition fails: card(I cap I_F)={len(common)} "
-            f"!= n-p={p.n - face.dim}")
-    coords = _coords_in_basis(p, q, i_sorted)
-    outside = [pos for pos, h in enumerate(i_sorted) if h not in common]
+    common = flag_intersection(p, face, i_sorted)
+    coords = basis_coordinates(p, q, i_sorted)
     g = len(coords)
-
-    rows = []
-    for pos in outside:
-        entries = [c[pos] for c in coords]
-        nums, _den = over_common_denominator(entries)
-        monos = set()
-        for num in nums:
-            monos |= set(num)
-        for mono in sorted(monos):
-            rows.append(_clear_row(
-                [nums[i].get(mono, Fraction(0)) for i in range(g)]))
+    rows = [_clear_row(row) for pos, h in enumerate(i_sorted)
+            if h not in common
+            for row in monomial_rows([c[pos] for c in coords])]
     if rows:
         kernel = integer_kernel(rows)
     else:
@@ -261,11 +223,7 @@ class SplitGamma:
 def split_gamma(p: HPolytope, q: Quasilattice, face: Face,
                 index_set) -> SplitGamma:
     i_sorted = tuple(sorted(index_set))
-    common = tuple(sorted(set(face.index_set) & set(i_sorted)))
-    if len(common) != p.n - face.dim:
-        raise ValueError(
-            f"flag condition fails: card(I cap I_F)={len(common)} "
-            f"!= n-p={p.n - face.dim}")
+    common = flag_intersection(p, face, i_sorted)
     rest = tuple(h for h in i_sorted if h not in common)
     gamma = gamma_group(p, q, i_sorted)
     face_part = gamma.project(common)

@@ -28,6 +28,16 @@ def coerce_vector(vec) -> list:
     return [_promote(x) for x in vec]
 
 
+def _pivot(m, row, col):
+    """Gauss-Jordan step in place: scale the pivot row, clear its column."""
+    pv = m[row][col]
+    m[row] = [x / pv for x in m[row]]
+    for i in range(len(m)):
+        if i != row and m[i][col]:
+            f = m[i][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+
+
 def rref(rows):
     """Reduced row echelon form.
 
@@ -47,12 +57,7 @@ def rref(rows):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        _pivot(m, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:

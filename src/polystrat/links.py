@@ -16,7 +16,6 @@ parent faces.  Disagreement is a hard error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,9 +46,6 @@ def _coerce_b(p: HPolytope, face: Face, b):
         if s.sign() <= 0:
             raise ValueError(f"b_{j} must be positive at the "
                              "evaluation point")
-        if s.evaluate() > 1:
-            warnings.warn(f"b_{j} evaluates above 1; sections remain "
-                          "valid but stray from the unit box")
         out.append(s)
     return tuple(out)
 

@@ -11,22 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import _pivot
+
 
 @dataclass(frozen=True)
 class LpResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
     value: Fraction | None
     x: list | None
-
-
-def _pivot(tab, basis, row, col):
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col]:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
 
 
 def _run_simplex(tab, basis, allowed_cols):
@@ -58,7 +50,8 @@ def _run_simplex(tab, basis, allowed_cols):
                     leave = i
         if leave is None:
             return "unbounded"
-        _pivot(tab, basis, leave, enter)
+        _pivot(tab, leave, enter)
+        basis[leave] = enter
 
 
 def lp_maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
@@ -119,7 +112,8 @@ def lp_maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
             col = next((j for j in range(art0) if tab[i][j]), None)
             if col is None:
                 continue  # redundant constraint row
-            _pivot(tab, basis, i, col)
+            _pivot(tab, i, col)
+            basis[i] = col
         keep.append(i)
     tab = [tab[i][:art0] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]

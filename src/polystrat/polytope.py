@@ -202,12 +202,7 @@ class HPolytope:
                                             f"coordinate {k + 1} is "
                                             "unbounded on the feasible set")])
 
-        pt = open_feasible_point(self._num_x, self._num_l)
-        if pt is None:
-            raise ValidationError([("lower-dimensional",
-                                    "feasible set has empty interior")])
-        self._interior = tuple(pt)
-
+        self.interior_point()
         lattice = self.face_lattice
         for j in range(1, self.d + 1):
             key = (j,)

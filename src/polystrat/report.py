@@ -13,6 +13,7 @@ strings, so identical spec and seed give byte-identical output.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
@@ -20,10 +21,10 @@ from fractions import Fraction
 
 from .ambient import Quasilattice, admissible_index_sets, classify_choice, \
     find_flag_index_set
-from .charts import cone_embedding, cone_neighborhood, face_interior_point, \
-    lift_point, moment_values, psi_equations, regular_chart, regular_slice, \
-    sample_cone_points, sample_polytope_points, singular_chart, \
-    singular_slice, torus_action
+from .charts import cone_embedding, cone_neighborhood, lift_point, \
+    moment_values, psi_equations, regular_chart, regular_slice, \
+    sample_cone_points, sample_polytope_points, sample_regular_domain, \
+    sample_singular_domain, singular_chart, singular_slice, torus_action
 from .groups import gamma_group, gamma_face_group, split_gamma, \
     stabilizer_dim
 from .links import link_tree
@@ -246,6 +247,14 @@ def _groups_section(p: HPolytope, q: Quasilattice):
     }, per_face
 
 
+def _numeric_b(options, face):
+    """The face's options["b"] entry as cone_neighborhood takes it."""
+    b_sym = options["b"].get(face.index_set)
+    if b_sym is None:
+        return None
+    return {j: s.evaluate() for j, s in zip(face.index_set, b_sym)}
+
+
 def _link_node_json(p: HPolytope, node, options, with_constants=True):
     lp = node.link
     lat = lp.polytope.face_lattice
@@ -280,12 +289,7 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
     if with_constants:
         face = p.face_lattice.face(node.face_index_set)
         chart = singular_chart(p, face)
-        b_sym = options["b"].get(node.face_index_set)
-        b_num = None
-        if b_sym is not None:
-            b_num = {j: s.evaluate()
-                     for j, s in zip(face.index_set, b_sym)}
-        nb = cone_neighborhood(p, chart, b=b_num)
+        nb = cone_neighborhood(p, chart, b=_numeric_b(options, face))
         entry["embedding_constants"] = {
             "flag_index_set": list(chart.index_set),
             "b": [str(x) for x in nb.b],
@@ -305,9 +309,10 @@ def _links_section(p: HPolytope, options):
 
 # -- verification --------------------------------------------------------
 
-def _phase(rng):
-    theta = 2 * math.pi * rng.random()
-    return complex(math.cos(theta), math.sin(theta))
+def _residual(psi, phi=(), mu=()):
+    """Largest of |Psi| and |Phi - mu| over the components, 0 if none."""
+    return max([abs(v) for v in psi]
+               + [abs(a - float(m)) for a, m in zip(phi, mu)], default=0.0)
 
 
 def run_verification(p: HPolytope, options, rng):
@@ -319,22 +324,15 @@ def run_verification(p: HPolytope, options, rng):
     for mu in sample_polytope_points(p, n_samples, rng, strict=False):
         z = lift_point(p, mu)
         _ups, psi, phi = moment_values(p, z, base)
-        lift_res = max(lift_res,
-                       max(abs(v) for v in psi) if psi else 0.0,
-                       max(abs(phi[i] - float(mu[i])) for i in range(p.n)))
+        lift_res = max(lift_res, _residual(psi, phi, mu))
 
     reg_res = 0.0
     per = max(1, math.ceil(n_samples / len(charts)))
     for chart in charts:
-        for mu in sample_polytope_points(p, per, rng, strict=True):
-            u = [math.sqrt(float(p.constraint_value(h, mu))) * _phase(rng)
-                 for h in chart.index_set]
+        for mu, u in sample_regular_domain(p, chart, per, rng):
             z = regular_slice(p, chart, u)
             _ups, psi, phi = moment_values(p, z, chart.basis)
-            reg_res = max(reg_res,
-                          max(abs(v) for v in psi) if psi else 0.0,
-                          max(abs(phi[i] - float(mu[i]))
-                              for i in range(p.n)))
+            reg_res = max(reg_res, _residual(psi, phi, mu))
 
     tor_res = 0.0
     for chart in charts:
@@ -360,32 +358,21 @@ def run_verification(p: HPolytope, options, rng):
         per = max(1, math.ceil(n_samples / len(sing)))
         for face in sing:
             chart = singular_chart(p, face)
-            for _ in range(per):
-                mu = face_interior_point(p, face, rng)
-                w = [math.sqrt(float(p.constraint_value(h, mu))) * _phase(rng)
-                     for h in chart.w_labels]
+            for mu, w in sample_singular_domain(p, chart, per, rng):
                 z = singular_slice(p, chart, w)
                 _ups, psi, phi = moment_values(p, z, chart.basis)
-                sing_res = max(sing_res,
-                               max(abs(v) for v in psi) if psi else 0.0,
-                               max(abs(phi[i] - float(mu[i]))
-                                   for i in range(p.n)))
-            b_sym = options["b"].get(face.index_set)
-            b_num = None
-            if b_sym is not None:
-                b_num = {j: s.evaluate()
-                         for j, s in zip(face.index_set, b_sym)}
-            nb = cone_neighborhood(p, chart, b=b_num)
+                sing_res = max(sing_res, _residual(psi, phi, mu))
+            nb = cone_neighborhood(p, chart, b=_numeric_b(options, face))
             zfs = sample_cone_points(p, chart, nb, per, rng)
             for zf in zfs:
                 w = []
                 for lo, hi in zip(nb.box_lo, nb.box_hi):
                     t = lo + (hi - lo) * Fraction(rng.randrange(1, 64), 64)
-                    w.append(math.sqrt(float(t)) * _phase(rng))
+                    w.append(math.sqrt(float(t))
+                             * cmath.exp(2j * math.pi * rng.random()))
                 z = cone_embedding(p, chart, nb, w, zf)
                 _ups, psi, _phi = moment_values(p, z, chart.basis)
-                emb_res = max(emb_res,
-                              max(abs(v) for v in psi) if psi else 0.0)
+                emb_res = max(emb_res, _residual(psi))
 
     tol = options["tolerances"]
     ok = bool(lift_res <= tol["residual"] and reg_res <= tol["residual"]

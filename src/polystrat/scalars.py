@@ -372,14 +372,6 @@ class Scalar:
 
     # -- introspection ------------------------------------------------
 
-    @property
-    def num_terms(self) -> dict:
-        return dict(self._num)
-
-    @property
-    def den_terms(self) -> dict:
-        return dict(self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -663,3 +655,16 @@ def over_common_denominator(scalars: Iterable[Scalar]):
         den = _p_lcm(den, s._den)
     nums = [_p_mul(s._num, _p_div_exact(den, s._den)) for s in scalars]
     return nums, den
+
+
+def monomial_rows(scalars: Iterable[Scalar]):
+    """Per-monomial coefficient rows of the scalars over one denominator.
+
+    One row per monomial of the numerators, in sorted order; entry i is
+    that monomial's coefficient in the numerator of the i-th scalar, so
+    the Q-linear relations among the scalars are the vectors orthogonal
+    to every row.
+    """
+    nums, _den = over_common_denominator(scalars)
+    monos = sorted({m for num in nums for m in num})
+    return [[num.get(m, _ZERO) for num in nums] for m in monos]

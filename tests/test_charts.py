@@ -88,12 +88,26 @@ def test_pi1_rank_zero_on_all_fixture_charts(pyr, tnt, cube3):
 
 def test_i_star_synthetic_systems():
     # rho_0 > 0 forces the rho_0 = 0 slice to be empty
-    assert C.i_star_of_system([[1, 0]], [Fraction(0)]) == (0,)
+    assert C.i_star_of_system([[1, 0]], [Fraction(0)], range(2)) == (0,)
     # rho_0 + rho_1 > 0 leaves both slices nonempty
-    assert C.i_star_of_system([[1, 1]], [Fraction(0)]) == ()
+    assert C.i_star_of_system([[1, 1]], [Fraction(0)], range(2)) == ()
     assert C.i_star_of_system([[1, 0], [0, 1]],
-                              [Fraction(0), Fraction(0)]) == (0, 1)
-    assert C.i_star_of_system([], []) == ()
+                              [Fraction(0), Fraction(0)], range(2)) == (0, 1)
+    assert C.i_star_of_system([], [], range(2)) == ()
+
+
+@pytest.mark.parametrize("name", ["pyramid", "cube3", "simplex3", "tent"])
+def test_facet_witness_agrees_with_exact_lp(request, name):
+    # regular_chart skips the LP where a facet-interior point certifies
+    # the slice; the LP over every position must find the same I*
+    p, _, _ = request.getfixturevalue(name)
+    for i_set in admissible_index_sets(p):
+        ch = C.regular_chart(p, i_set)
+        labels = ch.mid_labels + ch.out_labels
+        rows = [[ch.a_num[pos][l - 1] for pos in range(p.n)] for l in labels]
+        bounds = [-ch.slacks.get(l, Fraction(0)) for l in labels]
+        star = C.i_star_of_system(rows, bounds, range(p.n))
+        assert tuple(ch.index_set[h] for h in star) == ch.i_star, i_set
 
 
 # -- lifts and moment values ----------------------------------------------
@@ -181,7 +195,7 @@ def test_slice_lands_on_zero_level_sampled(pyr, tnt):
     for p, fam in (pyr, tnt):
         for i_set in list(fam)[:3]:
             ch = C.regular_chart(p, i_set)
-            for u in C.sample_regular_domain(p, ch, 8, rng):
+            for _mu, u in C.sample_regular_domain(p, ch, 8, rng):
                 z = C.regular_slice(p, ch, u)
                 ups, psi, phi = C.moment_values(p, z, ch.basis)
                 assert max(abs(v) for v in psi) <= 1e-9
@@ -299,7 +313,7 @@ def test_singular_slice_lands_on_zero_level(tnt):
     rng = random.Random(41)
     edge = p.face_lattice.face((1, 2, 3, 4))
     sch = C.singular_chart(p, edge, (1, 2, 3, 6))
-    for w in C.sample_singular_domain(p, sch, 8, rng):
+    for _mu, w in C.sample_singular_domain(p, sch, 8, rng):
         z = C.singular_slice(p, sch, w)
         _, psi, _ = C.moment_values(p, z, sch.basis)
         assert max(abs(v) for v in psi) <= 1e-9

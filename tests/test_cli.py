@@ -211,6 +211,21 @@ def test_console_script_smoke():
     assert sys.version_info >= (3, 10)
 
 
+def test_successful_run_writes_nothing_to_stderr():
+    # the pyramid's b override evaluates above 1, which is accepted
+    package = pathlib.Path(polystrat.__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(package.parent), env.get("PYTHONPATH")) if p)
+    spec = package / "fixtures" / "pyramid.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polystrat", "analyze", str(spec), "--only",
+         "links"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["links"]
+    assert proc.stderr == ""
+
+
 def test_console_script_target():
     tomllib = pytest.importorskip("tomllib")
     pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"

@@ -12,8 +12,8 @@ import pytest
 
 from oracles import int_det, order_multiset, orders_of_abelian_type, \
     qz_subgroup
-from polystrat.ambient import Quasilattice, admissible_index_sets, \
-    find_flag_index_set
+from polystrat.ambient import Quasilattice, adapted_kernel_basis, \
+    admissible_index_sets, find_flag_index_set
 from polystrat.groups import (
     GroupDescriptor,
     gamma_face_group,
@@ -100,6 +100,14 @@ def test_face_group_flag_condition_enforced(tent):
     bad = (1, 5, 6, 8)  # meets {1,2,3,4} in one label, need n - p = 3
     with pytest.raises(ValueError):
         gamma_face_group(p, q, edge, bad)
+    # an admissible I at the edge's vertex nu2 that meets it in two labels
+    # fails the same check in every caller
+    at_vertex = (1, 2, 6, 7)
+    for call in (lambda: adapted_kernel_basis(p, at_vertex, face=edge),
+                 lambda: gamma_face_group(p, q, edge, at_vertex),
+                 lambda: split_gamma(p, q, edge, at_vertex)):
+        with pytest.raises(ValueError, match="flag condition fails"):
+            call()
 
 
 # -- splitting ----------------------------------------------------------------

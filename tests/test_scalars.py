@@ -17,6 +17,7 @@ from polystrat.scalars import (
     Scalar,
     ScalarError,
     ScalarParseError,
+    monomial_rows,
     over_common_denominator,
     parse_scalar,
 )
@@ -170,6 +171,18 @@ def test_over_common_denominator(reg):
     # each numerator over the shared denominator reproduces its entry
     for s, num in zip(entries, nums):
         assert Scalar(reg, num, den) == s
+
+
+def test_monomial_rows(reg):
+    entries = [reg.parse("1/p2"), reg.parse("p5/p1"), reg.parse("2/p2"),
+               reg.parse("0")]
+    rows = monomial_rows(entries)
+    # one row per monomial of the numerators over the denominator p1*p2,
+    # entry i is that monomial's coefficient in entry i's numerator
+    assert sorted(map(tuple, rows)) == [(0, 1, 0, 0), (1, 0, 2, 0)]
+    # 1/p2 and 2/p2 are Q-dependent; the vector (2, 0, -1, 0) kills every row
+    assert all(2 * r[0] - r[2] == 0 for r in rows)
+    assert monomial_rows([]) == []
 
 
 def test_hash_consistent_with_eq(reg):
