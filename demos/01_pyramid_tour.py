@@ -9,8 +9,8 @@ group, lifts and slices, and the cone at the singular apex.
 
 from fractions import Fraction
 
-from polystrat.ambient import Quasilattice, adapted_kernel_basis, \
-    admissible_index_sets, change_of_basis, classify_choice
+from polystrat.ambient import Quasilattice, admissible_index_sets, \
+    change_of_basis, classify_choice
 from polystrat.charts import cone_neighborhood, lift_point, moment_values, \
     psi_equations, regular_chart, regular_slice, singular_chart
 from polystrat.groups import gamma_group
@@ -52,7 +52,6 @@ for h, row in zip(i_set, a):
 
 chart = regular_chart(p, i_set)
 print("slacks:", {r: str(s) for r, s in sorted(chart.slacks.items())})
-print("pi1 rank of the chart domain:", chart.pi1_rank)
 
 # the level-set equations sum coeff * |z_j|^2 + constant = 0
 for vec, const in psi_equations(p, chart.basis):

@@ -16,11 +16,10 @@ from .ambient import AdaptedBasisData, IndexFamily, ProjectionMap, \
 from .groups import GroupDescriptor, GroupStructure, gamma_group, \
     gamma_face_group, group_structure, split_gamma, stabilizer_dim, \
     stabilizer_report
-from .charts import ConeNeighborhood, DomainError, RegularChart, \
-    SingularChart, chart_pi1_rank, cone_embedding, cone_neighborhood, \
-    lift_point, moment_map_cone, moment_values, psi_equations, \
-    regular_chart, regular_slice, singular_chart, singular_slice, \
-    torus_action
+from .charts import Chart, ConeNeighborhood, DomainError, \
+    cone_embedding, cone_neighborhood, lift_point, moment_map_cone, \
+    moment_values, psi_equations, regular_chart, regular_slice, \
+    singular_chart, singular_slice, torus_action
 from .links import ConeSection, FibrationData, LinkNode, LinkPolytope, \
     cone_section, fibration_data, link_polytope, link_tree, \
     section_invariance_check
@@ -29,16 +28,15 @@ from .report import build_report, dot_export, parse_spec, render_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedBasisData", "ConeNeighborhood", "ConeSection", "DomainError",
-    "Face", "FaceLattice", "FibrationData", "GroupDescriptor",
-    "GroupStructure", "HPolytope", "IndexFamily", "LinkNode",
-    "LinkPolytope", "ParamRegistry", "ProjectionMap", "Quasilattice",
-    "RegularChart", "Scalar", "ScalarError", "SingularChart",
-    "ValidationError", "Vertex", "adapted_kernel_basis",
-    "admissible_index_sets", "build_report", "change_of_basis",
-    "chart_pi1_rank", "check_vertex_lambda_identity", "classify_choice",
-    "classify_face", "cone_embedding", "cone_neighborhood",
-    "cone_section", "dot_export", "fibration_data", "find_flag_index_set",
+    "AdaptedBasisData", "Chart", "ConeNeighborhood", "ConeSection",
+    "DomainError", "Face", "FaceLattice", "FibrationData",
+    "GroupDescriptor", "GroupStructure", "HPolytope", "IndexFamily",
+    "LinkNode", "LinkPolytope", "ParamRegistry", "ProjectionMap",
+    "Quasilattice", "Scalar", "ScalarError", "ValidationError", "Vertex",
+    "adapted_kernel_basis", "admissible_index_sets", "build_report",
+    "change_of_basis", "check_vertex_lambda_identity", "classify_choice",
+    "classify_face", "cone_embedding", "cone_neighborhood", "cone_section",
+    "dot_export", "fibration_data", "find_flag_index_set",
     "gamma_face_group", "gamma_group", "group_structure", "lift_point",
     "link_polytope", "link_tree", "moment_map_cone", "moment_values",
     "parse_scalar", "parse_spec", "projection_matrix", "psi_equations",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import SingularMatrixError, mat_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError
@@ -153,9 +154,9 @@ def change_of_basis(p: HPolytope, index_set):
 class AdaptedBasisData:
     """A_I together with the kernel basis of pi it induces.
 
-    kernel[i] is supported on kernel_labels[i] (unit entry) and I; when
-    a face is given the first stabilizer_count vectors are supported on
-    the face's index set and span the stabilizer algebra.
+    kernel[i] is supported on kernel_labels[i] (unit entry) and I; the
+    first stabilizer_count vectors are supported on the face's index
+    set and span the stabilizer algebra.
     """
 
     vertex_id: int
@@ -164,8 +165,13 @@ class AdaptedBasisData:
     a_matrix: tuple
     kernel: tuple
     kernel_labels: tuple
-    face_index_set: tuple | None = None
     stabilizer_count: int = 0
+
+    @cached_property
+    def float_kernel(self):
+        """The kernel vectors at the evaluation point, as floats."""
+        return tuple(tuple(float(x.evaluate()) for x in vec)
+                     for vec in self.kernel)
 
 
 def _kernel_vector(p, a, i_sorted, j, support):
@@ -179,6 +185,12 @@ def _kernel_vector(p, a, i_sorted, j, support):
 
 def adapted_kernel_basis(p: HPolytope, index_set,
                          face: Face | None = None) -> AdaptedBasisData:
+    """A_I and the kernel basis of pi adapted to the flag of a face.
+
+    The face must contain the vertex of I; no face means the whole
+    polytope, whose I_F is empty.  The stabilizer labels of I_F come
+    first, then the labels outside I union I_F in sorted order.
+    """
     family = admissible_index_sets(p)
     i_sorted = tuple(sorted(index_set))
     if i_sorted not in family:
@@ -186,26 +198,14 @@ def adapted_kernel_basis(p: HPolytope, index_set,
     vid = family.vertex_of(i_sorted)
     i_mu = p.vertices[vid].active
     a = change_of_basis(p, i_sorted)
-
     if face is None:
-        labels = [j for j in range(1, p.d + 1) if j not in i_sorted]
-        kernel = [_kernel_vector(p, a, i_sorted, j, i_sorted)
-                  for j in labels]
-        return AdaptedBasisData(
-            vertex_id=vid, vertex_index_set=i_mu, index_set=i_sorted,
-            a_matrix=a, kernel=tuple(kernel), kernel_labels=tuple(labels))
-
-    i_f = set(face.index_set)
-    if not i_f <= set(i_mu):
-        raise ValueError(f"face {face.index_set} does not contain the "
-                         f"vertex of {i_sorted}")
+        face = p.face_lattice.top
+    i_f = face.index_set
+    if not set(i_f) <= set(i_mu):
+        raise ValueError(f"face {i_f} does not contain the vertex of "
+                         f"{i_sorted}")
     common = flag_intersection(p, face, i_sorted)
-
-    stab_labels = [k for k in sorted(i_f) if k not in common]
-    mid_labels = [l for l in i_mu
-                  if l not in i_f and l not in i_sorted]
-    out_labels = [r for r in range(1, p.d + 1) if r not in i_mu]
-    kernel = []
+    stab_labels = [k for k in i_f if k not in common]
     for k in stab_labels:
         # X_k lies in the span of {X_h : h in I cap I_F}; the remaining
         # coefficients must vanish identically
@@ -214,14 +214,15 @@ def adapted_kernel_basis(p: HPolytope, index_set,
                 raise ValueError(
                     f"column {k} of A_I has support outside I cap I_F; "
                     "flag data inconsistent")
-        kernel.append(_kernel_vector(p, a, i_sorted, k, common))
-    for j in mid_labels + out_labels:
-        kernel.append(_kernel_vector(p, a, i_sorted, j, i_sorted))
-    labels = stab_labels + mid_labels + out_labels
+    rest = [j for j in range(1, p.d + 1)
+            if j not in i_f and j not in i_sorted]
+    kernel = [_kernel_vector(p, a, i_sorted, k, common) for k in stab_labels]
+    kernel += [_kernel_vector(p, a, i_sorted, j, i_sorted) for j in rest]
     return AdaptedBasisData(
         vertex_id=vid, vertex_index_set=i_mu, index_set=i_sorted,
-        a_matrix=a, kernel=tuple(kernel), kernel_labels=tuple(labels),
-        face_index_set=tuple(sorted(i_f)), stabilizer_count=len(stab_labels))
+        a_matrix=a, kernel=tuple(kernel),
+        kernel_labels=tuple(stab_labels + rest),
+        stabilizer_count=len(stab_labels))
 
 
 def flag_intersection(p: HPolytope, face: Face, index_set):

@@ -9,7 +9,8 @@ map Psi pairs Upsilon with the kernel basis of pi, and Phi solves
 Domain checks mirror the defining inequalities of the chart sets: the
 regular slice needs sum_h a_hk |u_h|^2 > 0 for the extra active
 constraints and > -slack_r for the inactive ones; the singular slice
-is the same with the face block frozen to zero.
+is the same with the face block frozen to zero.  A chart is taken at a
+face; the regular chart is the chart at the whole polytope.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .ambient import AdaptedBasisData, adapted_kernel_basis, \
     check_vertex_lambda_identity, find_flag_index_set, flag_intersection
-from .lp import open_feasible_point
 from .polytope import Face, HPolytope
 
 
@@ -33,10 +33,6 @@ class DomainError(Exception):
     def __init__(self, label, message):
         self.label = label
         super().__init__(message)
-
-
-def _num(matrix):
-    return [[x.evaluate() for x in row] for row in matrix]
 
 
 def psi_equations(p: HPolytope, basis: AdaptedBasisData):
@@ -54,34 +50,80 @@ def psi_equations(p: HPolytope, basis: AdaptedBasisData):
     return tuple(out)
 
 
-# -- regular charts ------------------------------------------------------
+# -- charts --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RegularChart:
+class Chart:
+    """The flag-adapted chart at a face F over an admissible I.
+
+    At the whole polytope I_F is empty, so common is empty, w_labels is
+    all of I and the chart is the regular chart.
+    """
+
+    face_index_set: tuple  # () for the regular chart
     index_set: tuple
-    vertex_id: int
-    basis: AdaptedBasisData
-    mid_labels: tuple  # I_mu minus I
+    common: tuple  # I cap I_F
+    w_labels: tuple  # I minus common; the (C*)^p coordinates
+    mid_labels: tuple  # I_mu minus (I union I_F)
     out_labels: tuple  # labels not in I_mu
+    basis: AdaptedBasisData  # flag-adapted
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
     slack_scalars: dict  # r -> Scalar sum_h a_hr lambda_h - lambda_r
     slacks: dict  # r -> Fraction, positive
-    i_star: tuple  # labels h in I whose rho_h = 0 hyperplane misses C_I
-    pi1_rank: int
+
+    @property
+    def vertex_id(self) -> int:
+        return self.basis.vertex_id
+
+    @property
+    def dim(self) -> int:
+        return len(self.w_labels)
 
 
-def i_star_of_system(rows, bounds, positions):
-    """Those of the given positions h whose hyperplane misses the open cone.
+def _chart(p: HPolytope, face: Face, index_set) -> Chart:
+    key = ("chart", face.index_set, tuple(sorted(index_set)))
+    if key in p.memo:
+        return p.memo[key]
+    basis = adapted_kernel_basis(p, index_set, face=face)
+    i_sorted = basis.index_set
+    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
+                                                  i_sorted)
+    if not ok:
+        raise ValueError(f"offset identity fails for I={i_sorted}")
+    common = flag_intersection(p, face, i_sorted)
+    union = set(face.index_set) | set(i_sorted)
+    i_mu = basis.vertex_index_set
+    chart = p.memo[key] = Chart(
+        face_index_set=face.index_set, index_set=i_sorted, common=common,
+        w_labels=tuple(h for h in i_sorted if h not in common),
+        mid_labels=tuple(k for k in i_mu if k not in union),
+        out_labels=tuple(r for r in range(1, p.d + 1) if r not in i_mu),
+        basis=basis, a_num=tuple(tuple(x.evaluate() for x in row)
+                                 for row in basis.a_matrix),
+        slack_scalars=slack_syms,
+        slacks={r: s.evaluate() for r, s in slack_syms.items()})
+    return chart
 
-    The cone is {rho >= 0 : rows @ rho > bounds}; feasibility of each
-    slice {rho_h = 0} is decided by exact linear programming.
+
+def regular_chart(p: HPolytope, index_set) -> Chart:
+    """The chart over an admissible I at the whole polytope, memoized.
+
+    Its domain C_I meets every slice rho_h = 0, h in I, so I* is empty
+    and pi_1 of the domain has rank 0: on a validated polytope {h} is a
+    facet, and at its vertex average every other constraint is
+    strictly positive, which is a point of C_I with rho_h = 0.
     """
-    if not rows:
-        return ()
-    nvar = len(rows[0])
-    return tuple(h for h in positions
-                 if open_feasible_point(rows, bounds, nonneg=range(nvar),
-                                        zero=[h]) is None)
+    return _chart(p, p.face_lattice.top, index_set)
+
+
+def singular_chart(p: HPolytope, face: Face, index_set=None) -> Chart:
+    """The flag-adapted chart at a face, memoized on the polytope.
+
+    Without index_set the first I meeting the flag condition is used.
+    """
+    if index_set is None:
+        index_set, _vid = find_flag_index_set(p, face)
+    return _chart(p, face, index_set)
 
 
 def _domain(a_num, labels, slacks):
@@ -109,77 +151,15 @@ def _fill_radicals(chart, z, rho):
     return z
 
 
-def _vertex_average(p: HPolytope, face: Face):
-    """Average of the face's vertices, a point of its relative interior."""
-    pts = [p.vertices[v].coords for v in face.vertex_ids]
-    return tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
-
-
-def _facet_interior_witness(p: HPolytope, h: int, strict_labels) -> bool:
-    """Exact certificate that the slice rho_h = 0 of C_I is nonempty.
-
-    The vertex average of the facet {h} lies in its relative interior,
-    so its constraint slacks give a point with rho_h = 0 satisfying
-    every strict inequality of C_I whenever the facet meets no facet
-    outside I union I_mu.  All arithmetic is over Fractions.
-    """
-    face = p.face_lattice.by_index_set.get((h,))
-    if face is None or not face.vertex_ids:
-        return False
-    avg = _vertex_average(p, face)
-    if p.constraint_value(h, avg) != 0:
-        return False
-    return all(p.constraint_value(j, avg) > 0 for j in strict_labels)
-
-
-def regular_chart(p: HPolytope, index_set) -> RegularChart:
-    """The chart over an admissible I, memoized on the polytope."""
-    key = ("regular_chart", tuple(sorted(index_set)))
-    if key in p.memo:
-        return p.memo[key]
-    basis = adapted_kernel_basis(p, index_set)
-    i_sorted = basis.index_set
-    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
-                                                  i_sorted)
-    if not ok:
-        raise ValueError(f"offset identity fails for I={i_sorted}")
-    slacks = {r: s.evaluate() for r, s in slack_syms.items()}
-    i_mu = basis.vertex_index_set
-    mid = tuple(k for k in i_mu if k not in i_sorted)
-    out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
-    a_num = _num(basis.a_matrix)
-    domain = _domain(a_num, mid + out, slacks)
-    # A facet-interior point certifies feasibility without an LP; only
-    # the rare failures fall through to the exact simplex.
-    unsure = [pos for pos, h in enumerate(i_sorted)
-              if not _facet_interior_witness(p, h, mid + out)]
-    star_pos = i_star_of_system([col for _l, _c, col in domain],
-                                [-c for _l, c, _col in domain], unsure)
-    i_star = tuple(i_sorted[h] for h in star_pos)
-    chart = p.memo[key] = RegularChart(
-        index_set=i_sorted, vertex_id=basis.vertex_id, basis=basis,
-        mid_labels=mid, out_labels=out, a_num=tuple(tuple(r) for r in a_num),
-        slack_scalars=slack_syms, slacks=slacks, i_star=i_star,
-        pi1_rank=len(i_star))
-    return chart
-
-
-def chart_pi1_rank(p: HPolytope, index_set):
-    chart = regular_chart(p, index_set)
-    return chart.pi1_rank, chart.i_star
-
-
-# -- moment maps ---------------------------------------------------------
+# -- moment maps and slices ----------------------------------------------
 
 def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
     """(Upsilon, Psi, Phi) of an ambient point as float vectors."""
     z = np.asarray(z, dtype=complex)
     lam = [float(l) for l in p.numeric_offsets()]
     ups = [abs(z[j]) ** 2 + lam[j] for j in range(p.d)]
-    psi = []
-    for vec in basis.kernel:
-        psi.append(sum(float(vec[j].evaluate()) * ups[j]
-                       for j in range(p.d)))
+    psi = [sum(vec[j] * ups[j] for j in range(p.d))
+           for vec in basis.float_kernel]
     i_sorted = basis.index_set
     rows = [[float(p._num_x[h - 1][i]) for i in range(p.n)]
             for h in i_sorted]
@@ -200,7 +180,7 @@ def lift_point(p: HPolytope, mu):
     return z
 
 
-def regular_slice(p: HPolytope, chart: RegularChart, u):
+def regular_slice(p: HPolytope, chart: Chart, u):
     """Assemble u + F_I(u); coordinates on I copy u, the rest are radicals."""
     i_sorted = chart.index_set
     if len(u) != p.n:
@@ -211,58 +191,7 @@ def regular_slice(p: HPolytope, chart: RegularChart, u):
     return _fill_radicals(chart, z, [abs(complex(x)) ** 2 for x in u])
 
 
-# -- singular charts -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SingularChart:
-    face_index_set: tuple
-    index_set: tuple
-    common: tuple  # I cap I_F
-    w_labels: tuple  # I minus common; the (C*)^p coordinates
-    mid_labels: tuple  # I_mu minus (I union I_F)
-    out_labels: tuple  # labels not in I_mu
-    basis: AdaptedBasisData  # flag-adapted
-    a_num: tuple
-    slacks: dict
-
-    @property
-    def dim(self) -> int:
-        return len(self.w_labels)
-
-
-def singular_chart(p: HPolytope, face: Face,
-                   index_set=None) -> SingularChart:
-    """The flag-adapted chart at a face, memoized on the polytope.
-
-    Without index_set the first I meeting the flag condition is used.
-    """
-    if index_set is None:
-        index_set, _vid = find_flag_index_set(p, face)
-    key = ("singular_chart", face.index_set, tuple(sorted(index_set)))
-    if key in p.memo:
-        return p.memo[key]
-    basis = adapted_kernel_basis(p, index_set, face=face)
-    i_sorted = basis.index_set
-    i_mu = basis.vertex_index_set
-    i_f = set(face.index_set)
-    common = flag_intersection(p, face, i_sorted)
-    w_labels = tuple(h for h in i_sorted if h not in common)
-    union = i_f | set(i_sorted)
-    mid = tuple(k for k in i_mu if k not in union)
-    out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
-    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
-                                                  i_sorted)
-    if not ok:
-        raise ValueError(f"offset identity fails for I={i_sorted}")
-    slacks = {r: s.evaluate() for r, s in slack_syms.items()}
-    chart = p.memo[key] = SingularChart(
-        face_index_set=face.index_set, index_set=i_sorted, common=common,
-        w_labels=w_labels, mid_labels=mid, out_labels=out, basis=basis,
-        a_num=tuple(tuple(r) for r in _num(basis.a_matrix)), slacks=slacks)
-    return chart
-
-
-def singular_slice(p: HPolytope, chart: SingularChart, w):
+def singular_slice(p: HPolytope, chart: Chart, w):
     """Assemble w + the singular slice radicals; face coordinates are 0."""
     i_sorted = chart.index_set
     if len(w) != len(chart.w_labels):
@@ -294,7 +223,7 @@ def torus_action(p: HPolytope, index_set, x_vec, z):
 
 # -- cones and the local embedding ---------------------------------------
 
-def moment_map_cone(p: HPolytope, chart: SingularChart, z_f):
+def moment_map_cone(p: HPolytope, chart: Chart, z_f):
     """(Psi_F components, Phi_F coordinates) for a point of the face cone.
 
     z_f lists the coordinates on sorted(I_F).  Psi_F pairs the squared
@@ -306,9 +235,8 @@ def moment_map_cone(p: HPolytope, chart: SingularChart, z_f):
     if len(z_f) != len(i_f):
         raise ValueError(f"z_f must have {len(i_f)} coordinates on {i_f}")
     sq = {j: abs(complex(v)) ** 2 for j, v in zip(i_f, z_f)}
-    psi = []
-    for vec in chart.basis.kernel[:chart.basis.stabilizer_count]:
-        psi.append(sum(float(vec[j - 1].evaluate()) * sq[j] for j in i_f))
+    stab = chart.basis.float_kernel[:chart.basis.stabilizer_count]
+    psi = [sum(vec[j - 1] * sq[j] for j in i_f) for vec in stab]
     lam = p.numeric_offsets()
     phi = tuple(sq[h] + float(lam[h - 1]) for h in chart.common)
     return psi, phi
@@ -332,12 +260,11 @@ class ConeNeighborhood:
     epsilon: Fraction
 
 
-def cone_neighborhood(p: HPolytope, chart: SingularChart, b=None,
-                      center=None) -> ConeNeighborhood:
+def cone_neighborhood(p: HPolytope, chart: Chart, b=None) -> ConeNeighborhood:
     """Choose the box, c and epsilon for the embedding around the face.
 
-    The box is centered at the w-image of a relative interior point of
-    the face (the vertex average by default); its half-width is set so
+    The box is centered at the w-image of the face's vertex average, a
+    relative interior point of the face; its half-width is set so
     every domain inequality keeps at least half its center value, hence
     c = half the exact minimum of the radicands over the box corners.
     epsilon then has the closed form c (or the slack) divided by twice
@@ -356,13 +283,10 @@ def cone_neighborhood(p: HPolytope, chart: SingularChart, b=None,
                     chart.slacks)
 
     if chart.w_labels:
-        if center is None:
-            mu0 = _vertex_average(p, p.face_lattice.face(i_f))
-        else:
-            mu0 = tuple(Fraction(x) for x in center)
+        pts = [p.vertices[v].coords
+               for v in p.face_lattice.face(i_f).vertex_ids]
+        mu0 = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
         rho0 = {h: p.constraint_value(h, mu0) for h in chart.w_labels}
-        if any(v <= 0 for v in rho0.values()):
-            raise ValueError("center point is not in the open face")
         # shrink the relative box radius until every inequality keeps
         # half its center value on the closed box
         t = Fraction(1, 2)
@@ -402,8 +326,7 @@ def cone_neighborhood(p: HPolytope, chart: SingularChart, b=None,
                             box_lo=box_lo, box_hi=box_hi, c=c, epsilon=eps)
 
 
-def cone_embedding(p: HPolytope, chart: SingularChart, nb: ConeNeighborhood,
-                   w, z_f):
+def cone_embedding(p: HPolytope, chart: Chart, nb: ConeNeighborhood, w, z_f):
     """Assemble the local model point w + z_F + radicals off I union I_F."""
     i_f = chart.face_index_set
     if len(z_f) != len(i_f):
@@ -436,8 +359,11 @@ def cone_embedding(p: HPolytope, chart: SingularChart, nb: ConeNeighborhood,
 
 # -- sampling helpers (rejection against exact inequalities) --------------
 
-def sample_polytope_points(p: HPolytope, count, rng, strict=True,
-                           denom=4096):
+_GRID = 4096  # sample coordinates step by 1/_GRID of the bounding box
+_WEIGHTS = 1024  # face_interior_point weights: k/1024 with 0 < k < 1024
+
+
+def sample_polytope_points(p: HPolytope, count, rng, strict=True):
     """Rational points of the polytope drawn by bounding-box rejection."""
     verts = [v.coords for v in p.vertices]
     lo = [min(v[i] for v in verts) for i in range(p.n)]
@@ -448,7 +374,7 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True,
         guard += 1
         if guard > 10000 * count:
             raise RuntimeError("rejection sampling stalled")
-        pt = tuple(l + (h - l) * Fraction(rng.randrange(denom + 1), denom)
+        pt = tuple(l + (h - l) * Fraction(rng.randrange(_GRID + 1), _GRID)
                    for l, h in zip(lo, hi))
         if p.contains(pt, strict=strict):
             out.append(pt)
@@ -461,21 +387,21 @@ def _phased_roots(p: HPolytope, labels, mu, rng):
             * cmath.exp(2j * math.pi * rng.random()) for h in labels]
 
 
-def sample_regular_domain(p: HPolytope, chart: RegularChart, count, rng):
+def sample_regular_domain(p: HPolytope, chart: Chart, count, rng):
     """(mu, u) pairs: interior samples and chart domain points over them."""
     return [(mu, _phased_roots(p, chart.index_set, mu, rng))
             for mu in sample_polytope_points(p, count, rng, strict=True)]
 
 
-def face_interior_point(p: HPolytope, face: Face, rng, denom=1024):
+def face_interior_point(p: HPolytope, face: Face, rng):
     vs = [p.vertices[i].coords for i in face.vertex_ids]
-    weights = [Fraction(rng.randrange(1, denom), denom) for _ in vs]
+    weights = [Fraction(rng.randrange(1, _WEIGHTS), _WEIGHTS) for _ in vs]
     total = sum(weights)
     return tuple(sum(w * v[i] for w, v in zip(weights, vs)) / total
                  for i in range(p.n))
 
 
-def sample_singular_domain(p: HPolytope, chart: SingularChart, count, rng):
+def sample_singular_domain(p: HPolytope, chart: Chart, count, rng):
     """(mu, w) pairs: relative interior points of the face, w vectors over them.
 
     The weights of face_interior_point are positive, so every w label,
@@ -489,7 +415,7 @@ def sample_singular_domain(p: HPolytope, chart: SingularChart, count, rng):
     return out
 
 
-def sample_cone_points(p: HPolytope, chart: SingularChart,
+def sample_cone_points(p: HPolytope, chart: Chart,
                        nb: ConeNeighborhood, count, rng):
     """Points of the face cone inside the epsilon ball, with phases."""
     i_f = chart.face_index_set

@@ -5,9 +5,9 @@
     polystrat fixtures list
     polystrat fixtures run [NAME ...] [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 spec parse error, 3 validation error,
-4 verification or cross-check failure.  Diagnostics go to stderr as
-one JSON object per line.
+Exit codes: 0 success, 2 spec parse error or unwritable output,
+3 validation error, 4 verification or cross-check failure.
+Diagnostics go to stderr as one JSON object per line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from pathlib import Path
 from .polytope import ValidationError
 from .report import ALL_SECTIONS, SpecError, build_report, dot_export, \
     parse_spec, render_report
-from .scalars import ScalarError
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -82,12 +81,16 @@ def _analyze(data: dict, only: str | None, seed: int | None,
         _diag("verification", str(e))
         return EXIT_VERIFY
     text = render_report(report)
-    if out:
-        Path(out).write_text(text)
-    elif not quiet:
-        sys.stdout.write(text)
-    if dot:
-        Path(dot).write_text(dot_export(p, options))
+    try:
+        if out:
+            Path(out).write_text(text)
+        elif not quiet:
+            sys.stdout.write(text)
+        if dot:
+            Path(dot).write_text(dot_export(p, options))
+    except OSError as e:
+        _diag("io", str(e))
+        return EXIT_PARSE
     if not ok:
         _diag("verification", "residuals exceed tolerance")
         return EXIT_VERIFY
@@ -131,6 +134,12 @@ def main(argv=None) -> int:
                 sys.stdout.write(f"{name}\t{FIXTURES[name]}\n")
             return 0
         names = args.names or sorted(FIXTURES)
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                _diag("io", str(e))
+                return EXIT_PARSE
         worst = 0
         for name in names:
             try:
@@ -138,11 +147,8 @@ def main(argv=None) -> int:
             except SpecError as e:
                 _diag("parse", str(e))
                 return EXIT_PARSE
-            out = None
-            if args.out:
-                outdir = Path(args.out)
-                outdir.mkdir(parents=True, exist_ok=True)
-                out = str(outdir / f"{name}.report.json")
+            out = (str(Path(args.out) / f"{name}.report.json") if args.out
+                   else None)
             quiet = out is None and len(names) > 1
             code = _analyze(data, None, args.seed, out, None, quiet=quiet)
             status = "pass" if code == 0 else f"fail ({code})"

@@ -196,11 +196,10 @@ class FibrationData:
     split_ok: bool
 
 
-def fibration_data(p: HPolytope, face: Face, b=None,
-                   index_set=None) -> FibrationData:
+def fibration_data(p: HPolytope, face: Face, b=None) -> FibrationData:
     b = _coerce_b(p, face, b)
     labels = face.index_set
-    basis = singular_chart(p, face, index_set).basis
+    basis = singular_chart(p, face).basis
     stab = basis.kernel[:basis.stabilizer_count]
     rows = [[vec[j - 1] for j in labels] for vec in stab]
     rows.append(list(b))

@@ -53,16 +53,33 @@ def _require(data, key, kind, where="spec"):
     return val
 
 
+def _scalar(reg, x, where):
+    """One scalar of the spec: an expression string or a finite number."""
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise SpecError(f"{where} entries must be strings or numbers, "
+                        f"not {x!r}")
+    try:
+        return reg.scalar(x)
+    except (ArithmeticError, ValueError) as e:
+        raise SpecError(f"bad scalar {x!r} in {where}: {e}") from e
+
+
 def parse_spec(data: dict):
     """Build (polytope, quasilattice, options) from a spec dictionary."""
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
     n = _require(data, "dimension", int)
+    if isinstance(n, bool) or n < 1:
+        raise SpecError("spec.dimension must be a positive integer")
     params = data.get("parameters", [])
+    if not isinstance(params, list):
+        raise SpecError("spec.parameters must be a list")
     names, values = [], {}
     for entry in params:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise SpecError("parameters must be objects with name/value")
+        if not isinstance(entry, dict) or \
+                not isinstance(entry.get("name"), str):
+            raise SpecError("parameters must be objects with a string name "
+                            "and a value")
         names.append(entry["name"])
         if "value" in entry:
             try:
@@ -81,21 +98,26 @@ def parse_spec(data: dict):
     if len(offsets) != len(normals):
         raise SpecError("offsets must match the number of normals")
     try:
-        p = HPolytope(reg, normals, offsets)
+        p = HPolytope(reg, [[_scalar(reg, x, "normals") for x in row]
+                            for row in normals],
+                      [_scalar(reg, x, "offsets") for x in offsets])
     except ScalarError as e:
         raise SpecError(f"bad scalar expression: {e}") from e
 
     qspec = data.get("quasilattice", "normals")
     if qspec == "normals":
         q = Quasilattice.from_normals(p)
-    elif isinstance(qspec, list):
+    elif isinstance(qspec, list) and all(isinstance(row, list)
+                                         and len(row) == n for row in qspec):
+        rows = [[_scalar(reg, x, "quasilattice") for x in row]
+                for row in qspec]
         try:
-            q = Quasilattice(reg, [[reg.scalar(x) for x in row]
-                                   for row in qspec])
-        except ScalarError as e:
-            raise SpecError(f"bad quasilattice entry: {e}") from e
+            q = Quasilattice(reg, rows)
+        except ValueError as e:
+            raise SpecError(f"bad quasilattice: {e}") from e
     else:
-        raise SpecError('quasilattice must be "normals" or generator rows')
+        raise SpecError(f'quasilattice must be "normals" or generator rows '
+                        f"of {n} entries")
 
     raw = data.get("options", {})
     if not isinstance(raw, dict):
@@ -127,9 +149,12 @@ def parse_spec(data: dict):
         if isinstance(v, bool):
             raise SpecError(f"bad tolerance {k!r}: a boolean")
         try:
-            options["tolerances"][k] = float(v)
+            options["tolerances"][k] = tol = float(v)
         except (TypeError, ValueError) as e:
             raise SpecError(f"bad tolerance {k!r}: {e}") from e
+        if not (math.isfinite(tol) and tol >= 0):
+            raise SpecError(f"tolerance {k!r} must be finite and "
+                            "nonnegative")
     b_raw = raw.get("b", {})
     if not isinstance(b_raw, dict):
         raise SpecError("options.b must be an object")
@@ -140,10 +165,10 @@ def parse_spec(data: dict):
             raise SpecError(f"bad face key {key!r} in options.b") from e
         if not isinstance(vals, list):
             raise SpecError(f"options.b entry for {key!r} must be a list")
+        b = tuple(_scalar(reg, v, f"options.b[{key!r}]") for v in vals)
         try:
-            b = tuple(reg.scalar(v) for v in vals)
             positive = all(s.sign() > 0 for s in b)
-        except (ScalarError, TypeError, ValueError, ArithmeticError) as e:
+        except (ArithmeticError, ValueError) as e:
             raise SpecError(f"bad b entry for {key!r}: {e}") from e
         target = p.face_lattice.by_index_set.get(face)
         if target is None or not target.singular:
@@ -207,8 +232,9 @@ def _charts_section(p: HPolytope, q: Quasilattice):
             "psi_constants": [str(c) for _vec, c in eqs],
             "slacks": {str(r): str(s)
                        for r, s in sorted(chart.slack_scalars.items())},
-            "pi1_rank": chart.pi1_rank,
-            "i_star": list(chart.i_star),
+            # empty on a validated polytope; see regular_chart
+            "pi1_rank": 0,
+            "i_star": [],
             "gamma_generators": [[str(x) for x in gen]
                                  for gen in gamma.generators],
             "gamma_structure": st.label,

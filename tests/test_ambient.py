@@ -1,13 +1,11 @@
 """Projection, admissible index sets, change of basis, adapted kernels."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from oracles import frac_rank
 from polystrat.ambient import (
-    AdaptedBasisData,
     Quasilattice,
     adapted_kernel_basis,
     admissible_index_sets,

@@ -15,6 +15,7 @@ import pytest
 
 import polystrat.charts as C
 from polystrat.ambient import admissible_index_sets, change_of_basis
+from polystrat.lp import open_feasible_point
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +41,6 @@ def test_pyramid_chart_blocks(pyr):
     assert ch.mid_labels == (1,)
     assert ch.out_labels == (5,)
     assert ch.slacks == {5: Fraction(3)}
-    assert ch.i_star == ()
-    assert ch.pi1_rank == 0
 
 
 def test_pyramid_chart_matrix(pyr):
@@ -75,39 +74,43 @@ def test_tent_chart_blocks(tnt):
     assert ch.mid_labels == (4, 7)
     assert ch.out_labels == (5, 8, 9)
     assert ch.slacks == {5: Fraction(3), 8: Fraction(5), 9: Fraction(1)}
-    assert ch.i_star == ()
 
 
-def test_pi1_rank_zero_on_all_fixture_charts(pyr, tnt, cube3):
-    pc, _, _ = cube3
-    for p, fam in (pyr, tnt, (pc, admissible_index_sets(pc))):
-        for i_set in fam:
-            rank, star = C.chart_pi1_rank(p, i_set)
-            assert rank == 0 and star == (), i_set
+def i_star_of_system(rows, bounds, positions):
+    """Exact-LP oracle: the positions h whose hyperplane misses the cone.
+
+    The cone is {rho >= 0 : rows @ rho > bounds}; feasibility of each
+    slice {rho_h = 0} is decided by exact linear programming.
+    """
+    if not rows:
+        return ()
+    nvar = len(rows[0])
+    return tuple(h for h in positions
+                 if open_feasible_point(rows, bounds, nonneg=range(nvar),
+                                        zero=[h]) is None)
 
 
 def test_i_star_synthetic_systems():
     # rho_0 > 0 forces the rho_0 = 0 slice to be empty
-    assert C.i_star_of_system([[1, 0]], [Fraction(0)], range(2)) == (0,)
+    assert i_star_of_system([[1, 0]], [Fraction(0)], range(2)) == (0,)
     # rho_0 + rho_1 > 0 leaves both slices nonempty
-    assert C.i_star_of_system([[1, 1]], [Fraction(0)], range(2)) == ()
-    assert C.i_star_of_system([[1, 0], [0, 1]],
-                              [Fraction(0), Fraction(0)], range(2)) == (0, 1)
-    assert C.i_star_of_system([], [], range(2)) == ()
+    assert i_star_of_system([[1, 1]], [Fraction(0)], range(2)) == ()
+    assert i_star_of_system([[1, 0], [0, 1]],
+                            [Fraction(0), Fraction(0)], range(2)) == (0, 1)
+    assert i_star_of_system([], [], range(2)) == ()
 
 
 @pytest.mark.parametrize("name", ["pyramid", "cube3", "simplex3", "tent"])
 def test_facet_witness_agrees_with_exact_lp(request, name):
-    # regular_chart skips the LP where a facet-interior point certifies
-    # the slice; the LP over every position must find the same I*
+    # regular_chart reports I* empty, relying on each facet's vertex
+    # average; the LP over every position must find no h either
     p, _, _ = request.getfixturevalue(name)
     for i_set in admissible_index_sets(p):
         ch = C.regular_chart(p, i_set)
         labels = ch.mid_labels + ch.out_labels
         rows = [[ch.a_num[pos][l - 1] for pos in range(p.n)] for l in labels]
         bounds = [-ch.slacks.get(l, Fraction(0)) for l in labels]
-        star = C.i_star_of_system(rows, bounds, range(p.n))
-        assert tuple(ch.index_set[h] for h in star) == ch.i_star, i_set
+        assert i_star_of_system(rows, bounds, range(p.n)) == (), i_set
 
 
 # -- lifts and moment values ----------------------------------------------

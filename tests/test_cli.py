@@ -6,9 +6,11 @@ subprocess smoke test runs the entry point through the interpreter
 script when one is on PATH.
 """
 
+import copy
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -126,6 +128,10 @@ def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
     {"b": {"9,9": ["1", "1"]}},
     {"samples": True},
     {"seed": True},
+    {"tolerances": {"residual": "nan"}},
+    {"tolerances": {"residual": float("nan")}},
+    {"tolerances": {"embedding": float("inf")}},
+    {"tolerances": {"residual": -1.0}},
 ])
 def test_malformed_options_are_parse_errors(tmp_path, capsys, options):
     path = _write_spec(tmp_path, _pyramid_spec(**options))
@@ -134,6 +140,20 @@ def test_malformed_options_are_parse_errors(tmp_path, capsys, options):
     assert "Traceback" not in err
     diags = _diags(err)
     assert len(diags) == 1 and diags[0]["error"] == "parse"
+
+
+def test_unwritable_outputs_are_io_errors(tmp_path, capsys):
+    path = _write_spec(tmp_path, _pyramid_spec())
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    for argv in (["analyze", path, "--only", "faces",
+                  "--out", str(tmp_path / "missing" / "report.json")],
+                 ["analyze", path, "--only", "faces",
+                  "--dot", str(blocker / "graph.dot")],
+                 ["fixtures", "run", "cube3", "--out", str(blocker)]):
+        assert main(argv) == EXIT_PARSE, argv
+        diags = _diags(capsys.readouterr().err)
+        assert len(diags) == 1 and diags[0]["error"] == "io", argv
 
 
 # -- fixtures -------------------------------------------------------------
@@ -232,3 +252,62 @@ def test_console_script_target():
     with pyproject.open("rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
     assert scripts["polystrat"] == "polystrat.cli:main"
+
+
+# -- seeded fuzzing of spec files -------------------------------------------
+
+FUZZ_VALUES = (None, True, 1.5, "", "((", [], {})
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every key and index path below the root of a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fuzz_paths(value, prefix + (key,))
+
+
+def _fuzzed_spec(rng):
+    """A bundled spec with one entry dropped, replaced or resized."""
+    data = fixture_spec(rng.choice(("pyramid", "cube3", "simplex3")))
+    path = rng.choice(list(_fuzz_paths(data)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    action = rng.randrange(len(FUZZ_VALUES) + 2)
+    if action == len(FUZZ_VALUES):
+        del parent[path[-1]]
+    elif action > len(FUZZ_VALUES) and isinstance(value, list) and value:
+        # a row of the wrong length, or one entry too few
+        parent[path[-1]] = value + value[:1] if rng.random() < 0.5 \
+            else value[:-1]
+    else:
+        parent[path[-1]] = copy.deepcopy(FUZZ_VALUES[action
+                                                     % len(FUZZ_VALUES)])
+    return data
+
+
+def test_fuzzed_specs_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20261018)
+    codes = set()
+    for i in range(100):
+        data = _fuzzed_spec(rng)
+        path = _write_spec(tmp_path, data, name=f"fuzz{i}.json")
+        code = main(["analyze", path, "--only", "faces"])
+        err = capsys.readouterr().err
+        assert code in (0, EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY), data
+        if code == 0:
+            assert err == "", data
+        else:
+            diags = _diags(err)
+            assert len(diags) == 1, data
+            assert set(diags[0]) == {"error", "detail"}, data
+        codes.add(code)
+    # the mutations reach past the parser
+    assert {0, EXIT_PARSE, EXIT_VALIDATION} <= codes

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 
 from polystrat.lp import lp_maximize, open_feasible_point

@@ -104,6 +104,29 @@ def test_parse_spec_options():
     lambda d: _pyramid(b={"1,2,3,4": ["1", "1"]}),
     lambda d: _pyramid(b={"1,2,3,4": 5}),
     lambda d: _pyramid(b={"1,2": ["1", "1"]}),  # a nonsingular edge
+    lambda d: _pyramid(b={"1,2,3,4": ["1", "1", "1", True]}),
+    lambda d: _broken(dimension=True),
+    lambda d: _broken(dimension=0),
+    lambda d: _broken(parameters=True),
+    lambda d: _broken(parameters=[{"name": 5, "value": "3/2"}]),
+    lambda d: _broken(normals=[[None, "0"], ["0", "1"], ["-p1", "0"],
+                               ["0", "-1"]]),
+    lambda d: _broken(normals=[["1", ["0"]], ["0", "1"], ["-p1", "0"],
+                               ["0", "-1"]]),
+    lambda d: _broken(normals=[[True, "0"], ["0", "1"], ["-p1", "0"],
+                               ["0", "-1"]]),
+    lambda d: _broken(offsets=["0", {}, "-p1", "-1"]),
+    lambda d: _broken(offsets=["0", False, "-p1", "-1"]),
+    lambda d: _broken(offsets=["0", float("nan"), "-p1", "-1"]),
+    lambda d: _broken(quasilattice=[]),
+    lambda d: _broken(quasilattice=[["1"], ["0"]]),
+    lambda d: _broken(quasilattice=[["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]]),
+    lambda d: _broken(quasilattice=[["1", "0"], ["2", "0"]]),
+    lambda d: _broken(quasilattice=[[None, "0"], ["0", "1"]]),
+    lambda d: _broken(options={"tolerances": {"residual": "nan"}}),
+    lambda d: _broken(options={"tolerances": {"embedding": float("inf")}}),
+    lambda d: _broken(options={"tolerances": {"residual": -1e-9}}),
 ])
 def test_parse_spec_rejects(mutate):
     with pytest.raises(SpecError):
@@ -172,7 +195,7 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     counts = Counter()
     for owner, name in ((HPolytope, "__init__"),
                         (ambient.IndexFamily, "__init__"),
-                        (charts, "RegularChart"), (charts, "SingularChart"),
+                        (charts, "Chart"),
                         (charts, "check_vertex_lambda_identity")):
         monkeypatch.setattr(owner, name, _counting(
             counts, name if owner is charts else owner.__name__,
@@ -192,12 +215,11 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     assert counts["HPolytope"] == nodes
     # at most one index family per polytope: the tent and each link
     assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
-    assert counts["RegularChart"] == len(report["charts"]) == 72
-    # one flag chart per link node, shared by its fibration, embedding
-    # constants and verification samples
-    assert counts["SingularChart"] == nodes
-    assert counts["check_vertex_lambda_identity"] == \
-        counts["RegularChart"] + counts["SingularChart"]
+    # one regular chart per admissible set, plus one flag chart per link
+    # node, shared by its fibration, embedding constants and samples
+    assert len(report["charts"]) == 72
+    assert counts["Chart"] == 72 + nodes
+    assert counts["check_vertex_lambda_identity"] == counts["Chart"]
 
 
 # -- pinned content -------------------------------------------------------

@@ -19,7 +19,6 @@ from polystrat.scalars import (
     ScalarParseError,
     monomial_rows,
     over_common_denominator,
-    parse_scalar,
 )
 
 
