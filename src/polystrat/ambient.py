@@ -3,8 +3,9 @@
 Everything here is symbolic.  The projection pi sends e_j to the normal
 X_j; its kernel is spanned by explicit vectors read off the change-of-
 basis matrix A_I, with X_j = sum_h a_hj X_h for every j.  Independence
-and basis tests are decided at the evaluation point, after which all
-identities are verified as exact Scalar equalities.
+and basis tests are decided at the evaluation point, on the polytope's
+integer constraint rows, after which all identities are verified as
+exact Scalar equalities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import SingularMatrixError, mat_rank, mat_solve
+from .linalg import SingularMatrixError, int_rank, mat_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError
 from .scalars import Scalar, monomial_rows
 
@@ -114,8 +115,7 @@ def admissible_index_sets(p: HPolytope) -> IndexFamily:
     for vid, v in enumerate(p.vertices):
         good = []
         for subset in itertools.combinations(v.active, p.n):
-            rows = [p._num_x[j - 1] for j in subset]
-            if mat_rank(rows) == p.n:
+            if int_rank([p._int_x[j - 1] for j in subset]) == p.n:
                 good.append(subset)
         if not good:
             raise ValidationError(
@@ -292,8 +292,15 @@ class ChoiceClassification:
         return "rational" if self.rational else "nonrational"
 
 
+def _check_dimension(p: HPolytope, q: Quasilattice):
+    if q.n != p.n:
+        raise ValueError(f"quasilattice generators have length {q.n}, "
+                         f"the polytope dimension is {p.n}")
+
+
 def basis_coordinates(p: HPolytope, q: Quasilattice, index_set):
     """Each quasilattice generator expressed in the basis {X_h : h in I}."""
+    _check_dimension(p, q)
     i_sorted = tuple(sorted(index_set))
     if q.source_polytope is p:
         a = change_of_basis(p, i_sorted)
@@ -316,6 +323,7 @@ def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     rank of the generator coordinates flattened over the monomials
     appearing after clearing one common denominator per coordinate.
     """
+    _check_dimension(p, q)
     rows = [row for c in range(q.n)
             for row in monomial_rows([g[c] for g in q.generators])]
     rational = mat_rank(rows) == q.n

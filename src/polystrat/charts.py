@@ -19,12 +19,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .ambient import AdaptedBasisData, adapted_kernel_basis, \
     check_vertex_lambda_identity, find_flag_index_set, flag_intersection
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, _clear_denominators
 
 
 class DomainError(Exception):
@@ -153,18 +154,26 @@ def _fill_radicals(chart, z, rho):
 
 # -- moment maps and slices ----------------------------------------------
 
+def _float_block(p: HPolytope, i_sorted):
+    """The normals on I as a float array and all offsets as floats, once per I."""
+    key = ("float_block", i_sorted)
+    if key not in p.memo:
+        p.memo[key] = (np.array([[float(x) for x in p._num_x[h - 1]]
+                                 for h in i_sorted]),
+                       [float(l) for l in p._num_l])
+    return p.memo[key]
+
+
 def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
     """(Upsilon, Psi, Phi) of an ambient point as float vectors."""
     z = np.asarray(z, dtype=complex)
-    lam = [float(l) for l in p.numeric_offsets()]
+    i_sorted = basis.index_set
+    rows, lam = _float_block(p, i_sorted)
     ups = [abs(z[j]) ** 2 + lam[j] for j in range(p.d)]
     psi = [sum(vec[j] * ups[j] for j in range(p.d))
            for vec in basis.float_kernel]
-    i_sorted = basis.index_set
-    rows = [[float(p._num_x[h - 1][i]) for i in range(p.n)]
-            for h in i_sorted]
     rhs = [ups[h - 1] for h in i_sorted]
-    phi = np.linalg.solve(np.array(rows), np.array(rhs))
+    phi = np.linalg.solve(rows, np.array(rhs))
     return ups, psi, list(phi)
 
 
@@ -211,9 +220,8 @@ def singular_slice(p: HPolytope, chart: Chart, w):
 def torus_action(p: HPolytope, index_set, x_vec, z):
     """Rotate z by the phases of exp applied to the I-block preimage of x."""
     i_sorted = tuple(sorted(index_set))
-    rows = [[float(p._num_x[h - 1][i]) for i in range(p.n)]
-            for h in i_sorted]
-    theta = np.linalg.solve(np.array(rows).T,
+    rows, _lam = _float_block(p, i_sorted)
+    theta = np.linalg.solve(rows.T,
                             np.array([float(v) for v in x_vec]))
     z = np.asarray(z, dtype=complex).copy()
     for pos, h in enumerate(i_sorted):
@@ -364,20 +372,37 @@ _WEIGHTS = 1024  # face_interior_point weights: k/1024 with 0 < k < 1024
 
 
 def sample_polytope_points(p: HPolytope, count, rng, strict=True):
-    """Rational points of the polytope drawn by bounding-box rejection."""
+    """Rational points of the polytope drawn by bounding-box rejection.
+
+    With lo = s / D and hi - lo = t / D over one denominator D, the grid
+    point lo + (hi - lo) * k / _GRID is (_GRID * s + t * k) / (_GRID * D),
+    whose slack on constraint j is c_j + <w_j, k> over the positive
+    _GRID * D * m_j.  Candidates are rejected on those integers; a
+    Fraction point is built only for an accepted k.
+    """
     verts = [v.coords for v in p.vertices]
     lo = [min(v[i] for v in verts) for i in range(p.n)]
     hi = [max(v[i] for v in verts) for i in range(p.n)]
+    den, ints = _clear_denominators(lo + hi)
+    start = [_GRID * s for s in ints[:p.n]]
+    width = [h - s for s, h in zip(ints[:p.n], ints[p.n:])]
+    top = _GRID * den
+    # (w_j, f_j) with f_j = [strict] - c_j: k is accepted when
+    # <w_j, k> >= f_j for every j
+    rows = [(tuple(map(mul, row, width)),
+             (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
+            for row, b in zip(p._int_x, p._int_l)]
+    draw = rng.randrange
     out = []
     guard = 0
     while len(out) < count:
         guard += 1
         if guard > 10000 * count:
             raise RuntimeError("rejection sampling stalled")
-        pt = tuple(l + (h - l) * Fraction(rng.randrange(_GRID + 1), _GRID)
-                   for l, h in zip(lo, hi))
-        if p.contains(pt, strict=strict):
-            out.append(pt)
+        k = [draw(_GRID + 1) for _ in range(p.n)]
+        if all(sum(map(mul, w, k)) >= f for w, f in rows):
+            out.append(tuple(Fraction(s + t * x, top)
+                             for s, t, x in zip(start, width, k)))
     return out
 
 

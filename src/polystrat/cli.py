@@ -73,6 +73,7 @@ def _analyze(data: dict, only: str | None, seed: int | None,
     try:
         report, ok = build_report(p, q, options, sections=sections,
                                   seed=seed)
+        dot_text = dot_export(p, options) if dot else None
     except ValidationError as e:
         _diag("validation", str(e))
         return EXIT_VALIDATION
@@ -82,12 +83,13 @@ def _analyze(data: dict, only: str | None, seed: int | None,
         return EXIT_VERIFY
     text = render_report(report)
     try:
+        # the DOT file first: when its write fails, no report is emitted
+        if dot:
+            Path(dot).write_text(dot_text)
         if out:
             Path(out).write_text(text)
         elif not quiet:
             sys.stdout.write(text)
-        if dot:
-            Path(dot).write_text(dot_export(p, options))
     except OSError as e:
         _diag("io", str(e))
         return EXIT_PARSE

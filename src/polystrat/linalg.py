@@ -5,6 +5,11 @@ type with exact +, -, *, /, truthiness as a zero test, and int/Fraction
 coercion).  Plain int entries are promoted to Fraction on input so that
 integer division never silently produces floats.  Pivoting picks the
 first nonzero entry, which keeps results deterministic.
+
+Integer matrices (the polytope's constraint rows at the evaluation
+point) have their own fraction-free elimination (Bareiss 1968): every
+intermediate entry is a minor of the input, so divisions are exact and
+no Fraction is built until a solution is returned.
 """
 
 from __future__ import annotations
@@ -86,3 +91,64 @@ def mat_solve(a, b):
         raise SingularMatrixError("matrix is singular")
     sol = [row[n:] for row in red[:n]]
     return [row[0] for row in sol] if vector else sol
+
+
+def _bareiss(m):
+    """Fraction-free forward elimination in place; returns pivot columns.
+
+    After the step at pivot (r, c) every entry below row r is the
+    (r + 2)-minor on the pivot rows and columns so far, so the division
+    by the previous pivot is exact.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix."""
+    return len(_bareiss([list(row) for row in rows]))
+
+
+def int_solve(a, b) -> list[Fraction]:
+    """Solve a @ x = b for a square invertible integer a and integer b.
+
+    Back substitution runs on d * x, which is integral for d the last
+    pivot (plus or minus det a), so each divide is exact.
+    """
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    if _bareiss(m)[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    d = m[n - 1][n - 1]
+    dx = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = d * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * dx[j]
+        dx[i] = acc // row[i]
+    return [Fraction(v, d) for v in dx]

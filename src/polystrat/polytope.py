@@ -1,11 +1,15 @@
 """H-representation polytopes: exact vertices, face lattice, singularity.
 
 A polytope is the set {mu : <mu, X_j> >= lambda_j for j = 1..d} with
-Scalar normals X_j and offsets lambda_j.  All sign and rank decisions
-(feasibility, active sets, face dimensions) are made with Fraction
-arithmetic at the registry's evaluation point; symbolic vertex
-coordinates are recovered on demand and cross-checked against every
-active constraint.
+Scalar normals X_j and offsets lambda_j.  At construction each
+constraint is evaluated at the registry's evaluation point and stored
+once as a primitive integer row (a_j, b_j) = m_j (X_j, lambda_j), with
+m_j > 0 the lcm of its denominators over the gcd of the scaled
+entries, so every slack keeps its sign.  All sign and rank decisions
+(feasibility, active sets, vertex solves, face dimensions) are made on
+these rows in integer arithmetic; symbolic vertex coordinates are
+recovered on demand and cross-checked against every active constraint.
+The LPs alone keep Fraction rows.
 
 Constraint labels are 1-based everywhere in the public API, matching
 the usual indexing of the defining inequalities.
@@ -14,10 +18,11 @@ the usual indexing of the defining inequalities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SingularMatrixError, mat_rank, mat_solve
+from .linalg import SingularMatrixError, int_rank, int_solve, mat_solve
 from .lp import lp_maximize, open_feasible_point
 from .scalars import Scalar
 
@@ -111,6 +116,22 @@ class FaceLattice:
                      if f is not face and self.leq(face, f))
 
 
+def _primitive_row(values):
+    """(integers, m): m * values is the primitive integer row, m > 0."""
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints) or 1
+    return [x // g for x in ints], Fraction(den, g)
+
+
+def _clear_denominators(point):
+    """(D, [D * x for x in point]) with D the least common denominator."""
+    point = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+             for x in point]
+    den = math.lcm(*(x.denominator for x in point))
+    return den, [x.numerator * (den // x.denominator) for x in point]
+
+
 class HPolytope:
     """Bounded full-dimensional intersection of d >= n+1 half-spaces."""
 
@@ -130,6 +151,11 @@ class HPolytope:
                                     f"{len(self.offsets)} offsets")])
         self._num_x = [[x.evaluate() for x in row] for row in self.normals]
         self._num_l = [l.evaluate() for l in self.offsets]
+        rows = [_primitive_row(x + [l])
+                for x, l in zip(self._num_x, self._num_l)]
+        self._int_x = tuple(tuple(r[:-1]) for r, _m in rows)
+        self._int_l = tuple(r[-1] for r, _m in rows)
+        self._int_scale = tuple(m for _r, m in rows)
         self._vertices = None
         self._lattice = None
         self._interior = None
@@ -154,22 +180,29 @@ class HPolytope:
     def numeric_offsets(self):
         return self._num_l[:]
 
+    def _scaled_slacks(self, point):
+        """D * m_j times every slack at point, as integers, with D > 0."""
+        den, num = _clear_denominators(point)
+        return [sum(a * k for a, k in zip(row, num)) - den * b
+                for row, b in zip(self._int_x, self._int_l)]
+
     def constraint_value(self, j: int, point) -> Fraction:
         """Slack <point, X_j> - lambda_j at the evaluation point; j is 1-based."""
-        row = self._num_x[j - 1]
-        return sum((Fraction(p) * a for p, a in zip(point, row)),
-                   Fraction(0)) - self._num_l[j - 1]
+        den, num = _clear_denominators(point)
+        v = (sum(a * k for a, k in zip(self._int_x[j - 1], num))
+             - den * self._int_l[j - 1])
+        m = self._int_scale[j - 1]
+        return Fraction(v * m.denominator, den * m.numerator)
 
     def contains(self, point, strict: bool = False) -> bool:
-        for j in range(1, self.d + 1):
-            v = self.constraint_value(j, point)
-            if v < 0 or (strict and v == 0):
-                return False
-        return True
+        slacks = self._scaled_slacks(point)
+        if strict:
+            return all(v > 0 for v in slacks)
+        return all(v >= 0 for v in slacks)
 
     def active_set(self, point):
-        return tuple(j for j in range(1, self.d + 1)
-                     if self.constraint_value(j, point) == 0)
+        slacks = self._scaled_slacks(point)
+        return tuple(j for j, v in enumerate(slacks, start=1) if v == 0)
 
     # -- validation ----------------------------------------------------
 
@@ -233,13 +266,12 @@ class HPolytope:
     def _enumerate(self):
         seen = {}
         for subset in itertools.combinations(range(self.d), self.n):
-            a = [self._num_x[i] for i in subset]
-            b = [self._num_l[i] for i in subset]
+            a = [self._int_x[i] for i in subset]
+            b = [self._int_l[i] for i in subset]
             try:
-                pt = mat_solve(a, b)
+                pt = tuple(int_solve(a, b))
             except SingularMatrixError:
                 continue
-            pt = tuple(pt)
             if pt in seen:
                 continue
             if self.contains(pt):
@@ -268,8 +300,7 @@ class HPolytope:
         faces = []
         for js in sets:
             index_set = tuple(sorted(js))
-            rows = [self._num_x[j - 1] for j in index_set]
-            p = self.n - (mat_rank(rows) if rows else 0)
+            p = self.n - int_rank([self._int_x[j - 1] for j in index_set])
             r = len(index_set)
             vids = tuple(i for i, v in enumerate(verts)
                          if js <= set(v.active))
@@ -297,8 +328,8 @@ class HPolytope:
         chosen = []
         chosen_rows = []
         for j in active:
-            row = self._num_x[j - 1]
-            if mat_rank(chosen_rows + [row]) == len(chosen_rows) + 1:
+            row = self._int_x[j - 1]
+            if int_rank(chosen_rows + [row]) == len(chosen_rows) + 1:
                 chosen.append(j)
                 chosen_rows.append(row)
                 if len(chosen) == self.n:

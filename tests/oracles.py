@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own arithmetic:
 sympy for field operations, fractions-based Gaussian elimination for
-ranks, and breadth-first closure for finite subgroups of (Q/Z)^n.
+ranks, breadth-first closure for finite subgroups of (Q/Z)^n, and
+Fraction slacks for the polytope predicates and the rejection sampler
+that the library decides on integer rows.
 """
 
 from fractions import Fraction
@@ -133,3 +135,43 @@ def int_det(rows) -> Fraction:
                 f = m[r][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return det
+
+
+# -- polytope predicates and sampling on Fractions ---------------------------
+
+def frac_constraint_value(p, j, point):
+    """Slack <point, X_j> - lambda_j from the constraint evaluated as Fractions."""
+    row = [x.evaluate() for x in p.normals[j - 1]]
+    return (sum((Fraction(c) * a for c, a in zip(point, row)), Fraction(0))
+            - p.offsets[j - 1].evaluate())
+
+
+def frac_contains(p, point, strict=False):
+    for j in range(1, p.d + 1):
+        v = frac_constraint_value(p, j, point)
+        if v < 0 or (strict and v == 0):
+            return False
+    return True
+
+
+def frac_active_set(p, point):
+    return tuple(j for j in range(1, p.d + 1)
+                 if frac_constraint_value(p, j, point) == 0)
+
+
+def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
+    """Bounding-box rejection sampling with a Fraction point per candidate."""
+    verts = [v.coords for v in p.vertices]
+    lo = [min(v[i] for v in verts) for i in range(p.n)]
+    hi = [max(v[i] for v in verts) for i in range(p.n)]
+    out = []
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 10000 * count:
+            raise RuntimeError("rejection sampling stalled")
+        pt = tuple(l + (h - l) * Fraction(rng.randrange(grid + 1), grid)
+                   for l, h in zip(lo, hi))
+        if frac_contains(p, pt, strict=strict):
+            out.append(pt)
+    return out

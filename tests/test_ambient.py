@@ -9,12 +9,15 @@ from polystrat.ambient import (
     Quasilattice,
     adapted_kernel_basis,
     admissible_index_sets,
+    basis_coordinates,
     change_of_basis,
     check_vertex_lambda_identity,
     classify_choice,
     find_flag_index_set,
     projection_matrix,
 )
+from polystrat.groups import gamma_group
+from polystrat.polytope import HPolytope
 from polystrat.scalars import ParamRegistry
 
 
@@ -333,3 +336,16 @@ def test_explicit_generator_quasilattice(pyramid):
     q = Quasilattice(p.registry, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     res = classify_choice(p, q)
     assert res.rational
+
+
+def test_quasilattice_of_the_wrong_dimension_is_rejected():
+    reg = ParamRegistry([])
+    square = HPolytope(reg, [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                       [0, 0, -1, -1])
+    q = Quasilattice(reg, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="length 3"):
+        classify_choice(square, q)
+    with pytest.raises(ValueError, match="length 3"):
+        basis_coordinates(square, q, (1, 2))
+    with pytest.raises(ValueError, match="length 3"):
+        gamma_group(square, q, (1, 2))

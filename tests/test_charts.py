@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import frac_sample_polytope_points
 
 import polystrat.charts as C
 from polystrat.ambient import admissible_index_sets, change_of_basis
@@ -448,6 +449,18 @@ def test_sample_polytope_points_inside(pyr):
     assert len(pts) == 10
     for mu in pts:
         assert p.contains(mu, strict=True)
+
+
+@pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3"))
+def test_sampler_matches_fraction_oracle(name, request):
+    p = request.getfixturevalue(name)[0]
+    for seed, strict in ((71, True), (72, False)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        pts = C.sample_polytope_points(p, 40, rng, strict=strict)
+        assert pts == frac_sample_polytope_points(p, 40, ref, strict=strict,
+                                                  grid=C._GRID)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_face_interior_point_active_set(pyr, tnt):

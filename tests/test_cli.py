@@ -146,14 +146,21 @@ def test_unwritable_outputs_are_io_errors(tmp_path, capsys):
     path = _write_spec(tmp_path, _pyramid_spec())
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
+    report = tmp_path / "report.json"
     for argv in (["analyze", path, "--only", "faces",
                   "--out", str(tmp_path / "missing" / "report.json")],
                  ["analyze", path, "--only", "faces",
                   "--dot", str(blocker / "graph.dot")],
+                 ["analyze", path, "--only", "faces", "--out", str(report),
+                  "--dot", str(blocker / "graph.dot")],
                  ["fixtures", "run", "cube3", "--out", str(blocker)]):
         assert main(argv) == EXIT_PARSE, argv
-        diags = _diags(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        diags = _diags(captured.err)
         assert len(diags) == 1 and diags[0]["error"] == "io", argv
+        if "--dot" in argv:
+            # a failed --dot write emits no report
+            assert captured.out == "" and not report.exists(), argv
 
 
 # -- fixtures -------------------------------------------------------------

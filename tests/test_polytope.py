@@ -1,10 +1,12 @@
 """Vertex enumeration, face lattice, singularity classification, validation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import frac_active_set, frac_constraint_value, frac_contains
 
 from polystrat.polytope import (
     Face,
@@ -177,6 +179,48 @@ def test_contains_and_active_set_match_direct_evaluation(pyramid, tent):
             if p.contains(pt):
                 assert p.active_set(pt) == tuple(
                     j for j, s in enumerate(slacks, start=1) if s == 0)
+
+
+FIXTURE_NAMES = ("pyramid", "tent", "pyramid_unit", "tent_unit", "cube3",
+                 "simplex3")
+
+
+def _rescaled(p, rng):
+    """The same polytope with every constraint times a random positive rational."""
+    scales = [Fraction(rng.randint(1, 30), rng.randint(1, 30))
+              for _ in range(p.d)]
+    return HPolytope(p.registry,
+                     [[x * s for x in row] for row, s in zip(p.normals, scales)],
+                     [l * s for l, s in zip(p.offsets, scales)])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_integer_predicates_match_fraction_oracle(name, request):
+    rng = random.Random(sum(map(ord, name)))
+    base = request.getfixturevalue(name)[0]
+    for p in (base, _rescaled(base, rng)):
+        for row, b, m in zip(p._int_x, p._int_l, p._int_scale):
+            assert m > 0 and math.gcd(*row, b) == 1
+        lo = [min(v.coords[i] for v in p.vertices) - 1 for i in range(p.n)]
+        hi = [max(v.coords[i] for v in p.vertices) + 1 for i in range(p.n)]
+        points = [v.coords for v in p.vertices]
+        for _ in range(80):
+            den = rng.randint(1, 12)
+            points.append(tuple(
+                l + (h - l) * Fraction(rng.randint(0, 4 * den), 4 * den)
+                for l, h in zip(lo, hi)))
+        for pt in points:
+            assert p.contains(pt) == frac_contains(p, pt)
+            assert p.contains(pt, strict=True) == frac_contains(
+                p, pt, strict=True)
+            assert p.active_set(pt) == frac_active_set(p, pt)
+            for j in range(1, p.d + 1):
+                assert p.constraint_value(j, pt) == frac_constraint_value(
+                    p, j, pt)
+        for v in p.vertices:
+            assert v.active == frac_active_set(p, v.coords)
+        assert [v.coords for v in p.vertices] == \
+            [v.coords for v in base.vertices]
 
 
 def test_interior_point_is_strictly_inside(pyramid, tent, cube3):
