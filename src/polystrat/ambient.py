@@ -113,15 +113,10 @@ def admissible_index_sets(p: HPolytope) -> IndexFamily:
         return p.memo[key]
     by_vertex = {}
     for vid, v in enumerate(p.vertices):
-        good = []
-        for subset in itertools.combinations(v.active, p.n):
-            if int_rank([p._int_x[j - 1] for j in subset]) == p.n:
-                good.append(subset)
-        if not good:
-            raise ValidationError(
-                [("degenerate-point",
-                  f"no admissible index set at vertex {vid}")])
-        by_vertex[vid] = good
+        # nonempty: a vertex solves n independent active constraints
+        by_vertex[vid] = [
+            subset for subset in itertools.combinations(v.active, p.n)
+            if int_rank([p._int_x[j - 1] for j in subset]) == p.n]
     family = p.memo[key] = IndexFamily(by_vertex)
     return family
 

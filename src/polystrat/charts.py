@@ -89,8 +89,8 @@ def _chart(p: HPolytope, face: Face, index_set) -> Chart:
     i_sorted = basis.index_set
     ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
                                                   i_sorted)
-    if not ok:
-        raise ValueError(f"offset identity fails for I={i_sorted}")
+    # validation certified every vertex's active set symbolically
+    assert ok, f"offset identity fails for I={i_sorted}"
     common = flag_intersection(p, face, i_sorted)
     union = set(face.index_set) | set(i_sorted)
     i_mu = basis.vertex_index_set

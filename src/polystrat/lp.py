@@ -60,52 +60,42 @@ def lp_maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     All variables are free.  Inputs may be ints or Fractions; the answer
     is exact.
     """
-    a_ub = [list(map(Fraction, row)) for row in (a_ub or [])]
-    b_ub = [Fraction(x) for x in (b_ub or [])]
-    a_eq = [list(map(Fraction, row)) for row in (a_eq or [])]
-    b_eq = [Fraction(x) for x in (b_eq or [])]
+    nslack = len(a_ub or ())
+    rows = [list(map(Fraction, row)) for row in [*(a_ub or ()), *(a_eq or ())]]
+    rhs = [Fraction(x) for x in [*(b_ub or ()), *(b_eq or ())]]
     c = [Fraction(x) for x in c]
     nvar = len(c)
-    nslack = len(a_ub)
-    rows = []
-    rhs = []
-    for row, b in zip(a_ub, b_ub):
-        rows.append(row)
-        rhs.append(b)
-    for row, b in zip(a_eq, b_eq):
-        rows.append(row)
-        rhs.append(b)
     m = len(rows)
     # columns: u (nvar), w (nvar), slacks (nslack), artificials (m)
-    ncols = 2 * nvar + nslack + m
+    art0 = 2 * nvar + nslack
+    ncols = art0 + m
 
+    # initial basis: a row's slack if its rhs is >= 0, else its artificial
     tab = []
-    for i in range(m):
-        row = rows[i]
-        line = ([x for x in row] + [-x for x in row]
-                + [Fraction(0)] * nslack + [Fraction(0)] * m + [rhs[i]])
+    basis = []
+    obj = [Fraction(0)] * (ncols + 1)
+    for i, row in enumerate(rows):
+        line = (row + [-x for x in row]
+                + [Fraction(0)] * (nslack + m) + [rhs[i]])
         if i < nslack:
             line[2 * nvar + i] = Fraction(1)
         if line[-1] < 0:
             line = [-x for x in line]
-        line[2 * nvar + nslack + i] = Fraction(1)
+        if i < nslack and rhs[i] >= 0:
+            basis.append(2 * nvar + i)
+        else:
+            obj = [o - t for o, t in zip(obj, line)]
+            line[art0 + i] = Fraction(1)
+            basis.append(art0 + i)
         tab.append(line)
 
     # phase 1: maximize minus the sum of artificials
-    obj = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        obj = [o - t for o, t in zip(obj, tab[i])]
-    for i in range(m):
-        obj[2 * nvar + nslack + i] = Fraction(0)
     tab.append(obj)
-    basis = [2 * nvar + nslack + i for i in range(m)]
-    allowed = list(range(2 * nvar + nslack))
-    _run_simplex(tab, basis, allowed)
+    _run_simplex(tab, basis, range(art0))
     if tab[-1][-1] < 0:
         return LpResult("infeasible", None, None)
 
     # drive artificials out of the basis; drop redundant rows
-    art0 = 2 * nvar + nslack
     keep = []
     for i in range(m):
         if basis[i] >= art0:
@@ -122,11 +112,10 @@ def lp_maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     obj = ([-x for x in c] + [x for x in c]
            + [Fraction(0)] * nslack + [Fraction(0)])
     for i, b in enumerate(basis):
-        if obj[b]:
-            f = obj[b]
+        if f := obj[b]:
             obj = [a - f * t for a, t in zip(obj, tab[i])]
     tab.append(obj)
-    status = _run_simplex(tab, basis, list(range(art0)))
+    status = _run_simplex(tab, basis, range(art0))
     if status == "unbounded":
         return LpResult("unbounded", None, None)
     xs = [Fraction(0)] * art0
@@ -137,42 +126,35 @@ def lp_maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     return LpResult("optimal", value, x)
 
 
+def least_slack(strict_rows, strict_rhs, nonneg=(), zero=()) -> LpResult:
+    """Maximize the least slack t of strict_rows @ x >= strict_rhs, t <= 1.
+
+    nonneg lists variable indices constrained to x_i >= 0, zero lists
+    indices pinned to x_i == 0.  The variables are x then t, and the LP
+    is always feasible and bounded: value < 0 means the closed system
+    is empty, value == 0 that it has no strict solution, and value > 0
+    that x is one.
+    """
+    nvar = len(strict_rows[0]) if strict_rows else 0
+
+    def unit(i, v):
+        line = [0] * (nvar + 1)
+        line[i] = v
+        return line
+
+    nonneg = list(nonneg)
+    # row @ x - t >= b, -x_i <= 0, t <= 1
+    a_ub = [[-v for v in row] + [1] for row in strict_rows]
+    a_ub += [unit(i, -1) for i in nonneg] + [unit(nvar, 1)]
+    b_ub = [-b for b in strict_rhs] + [0] * len(nonneg) + [1]
+    a_eq = [unit(i, 1) for i in zero]
+    return lp_maximize(unit(nvar, 1), a_ub, b_ub, a_eq, [0] * len(a_eq))
+
+
 def open_feasible_point(strict_rows, strict_rhs, nonneg=(), zero=()):
     """A rational point with strict_rows @ x > strict_rhs, if one exists.
 
-    nonneg lists variable indices constrained to x_i >= 0, zero lists
-    indices pinned to x_i == 0.  Returns the point or None.  Decided by
-    maximizing the least slack t (capped at 1) and checking t > 0.
+    Arguments as for least_slack.  Returns the point or None.
     """
-    if not strict_rows:
-        nvar = 0
-    else:
-        nvar = len(strict_rows[0])
-    # variables: x_0..x_{nvar-1}, t
-    c = [Fraction(0)] * nvar + [Fraction(1)]
-    a_ub = []
-    b_ub = []
-    for row, b in zip(strict_rows, strict_rhs):
-        # row @ x - t >= b
-        a_ub.append([-Fraction(v) for v in row] + [Fraction(1)])
-        b_ub.append(-Fraction(b))
-    for i in nonneg:
-        line = [Fraction(0)] * (nvar + 1)
-        line[i] = Fraction(-1)
-        a_ub.append(line)
-        b_ub.append(Fraction(0))
-    cap = [Fraction(0)] * (nvar + 1)
-    cap[nvar] = Fraction(1)
-    a_ub.append(cap)
-    b_ub.append(Fraction(1))
-    a_eq = []
-    b_eq = []
-    for i in zero:
-        line = [Fraction(0)] * (nvar + 1)
-        line[i] = Fraction(1)
-        a_eq.append(line)
-        b_eq.append(Fraction(0))
-    res = lp_maximize(c, a_ub, b_ub, a_eq, b_eq)
-    if res.status != "optimal" or res.value <= 0:
-        return None
-    return res.x[:nvar]
+    res = least_slack(strict_rows, strict_rhs, nonneg, zero)
+    return res.x[:-1] if res.value > 0 else None

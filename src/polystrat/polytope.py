@@ -9,7 +9,11 @@ entries, so every slack keeps its sign.  All sign and rank decisions
 (feasibility, active sets, vertex solves, face dimensions) are made on
 these rows in integer arithmetic; symbolic vertex coordinates are
 recovered on demand and cross-checked against every active constraint.
-The LPs alone keep Fraction rows.
+
+Validation runs two exact LPs on these rows: the largest least slack
+(empty, lower-dimensional, or an interior point) and the recession cone
+{y : A y >= 0} (bounded iff it is {0}).  With parameters it also
+certifies every vertex's active set symbolically, for generic values.
 
 Constraint labels are 1-based everywhere in the public API, matching
 the usual indexing of the defining inequalities.
@@ -22,8 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SingularMatrixError, int_rank, int_solve, mat_solve
-from .lp import lp_maximize, open_feasible_point
+from .linalg import SingularMatrixError, int_rank, int_solve, mat_solve, \
+    rref
+from .lp import least_slack, lp_maximize
 from .scalars import Scalar
 
 
@@ -114,6 +119,10 @@ class FaceLattice:
     def superfaces(self, face: Face):
         return tuple(f for f in self.faces
                      if f is not face and self.leq(face, f))
+
+
+def _fmt(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 def _primitive_row(values):
@@ -218,41 +227,53 @@ class HPolytope:
         if issues:
             raise ValidationError(issues)
 
-        # boundedness and nonemptiness: extremize every coordinate
-        a_ub = [[-x for x in row] for row in self._num_x]
-        b_ub = [-l for l in self._num_l]
-        for k in range(self.n):
-            for sgn in (1, -1):
-                c = [Fraction(0)] * self.n
-                c[k] = Fraction(sgn)
-                res = lp_maximize(c, a_ub=a_ub, b_ub=b_ub)
-                if res.status == "infeasible":
-                    raise ValidationError([("empty",
-                                            "no point satisfies all "
-                                            "constraints")])
-                if res.status == "unbounded":
-                    raise ValidationError([("unbounded",
-                                            f"coordinate {k + 1} is "
-                                            "unbounded on the feasible set")])
-
-        self.interior_point()
-        lattice = self.face_lattice
+        # one LP for nonemptiness and an interior point, one for
+        # boundedness; positive row scales change neither answer
+        best = least_slack(self._int_x, self._int_l)
+        if best.value < 0:
+            raise ValidationError([("empty", "no point satisfies all "
+                                    "constraints")])
+        ray = self._recession_ray()
+        if ray:
+            raise ValidationError([("unbounded", "the feasible set contains "
+                                    f"a ray in direction {_fmt(ray)}")])
+        if best.value == 0:
+            raise ValidationError([("lower-dimensional",
+                                    "feasible set has empty interior")])
+        self._interior = tuple(best.x[:-1])
         for j in range(1, self.d + 1):
-            key = (j,)
-            face = lattice.by_index_set.get(key)
+            face = self.face_lattice.by_index_set.get((j,))
             if face is None or face.dim != self.n - 1:
                 issues.append(("redundant-constraint",
                                f"constraint {j} is not active on a facet"))
         if issues:
             raise ValidationError(issues)
+        # with parameters, certify every vertex's active set symbolically
+        if self.registry.names:
+            for vid in range(len(self.vertices)):
+                self.vertex_point(vid)
+
+    def _recession_ray(self):
+        """A primitive integer y != 0 with A y >= 0, or None.
+
+        A nonempty {x : A x >= b} is bounded iff A has rank n and the LP
+        max 1^T A y over A y >= 0, 1^T A y <= 1 has value 0.
+        """
+        rows = self._int_x
+        if int_rank(rows) < self.n:  # a line: a kernel vector
+            red, pivots = rref(rows)
+            free = min(set(range(self.n)) - set(pivots))
+            y = [Fraction(c == free) for c in range(self.n)]
+            for row, c in zip(red, pivots):
+                y[c] = -row[free]
+            return _primitive_row(y)[0]
+        total = [sum(col) for col in zip(*rows)]
+        res = lp_maximize(total, [[-a for a in row] for row in rows] + [total],
+                          [0] * self.d + [1])
+        return _primitive_row(res.x)[0] if res.value else None
 
     def interior_point(self):
-        if self._interior is None:
-            pt = open_feasible_point(self._num_x, self._num_l)
-            if pt is None:
-                raise ValidationError([("lower-dimensional",
-                                        "feasible set has empty interior")])
-            self._interior = tuple(pt)
+        """A point strictly inside found by validation, else None."""
         return self._interior
 
     # -- vertices and faces ---------------------------------------------
@@ -320,20 +341,19 @@ class HPolytope:
         Solves n independent active constraints symbolically, then
         requires the remaining active constraints to vanish as Scalars;
         a nonzero residual means the active set holds only at the
-        evaluation point.
+        evaluation point.  Memoized.
         """
+        key = ("vertex_point", vid)
+        if key in self.memo:
+            return self.memo[key]
         v = self.vertices[vid]
         active = list(v.active)
         # lexicographically first independent n-subset at the eval point
         chosen = []
-        chosen_rows = []
         for j in active:
-            row = self._int_x[j - 1]
-            if int_rank(chosen_rows + [row]) == len(chosen_rows) + 1:
+            if len(chosen) < self.n and int_rank(
+                    [self._int_x[h - 1] for h in chosen + [j]]) > len(chosen):
                 chosen.append(j)
-                chosen_rows.append(row)
-                if len(chosen) == self.n:
-                    break
         a = [list(self.normals[j - 1]) for j in chosen]
         b = [self.offsets[j - 1] for j in chosen]
         pt = tuple(mat_solve(a, b))
@@ -343,8 +363,11 @@ class HPolytope:
             resid = sum((p * x for p, x in zip(pt, self.normals[j - 1])),
                         self.registry.zero()) - self.offsets[j - 1]
             if not resid.is_zero():
+                values = ", ".join(f"{nm}={x}" for nm, x in zip(
+                    self.registry.names, self.registry.point))
                 raise ValidationError(
                     [("degenerate-point",
-                      f"constraint {j} meets vertex {vid} only at the "
-                      "evaluation point")])
+                      f"constraint {j} meets vertex {vid} {_fmt(v.coords)} "
+                      f"only at the parameter values {values}")])
+        self.memo[key] = pt
         return pt

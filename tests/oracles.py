@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own arithmetic:
 sympy for field operations, fractions-based Gaussian elimination for
 ranks, breadth-first closure for finite subgroups of (Q/Z)^n, and
 Fraction slacks for the polytope predicates and the rejection sampler
-that the library decides on integer rows.
+that the library decides on integer rows.  The one exception is the
+earlier polytope validation, kept as an oracle for the two-LP
+certificate that replaced it: it runs the library's LP on other
+problems (one per coordinate and sign).
 """
 
 from fractions import Fraction
@@ -175,3 +178,46 @@ def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
         if frac_contains(p, pt, strict=strict):
             out.append(pt)
     return out
+
+
+# -- polytope validation by coordinate extremization -------------------------
+
+def bound_loop_first_code(normals, offsets):
+    """First issue code of {x : normals @ x >= offsets}, or None.
+
+    The validation HPolytope ran before its two-LP certificate: the
+    shape checks, then 2n LPs extremizing every coordinate (infeasible
+    means empty, unbounded means unbounded), then a strictly feasible
+    point (none means lower-dimensional), then a facet for every
+    constraint in the face lattice.
+    """
+    from polystrat.lp import lp_maximize, open_feasible_point
+    from polystrat.polytope import HPolytope
+    from polystrat.scalars import ParamRegistry
+
+    normals = [[Fraction(x) for x in row] for row in normals]
+    offsets = [Fraction(x) for x in offsets]
+    n = len(normals[0])
+    if len(normals) < n + 1:
+        return "too-few-constraints"
+    if any(all(x == 0 for x in row) for row in normals):
+        return "zero-normal"
+    a_ub = [[-x for x in row] for row in normals]
+    b_ub = [-x for x in offsets]
+    for k in range(n):
+        for sgn in (1, -1):
+            c = [0] * n
+            c[k] = sgn
+            res = lp_maximize(c, a_ub=a_ub, b_ub=b_ub)
+            if res.status == "infeasible":
+                return "empty"
+            if res.status == "unbounded":
+                return "unbounded"
+    if open_feasible_point(normals, offsets) is None:
+        return "lower-dimensional"
+    p = HPolytope(ParamRegistry([]), normals, offsets, validate=False)
+    facets = p.face_lattice.by_index_set
+    if any(facets.get((j,)) is None or facets[(j,)].dim != n - 1
+           for j in range(1, p.d + 1)):
+        return "redundant-constraint"
+    return None

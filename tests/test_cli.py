@@ -20,6 +20,7 @@ import pytest
 import polystrat
 from polystrat.cli import EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY, \
     fixture_spec, main
+from polystrat.report import ALL_SECTIONS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -38,6 +39,19 @@ def _pyramid_spec(**option_changes):
 
 def _diags(err):
     return [json.loads(line) for line in err.splitlines() if line]
+
+
+def _cube_cut_spec(q="2"):
+    """The unit cube cut by -x - y - z >= -q.
+
+    At q = 1 or q = 2 the cut plane passes through three cube vertices,
+    so the face lattice holds only at that value of q.
+    """
+    data = fixture_spec("cube3")
+    data["parameters"] = [{"name": "q", "value": q}]
+    data["normals"].append(["-1", "-1", "-1"])
+    data["offsets"].append("-q")
+    return data
 
 
 # -- analyze --------------------------------------------------------------
@@ -108,6 +122,28 @@ def test_unbounded_polytope_is_validation_error(tmp_path, capsys):
     diags = _diags(capsys.readouterr().err)
     assert diags[0]["error"] == "validation"
     assert "unbounded" in diags[0]["detail"]
+
+
+@pytest.mark.parametrize("only", (None,) + ALL_SECTIONS)
+def test_nongeneric_evaluation_point_is_validation_error(tmp_path, capsys,
+                                                         only):
+    argv = ["analyze", _write_spec(tmp_path, _cube_cut_spec())]
+    assert main(argv + (["--only", only] if only else [])) == \
+        EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diags = _diags(captured.err)
+    assert len(diags) == 1 and diags[0]["error"] == "validation"
+    detail = diags[0]["detail"]
+    assert detail.startswith("[degenerate-point] constraint 7 meets vertex")
+    assert detail.endswith("q=2")
+
+
+def test_generic_cube_cut_is_analyzed(tmp_path, capsys):
+    path = _write_spec(tmp_path, _cube_cut_spec("5/2"))
+    assert main(["analyze", path, "--only", "charts"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["charts"] and captured.err == ""
 
 
 def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
@@ -279,9 +315,21 @@ def _fuzz_paths(node, prefix=()):
         yield from _fuzz_paths(value, prefix + (key,))
 
 
+# values that make a parameter zero, negative, or put a cube vertex on
+# the cube cut's plane (q = 1, 2), or the plane outside the cube (q = 3)
+FUZZ_PARAMETER_VALUES = ("0", "-1", "1", "2", "3", "1/2", "3/2", "5/2", "7")
+FUZZ_SECTIONS = ALL_SECTIONS + (None,)
+
+
 def _fuzzed_spec(rng):
-    """A bundled spec with one entry dropped, replaced or resized."""
-    data = fixture_spec(rng.choice(("pyramid", "cube3", "simplex3")))
+    """A spec with one entry dropped, replaced or resized, or one
+    parameter given another value."""
+    name = rng.choice(("pyramid", "cube3", "simplex3", "cube_cut"))
+    data = _cube_cut_spec() if name == "cube_cut" else fixture_spec(name)
+    if data["parameters"] and rng.random() < 0.5:
+        entry = rng.choice(data["parameters"])
+        entry["value"] = rng.choice(FUZZ_PARAMETER_VALUES)
+        return data
     path = rng.choice(list(_fuzz_paths(data)))
     parent = data
     for key in path[:-1]:
@@ -303,10 +351,12 @@ def _fuzzed_spec(rng):
 def test_fuzzed_specs_exit_cleanly(tmp_path, capsys):
     rng = random.Random(20261018)
     codes = set()
+    issues = set()
     for i in range(100):
         data = _fuzzed_spec(rng)
         path = _write_spec(tmp_path, data, name=f"fuzz{i}.json")
-        code = main(["analyze", path, "--only", "faces"])
+        only = FUZZ_SECTIONS[i % len(FUZZ_SECTIONS)]
+        code = main(["analyze", path] + (["--only", only] if only else []))
         err = capsys.readouterr().err
         assert code in (0, EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY), data
         if code == 0:
@@ -315,6 +365,10 @@ def test_fuzzed_specs_exit_cleanly(tmp_path, capsys):
             diags = _diags(err)
             assert len(diags) == 1, data
             assert set(diags[0]) == {"error", "detail"}, data
+            if code == EXIT_VALIDATION:
+                issues.add(diags[0]["detail"].split("]")[0][1:])
         codes.add(code)
     # the mutations reach past the parser
     assert {0, EXIT_PARSE, EXIT_VALIDATION} <= codes
+    # and past validation's shape checks to the evaluation point
+    assert "degenerate-point" in issues, issues

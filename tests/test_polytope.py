@@ -3,10 +3,13 @@
 import itertools
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import frac_active_set, frac_constraint_value, frac_contains
+from oracles import bound_loop_first_code, frac_active_set, \
+    frac_constraint_value, frac_contains
 
 from polystrat.polytope import (
     Face,
@@ -311,3 +314,113 @@ def test_validate_false_skips_checks():
     p = HPolytope(_reg(), [[1, 0], [0, 1], [-1, 0]], [0, 0, -1],
                   validate=False)
     assert p.d == 3
+
+
+def _ray_in(err):
+    text = re.search(r"direction \(([^)]*)\)", str(err)).group(1)
+    return [Fraction(x) for x in text.split(", ")]
+
+
+@pytest.mark.parametrize("normals, offsets", [
+    ([[1, 0], [0, 1], [-1, 0]], [0, 0, -1]),  # a ray
+    ([[0, 1], [0, -1], [0, 3]], [0, -1, -2]),  # a line, rank 1
+    ([[1, 1], [1, -1], [2, 1], [1, 3]], [0, -1, -4, -9]),  # a cone
+    ([[Fraction(2, 3), 0], [0, 7], [Fraction(-1, 5), 0]], [0, 0, -1]),
+])
+def test_unbounded_diagnostic_names_a_recession_direction(normals, offsets):
+    with pytest.raises(ValidationError) as err:
+        HPolytope(_reg(), normals, offsets)
+    assert err.value.codes == ["unbounded"]
+    y = _ray_in(err.value)
+    assert any(y)
+    assert all(sum(Fraction(a) * b for a, b in zip(row, y)) >= 0
+               for row in normals)
+
+
+def _random_system(rng, kind, n):
+    """Integer rows and offsets of one kind, around a strict point c."""
+    c = [rng.randint(-2, 2) for _ in range(n)]
+
+    def row():
+        while True:
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            if any(a):
+                return a
+
+    def through(a, slack):
+        return sum(x * y for x, y in zip(a, c)) - slack
+
+    normals, offsets = [], []
+    if kind in ("bounded", "empty", "lower-dimensional"):
+        for i in range(n):
+            for s in (1, -1):
+                e = [0] * n
+                e[i] = s
+                normals.append(e)
+                offsets.append(through(e, rng.randint(1, 3)))
+    elif kind == "ray":
+        u = row()
+        for _ in range(n + rng.randint(1, 3)):
+            a = row()
+            if sum(x * y for x, y in zip(a, u)) < 0:
+                a = [-x for x in a]
+            normals.append(a)
+            offsets.append(through(a, rng.randint(1, 3)))
+    elif kind == "line":
+        k = rng.randrange(n)
+        for _ in range(n + rng.randint(1, 3)):
+            a = row()
+            a[k] = 0
+            if not any(a):
+                a[(k + 1) % n] = 1
+            normals.append(a)
+            offsets.append(through(a, rng.randint(1, 3)))
+    # cuts through or near c; ray and line systems keep their direction
+    extra = {"random": n + 3, "ray": 0, "line": 0}.get(kind)
+    for _ in range(rng.randint(0, 3) if extra is None else extra):
+        a = row()
+        normals.append(a)
+        offsets.append(through(a, rng.randint(-1, 3)) if kind != "random"
+                       else rng.randint(-6, 2))
+    if kind in ("empty", "lower-dimensional"):
+        # a slab of width -1 (empty) or 0 through c (lower-dimensional)
+        a = row()
+        width = -1 if kind == "empty" else 0
+        normals += [a, [-x for x in a]]
+        offsets += [through(a, 0), -through(a, 0) - width]
+    return normals, offsets
+
+
+def _first_code(normals, offsets):
+    try:
+        HPolytope(_reg(), normals, offsets)
+    except ValidationError as e:
+        return e.codes[0], e
+    return None, None
+
+
+def test_two_lp_validation_matches_bound_loop_oracle():
+    rng = random.Random(20261018)
+    kinds = ("bounded", "ray", "line", "empty", "lower-dimensional",
+             "random")
+    seen = Counter()
+    for i in range(240):
+        kind = kinds[i % len(kinds)]
+        normals, offsets = _random_system(rng, kind, rng.choice((2, 3)))
+        want = bound_loop_first_code(normals, offsets)
+        seen[want] += 1
+        # each constraint times a positive rational describes the same set
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in normals]
+        scaled = ([[m * x for x in row] for m, row in zip(scales, normals)],
+                  [m * x for m, x in zip(scales, offsets)])
+        for rows, rhs in ((normals, offsets), scaled):
+            got, err = _first_code(rows, rhs)
+            assert got == want, (kind, rows, rhs)
+            if got == "unbounded":
+                y = _ray_in(err)
+                assert any(y)
+                assert all(sum(a * b for a, b in zip(r, y)) >= 0
+                           for r in rows)
+    assert {None, "empty", "unbounded", "lower-dimensional",
+            "redundant-constraint"} <= set(seen), seen
