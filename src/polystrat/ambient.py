@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .linalg import SingularMatrixError, int_rank, mat_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError
-from .scalars import Scalar, monomial_rows
+from .scalars import Scalar, cleared, monomial_rows
 
 
 class Quasilattice:
@@ -121,12 +121,20 @@ def admissible_index_sets(p: HPolytope) -> IndexFamily:
     return family
 
 
+def _solve_in_basis(i_sorted, rows, rhs):
+    """Solve M_I x = rhs, M_I the columns I (1-based) of the n rows."""
+    try:
+        return mat_solve([[row[h - 1] for h in i_sorted] for row in rows], rhs)
+    except SingularMatrixError:
+        raise ValueError(f"normals of {i_sorted} are not a basis") from None
+
+
 def change_of_basis(p: HPolytope, index_set):
     """Matrix A_I with X_j = sum_{h in I} a_hj X_h, rows ordered by sorted I.
 
     Columns restricted to I form the identity by construction.  Results
-    are memoized on the polytope; the symbolic solve is the expensive
-    step when many index sets are in play.
+    are memoized on the polytope, as are the rows of pi cleared to
+    polynomials (scaling a row of M_I A_I = pi keeps A_I).
     """
     i_sorted = tuple(sorted(index_set))
     key = ("change_of_basis", i_sorted)
@@ -135,13 +143,10 @@ def change_of_basis(p: HPolytope, index_set):
     if len(i_sorted) != p.n:
         raise ValueError(f"index set {i_sorted} has size {len(i_sorted)}, "
                          f"need n={p.n}")
-    m_i = [[p.normals[h - 1][i] for h in i_sorted] for i in range(p.n)]
-    m_all = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
-    try:
-        a = mat_solve(m_i, m_all)
-    except SingularMatrixError:
-        raise ValueError(f"normals of {i_sorted} are not a basis") from None
-    a = p.memo[key] = tuple(tuple(row) for row in a)
+    if ("cleared_pi",) not in p.memo:
+        p.memo[("cleared_pi",)] = [cleared(row) for row in zip(*p.normals)]
+    rows = p.memo[("cleared_pi",)]
+    a = p.memo[key] = tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
     return a
 
 
@@ -300,12 +305,8 @@ def basis_coordinates(p: HPolytope, q: Quasilattice, index_set):
     if q.source_polytope is p:
         a = change_of_basis(p, i_sorted)
         return [tuple(a[h][j] for h in range(p.n)) for j in range(p.d)]
-    m_i = [[p.normals[h - 1][i] for h in i_sorted] for i in range(p.n)]
-    rhs = [[gen[i] for gen in q.generators] for i in range(p.n)]
-    try:
-        cols = mat_solve(m_i, rhs)
-    except SingularMatrixError:
-        raise ValueError(f"normals of {i_sorted} are not a basis") from None
+    cols = _solve_in_basis(i_sorted, zip(*p.normals),
+                           [list(c) for c in zip(*q.generators)])
     return [tuple(cols[h][g] for h in range(p.n))
             for g in range(len(q.generators))]
 

@@ -380,18 +380,22 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True):
     _GRID * D * m_j.  Candidates are rejected on those integers; a
     Fraction point is built only for an accepted k.
     """
-    verts = [v.coords for v in p.vertices]
-    lo = [min(v[i] for v in verts) for i in range(p.n)]
-    hi = [max(v[i] for v in verts) for i in range(p.n)]
-    den, ints = _clear_denominators(lo + hi)
-    start = [_GRID * s for s in ints[:p.n]]
-    width = [h - s for s, h in zip(ints[:p.n], ints[p.n:])]
-    top = _GRID * den
-    # (w_j, f_j) with f_j = [strict] - c_j: k is accepted when
-    # <w_j, k> >= f_j for every j
-    rows = [(tuple(map(mul, row, width)),
-             (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
-            for row, b in zip(p._int_x, p._int_l)]
+    key = ("sampler", strict)
+    if key not in p.memo:
+        verts = [v.coords for v in p.vertices]
+        lo = [min(v[i] for v in verts) for i in range(p.n)]
+        hi = [max(v[i] for v in verts) for i in range(p.n)]
+        den, ints = _clear_denominators(lo + hi)
+        start = [_GRID * s for s in ints[:p.n]]
+        width = [h - s for s, h in zip(ints[:p.n], ints[p.n:])]
+        top = _GRID * den
+        # (w_j, f_j) with f_j = [strict] - c_j: k is accepted when
+        # <w_j, k> >= f_j for every j
+        rows = [(tuple(map(mul, row, width)),
+                 (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
+                for row, b in zip(p._int_x, p._int_l)]
+        p.memo[key] = (start, width, top, rows)
+    start, width, top, rows = p.memo[key]
     draw = rng.randrange
     out = []
     guard = 0

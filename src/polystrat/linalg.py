@@ -1,36 +1,24 @@
-"""Exact dense linear algebra over a field.
+"""Exact dense linear algebra.
 
-Matrices are lists of lists whose entries are Fractions or Scalars (any
-type with exact +, -, *, /, truthiness as a zero test, and int/Fraction
-coercion).  Plain int entries are promoted to Fraction on input so that
-integer division never silently produces floats.  Pivoting picks the
-first nonzero entry, which keeps results deterministic.
-
-Integer matrices (the polytope's constraint rows at the evaluation
-point) have their own fraction-free elimination (Bareiss 1968): every
-intermediate entry is a minor of the input, so divisions are exact and
-no Fraction is built until a solution is returned.
+Solves are fraction-free (Bareiss 1968): each intermediate entry is a
+minor of the input, so divisions are exact.  Integer matrices (the
+constraint rows at the evaluation point) are eliminated on ints, Scalar
+matrices on polynomials, so a Scalar is normalized once per entry of the
+solution.  Gauss-Jordan reduction (rref) over Fractions or Scalars is
+kept only for mat_rank and the recession kernel; it pivots on the first
+nonzero entry, which keeps results deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import Scalar, _p_div_exact, _p_mul, _p_sub, \
+    over_common_denominator
+
 
 class SingularMatrixError(ArithmeticError):
     pass
-
-
-def _promote(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def coerce_matrix(rows) -> list[list]:
-    return [[_promote(x) for x in row] for row in rows]
-
-
-def coerce_vector(vec) -> list:
-    return [_promote(x) for x in vec]
 
 
 def _pivot(m, row, col):
@@ -48,7 +36,8 @@ def rref(rows):
 
     Returns (matrix, pivot_columns).  The input is not modified.
     """
-    m = coerce_matrix(rows)
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row]
+         for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -77,19 +66,37 @@ def mat_rank(rows) -> int:
 
 
 def mat_solve(a, b):
-    """Solve a @ x = b for square invertible a.
+    """Solve a @ x = b for a square invertible Scalar matrix a.
 
-    b may be a vector or a matrix of column right-hand sides; the result
-    has the same shape.
+    b is a vector or a matrix of column right-hand sides, and the result
+    has its shape.  Rows of [a | b] are cleared to polynomials; back
+    substitution runs on d * x, polynomial for d = +-det, the last pivot.
     """
     vector = b and not isinstance(b[0], list)
-    bm = [[x] for x in coerce_vector(b)] if vector else coerce_matrix(b)
+    bm = [[x] for x in b] if vector else b
     n = len(a)
-    aug = [list(coerce_vector(a[i])) + bm[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    sol = [row[n:] for row in red[:n]]
+    m = [over_common_denominator([*a[i], *bm[i]])[0] for i in range(n)]
+    reg = a[0][0].registry
+    prev = {(0,) * reg.arity: Fraction(1)}  # the pivot before the first
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        m[c], m[pivot_row] = m[pivot_row], m[c]
+        top, pv = m[c], m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c]
+            m[i] = [{}] * (c + 1) + [
+                _p_div_exact(_p_sub(_p_mul(pv, x), _p_mul(f, y)), prev)
+                for x, y in zip(m[i][c + 1:], top[c + 1:])]
+        prev = pv
+    dx = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = [_p_mul(prev, v) for v in m[i][n:]]
+        for j in range(i + 1, n):
+            acc = [_p_sub(s, _p_mul(m[i][j], v)) for s, v in zip(acc, dx[j])]
+        dx[i] = [_p_div_exact(s, m[i][i]) for s in acc]
+    sol = [[Scalar(reg, v, prev) for v in row] for row in dx]
     return [row[0] for row in sol] if vector else sol
 
 

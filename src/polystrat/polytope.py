@@ -168,8 +168,8 @@ class HPolytope:
         self._vertices = None
         self._lattice = None
         self._interior = None
-        # objects derived from this polytope by other modules (index
-        # family, A_I, charts, link forest), keyed by (function, args)
+        # objects other modules derive from this polytope (index family,
+        # A_I, charts, link forest, sampler), keyed by (function, args)
         self.memo = {}
         if validate:
             self._validate()

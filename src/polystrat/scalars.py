@@ -16,7 +16,9 @@ Two kinds of questions are answered about a scalar:
   primes (first declared parameter -> 2, second -> 3, ...).
 
 Internally a polynomial is a dict mapping exponent tuples (one slot per
-registered parameter) to nonzero Fractions.
+registered parameter) to nonzero Fractions.  A gcd with a single term is
+the monomial of common exponents (a term's divisors are terms), so a
+one-term denominator c * m normalizes by division term by term.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def _p_div_exact(a: dict, b: dict) -> dict:
     """Quotient a/b when the division is exact; raises otherwise."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(b) == 1:
+        (lb, cb), = b.items()
+        q = {tuple(x - y for x, y in zip(m, lb)): c / cb for m, c in a.items()}
+        if any(e < 0 for m in q for e in m):
+            raise ArithmeticError("inexact polynomial division")
+        return q
     q: dict = {}
     r = dict(a)
     lb = _p_lead(b)
@@ -204,6 +212,9 @@ def _content_in(a: dict, v: int) -> dict:
 
 def _p_gcd(a: dict, b: dict) -> dict:
     """Polynomial gcd, normalized primitive-integer with positive lead."""
+    if a and b and (len(a) == 1 or len(b) == 1):
+        # a term's divisors are terms: the gcd is the common monomial
+        return {tuple(map(min, zip(*a, *b))): _ONE}
     a = _p_prim_int(a)
     b = _p_prim_int(b)
     if not a:
@@ -222,7 +233,9 @@ def _p_gcd(a: dict, b: dict) -> dict:
     g = _p_div_exact(b, cb)
     while g:
         r = _prem(f, g, v, arity)
-        f, g = g, (_p_div_exact(r, _content_in(r, v)) if r else {})
+        # the rational content too, or coefficients grow exponentially
+        f, g = g, (_p_prim_int(_p_div_exact(r, _content_in(r, v)))
+                   if r else {})
     return _p_prim_int(_p_mul(cg, f))
 
 
@@ -278,13 +291,16 @@ class ParamRegistry:
         self._names = names
         self._index = {nm: i for i, nm in enumerate(names)}
         point = _default_point(len(names))
-        if values:
-            for nm, val in values.items():
-                if nm not in self._index:
-                    raise ScalarError(f"value given for unknown parameter {nm!r}")
-                point[self._index[nm]] = Fraction(val)
+        self._check_names(values or {})
+        for nm, val in (values or {}).items():
+            point[self._index[nm]] = Fraction(val)
         self._point = tuple(point)
         self._zero_mono = (0,) * len(names)
+
+    def _check_names(self, values: Mapping[str, object]):
+        for nm in values:
+            if nm not in self._index:
+                raise ScalarError(f"value given for unknown parameter {nm!r}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -393,6 +409,7 @@ class Scalar:
         if values is None:
             point = self.registry.point
         else:
+            self.registry._check_names(values)
             point = tuple(Fraction(values.get(nm, self.registry.value(nm)))
                           for nm in self.registry.names)
         den = _p_eval(self._den, point)
@@ -408,6 +425,7 @@ class Scalar:
     def substitute(self, values: Mapping[str, object]) -> "Scalar":
         """Scalar with some parameters replaced by rational constants."""
         reg = self.registry
+        reg._check_names(values)
         idx = {reg.index(nm): Fraction(v) for nm, v in values.items()}
 
         def sub(poly: dict) -> dict:
@@ -652,9 +670,18 @@ def over_common_denominator(scalars: Iterable[Scalar]):
         return [], {}
     den: dict = {(0,) * scalars[0].registry.arity: _ONE}
     for s in scalars:
-        den = _p_lcm(den, s._den)
-    nums = [_p_mul(s._num, _p_div_exact(den, s._den)) for s in scalars]
+        if s._den != den:
+            den = _p_lcm(den, s._den)
+    nums = [s._num if s._den == den else
+            _p_mul(s._num, _p_div_exact(den, s._den)) for s in scalars]
     return nums, den
+
+
+def cleared(scalars: list[Scalar]) -> list[Scalar]:
+    """The scalars times their common denominator, as polynomial Scalars."""
+    one = {scalars[0].registry._zero_mono: _ONE}
+    return [Scalar(s.registry, num, one, _normalized=True)
+            for s, num in zip(scalars, over_common_denominator(scalars)[0])]
 
 
 def monomial_rows(scalars: Iterable[Scalar]):

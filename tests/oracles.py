@@ -1,13 +1,15 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here deliberately avoids the library's own arithmetic:
+Everything here deliberately avoids the library's own algorithms:
 sympy for field operations, fractions-based Gaussian elimination for
 ranks, breadth-first closure for finite subgroups of (Q/Z)^n, and
 Fraction slacks for the polytope predicates and the rejection sampler
-that the library decides on integer rows.  The one exception is the
-earlier polytope validation, kept as an oracle for the two-LP
-certificate that replaced it: it runs the library's LP on other
-problems (one per coordinate and sign).
+that the library decides on integer rows.  Two earlier library
+algorithms are kept as oracles for the ones that replaced them: the
+polytope validation by coordinate extremization, which runs the
+library's LP on other problems (one per coordinate and sign), and the
+Gauss-Jordan solve, which divides in the field at every step and so
+runs on Scalars as well as Fractions.
 """
 
 from fractions import Fraction
@@ -42,6 +44,62 @@ def sym_equal(registry, a_text, b_text) -> bool:
     return diff == 0
 
 
+def sym_field(registry):
+    """sympy's QQ(p_1..p_m) over the registry's parameters.
+
+    Its elements are reduced quotients, so equal values compare equal.
+    """
+    syms = [sympy.Symbol(nm, positive=True) for nm in registry.names]
+    return sympy.QQ.frac_field(*syms)
+
+
+def sym_element(registry, text):
+    """An expression string as an element of sym_field(registry)."""
+    return sym_field(registry).from_sympy(sym_expr(registry, text))
+
+
+def sym_solve(registry, a, b):
+    """Solution of a @ x = b in sym_field(registry), or None if a is singular.
+
+    a is a square matrix and b a vector of expression strings.
+    """
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    field = sym_field(registry)
+    n = len(a)
+    m = DomainMatrix([[sym_element(registry, t) for t in row] for row in a],
+                     (n, n), field)
+    rhs = DomainMatrix([[sym_element(registry, t)] for t in b], (n, 1), field)
+    try:
+        return [row[0] for row in m.lu_solve(rhs).to_list()]
+    except DMNonInvertibleMatrixError:
+        return None
+
+
+def sym_gcd(a, b, arity):
+    """gcd of two {exponent tuple: Fraction} polynomials via sympy.
+
+    Normalized as the library normalizes it: integer coefficients with
+    gcd 1 and a positive coefficient on the leading monomial (highest
+    total degree, then highest exponent tuple).  Zero is {}.
+    """
+    gens = sympy.symbols(f"x0:{arity}")
+
+    def to_sym(poly):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+                    for m, c in poly.items()), sympy.Integer(0))
+
+    g = sympy.gcd(to_sym(a), to_sym(b))
+    if g == 0:
+        return {}
+    poly = sympy.Poly(g, *gens).clear_denoms(convert=True)[1].primitive()[1]
+    terms = dict(poly.terms())
+    sign = 1 if terms[max(terms, key=lambda m: (sum(m), m))] > 0 else -1
+    return {m: Fraction(sign * int(c)) for m, c in terms.items()}
+
+
 def frac_rank(rows) -> int:
     """Row rank by fraction-exact Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -60,6 +118,35 @@ def frac_rank(rows) -> int:
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def gj_solve(a, b):
+    """Solve a @ x = b by Gauss-Jordan elimination over a field.
+
+    Entries are ints, Fractions or Scalars; every step divides in the
+    field.  b is a vector or a matrix of column right-hand sides and the
+    result has its shape.  Raises SingularMatrixError for singular a.
+    """
+    from polystrat.linalg import SingularMatrixError
+
+    vector = b and not isinstance(b[0], list)
+    bm = [[x] for x in b] if vector else b
+    n = len(a)
+    m = [[Fraction(x) if isinstance(x, int) else x for x in [*a[i], *bm[i]]]
+         for i in range(n)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    sol = [row[n:] for row in m]
+    return [row[0] for row in sol] if vector else sol
 
 
 def qz_subgroup(generators, cap=5000):

@@ -17,6 +17,8 @@ from oracles import frac_sample_polytope_points
 import polystrat.charts as C
 from polystrat.ambient import admissible_index_sets, change_of_basis
 from polystrat.lp import open_feasible_point
+from polystrat.polytope import HPolytope
+from polystrat.scalars import ParamRegistry
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +463,19 @@ def test_sampler_matches_fraction_oracle(name, request):
         assert pts == frac_sample_polytope_points(p, 40, ref, strict=strict,
                                                   grid=C._GRID)
         assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_setup_is_kept_per_strictness():
+    """Closed sampling after open sampling still accepts boundary points."""
+    sq = HPolytope(ParamRegistry([]), [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                   [0, 0, -1, -1])
+    for strict in (True, False, True):
+        rng, ref = random.Random(73), random.Random(73)
+        pts = C.sample_polytope_points(sq, 3000, rng, strict=strict)
+        assert pts == frac_sample_polytope_points(sq, 3000, ref,
+                                                  strict=strict, grid=C._GRID)
+        on_boundary = sum(0 in pt or 1 in pt for pt in pts)
+        assert on_boundary == 0 if strict else on_boundary > 0
 
 
 def test_face_interior_point_active_set(pyr, tnt):

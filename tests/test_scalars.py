@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sym_equal, sym_eval
+from oracles import sym_equal, sym_eval, sym_gcd
 from polystrat.scalars import (
     EvaluationError,
     ParamRegistry,
@@ -18,6 +18,8 @@ from polystrat.scalars import (
     ScalarError,
     ScalarParseError,
     monomial_rows,
+    _p_gcd,
+    _p_mul,
     over_common_denominator,
 )
 
@@ -102,6 +104,16 @@ def test_substitute(reg):
         reg.parse("1/(p2 - 1)").substitute({"p2": 1})
 
 
+def test_unknown_parameter_names_rejected(reg):
+    s = reg.parse("p1 + p2")
+    for call in (lambda: s.evaluate({"z": 3}),
+                 lambda: s.evaluate({"p1": 1, "z": 3}),
+                 lambda: s.substitute({"z": 1})):
+        with pytest.raises(ScalarError,
+                           match="value given for unknown parameter 'z'"):
+            call()
+
+
 def test_parse_errors(reg):
     for bad in ["p7", "1 +", "(p1", "p1 p2", "", "2 ** 3"]:
         with pytest.raises(ScalarParseError):
@@ -161,6 +173,37 @@ def test_field_axioms_random():
         if not b.is_zero():
             assert (a / b) * b == a
             assert b / b == one
+
+
+def _random_term_poly(rng, arity, terms):
+    """Random terms c * m, c a small nonzero Fraction, m of degree <= 3."""
+    poly = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, 3) for _ in range(arity))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+        poly[m] = poly.get(m, Fraction(0)) + c
+    return {m: c for m, c in poly.items() if c}
+
+
+def test_gcd_matches_sympy():
+    """Single terms against multi-term polynomials, constants and zero."""
+    rng = random.Random(5)
+    single = 0
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        a, b = (_random_term_poly(rng, arity, rng.choice([0, 1, 1, 2, 3, 4]))
+                for _ in range(2))
+        if rng.random() < 0.3:
+            # a common factor, so the gcd is not a bare monomial
+            f = _random_term_poly(rng, arity, rng.randint(1, 3))
+            a, b = _p_mul(a, f), _p_mul(b, f)
+        if rng.random() < 0.15:
+            a = {(0,) * arity: Fraction(rng.randint(-5, 5) or 1, 2)}
+        single += len(a) == 1 or len(b) == 1
+        want = sym_gcd(a, b, arity)
+        assert _p_gcd(a, b) == want, (a, b)
+        assert _p_gcd(b, a) == want, (a, b)
+    assert single > 100
 
 
 def test_over_common_denominator(reg):
