@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import SingularMatrixError, int_rank, mat_rank, mat_solve
-from .polytope import Face, HPolytope, ValidationError
+from .linalg import SingularMatrixError, int_rank, mat_solve
+from .polytope import Face, HPolytope, ValidationError, _clear_denominators
 from .scalars import Scalar, cleared, monomial_rows
 
 
@@ -35,8 +35,9 @@ class Quasilattice:
         self.n = len(self.generators[0])
         if any(len(g) != self.n for g in self.generators):
             raise ValueError("generators must share one length")
-        num = [[x.evaluate() for x in g] for g in self.generators]
-        if mat_rank(num) != self.n:
+        num = [_clear_denominators([x.evaluate() for x in g])[1]
+               for g in self.generators]
+        if int_rank(num) != self.n:
             raise ValueError("generators do not span the ambient space "
                              "at the evaluation point")
 
@@ -64,8 +65,7 @@ class ProjectionMap:
 
 def projection_matrix(p: HPolytope) -> ProjectionMap:
     rows = [[p.normals[j][i] for j in range(p.d)] for i in range(p.n)]
-    num = [[x.evaluate() for x in row] for row in rows]
-    if mat_rank(num) != p.n:
+    if int_rank(p._int_x) != p.n:
         raise ValidationError([("lower-dimensional",
                                 "normals do not span the ambient space")])
     return ProjectionMap(matrix=tuple(tuple(r) for r in rows))
@@ -320,9 +320,9 @@ def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     appearing after clearing one common denominator per coordinate.
     """
     _check_dimension(p, q)
-    rows = [row for c in range(q.n)
+    rows = [_clear_denominators(row)[1] for c in range(q.n)
             for row in monomial_rows([g[c] for g in q.generators])]
-    rational = mat_rank(rows) == q.n
+    rational = int_rank(rows) == q.n
     delzant = rational and all(
         c.is_integer() for i_set in admissible_index_sets(p)
         for coords in basis_coordinates(p, q, i_set) for c in coords)

@@ -180,8 +180,7 @@ def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
 def lift_point(p: HPolytope, mu):
     """Nonnegative real lift with |z_j|^2 = <mu, X_j> - lambda_j."""
     z = np.zeros(p.d, dtype=complex)
-    for j in range(1, p.d + 1):
-        r = p.constraint_value(j, mu)
+    for j, r in enumerate(p.slacks(mu), start=1):
         if r < 0:
             raise DomainError(j, f"constraint {j} is violated: "
                                  f"radicand {r} < 0")
@@ -294,7 +293,8 @@ def cone_neighborhood(p: HPolytope, chart: Chart, b=None) -> ConeNeighborhood:
         pts = [p.vertices[v].coords
                for v in p.face_lattice.face(i_f).vertex_ids]
         mu0 = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
-        rho0 = {h: p.constraint_value(h, mu0) for h in chart.w_labels}
+        slacks = p.slacks(mu0)
+        rho0 = {h: slacks[h - 1] for h in chart.w_labels}
         # shrink the relative box radius until every inequality keeps
         # half its center value on the closed box
         t = Fraction(1, 2)
@@ -412,7 +412,8 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True):
 
 def _phased_roots(p: HPolytope, labels, mu, rng):
     """Square roots of the labels' slacks at mu, each with a random phase."""
-    return [math.sqrt(float(p.constraint_value(h, mu)))
+    slacks = p.slacks(mu)
+    return [math.sqrt(float(slacks[h - 1]))
             * cmath.exp(2j * math.pi * rng.random()) for h in labels]
 
 
@@ -451,7 +452,8 @@ def sample_cone_points(p: HPolytope, chart: Chart,
     pts = sample_polytope_points(p, count, rng, strict=True)
     out = []
     for mu in pts:
-        t = [p.constraint_value(j, mu) for j in i_f]
+        slacks = p.slacks(mu)
+        t = [slacks[j - 1] for j in i_f]
         ball = sum(bj * tj for bj, tj in zip(nb.b, t))
         scale = Fraction(1)
         if ball >= nb.epsilon:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .ambient import Quasilattice, admissible_index_sets, \
     basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, _clear_denominators
 from .scalars import Scalar, monomial_rows
 
 
@@ -51,11 +50,6 @@ class GroupStructure:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " x ".join(parts) if parts else "trivial"
-
-
-def _clear_row(row):
-    mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    return [int(Fraction(x) * mult) for x in row]
 
 
 class GroupDescriptor:
@@ -111,7 +105,7 @@ class GroupDescriptor:
                 shifts = [Fraction(0)] * k
                 shifts[c] = mrow[-1]
                 b = mrow[g] if target is not None else Fraction(0)
-                full = _clear_row(mrow[:g] + shifts + [b])
+                full = _clear_denominators(mrow[:g] + shifts + [b])[1]
                 rows.append(full[:-1])
                 rhs.append(full[-1])
         return rows, rhs
@@ -187,7 +181,7 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
     common = flag_intersection(p, face, i_sorted)
     coords = basis_coordinates(p, q, i_sorted)
     g = len(coords)
-    rows = [_clear_row(row) for pos, h in enumerate(i_sorted)
+    rows = [_clear_denominators(row)[1] for pos, h in enumerate(i_sorted)
             if h not in common
             for row in monomial_rows([c[pos] for c in coords])]
     if rows:

@@ -1,12 +1,13 @@
-"""Exact dense linear algebra.
+"""Exact dense linear algebra by fraction-free elimination.
 
-Solves are fraction-free (Bareiss 1968): each intermediate entry is a
-minor of the input, so divisions are exact.  Integer matrices (the
-constraint rows at the evaluation point) are eliminated on ints, Scalar
-matrices on polynomials, so a Scalar is normalized once per entry of the
-solution.  Gauss-Jordan reduction (rref) over Fractions or Scalars is
-kept only for mat_rank and the recession kernel; it pivots on the first
-nonzero entry, which keeps results deterministic.
+Every rank, solve and kernel vector runs one forward loop, Bareiss
+(1968): after each pivot step every entry below the pivot row is a minor
+of the input, so the division by the previous pivot is exact.  Integer
+matrices (the constraint rows at the evaluation point) are eliminated on
+ints.  Scalar matrices are cleared row by row to polynomials over the
+parameter ring and eliminated there, so a rank normalizes no Scalar and
+a solve builds one Scalar per entry of the solution.  The pivot is the
+first nonzero entry of its column, which keeps results deterministic.
 """
 
 from __future__ import annotations
@@ -21,23 +22,29 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
-def _pivot(m, row, col):
-    """Gauss-Jordan step in place: scale the pivot row, clear its column."""
-    pv = m[row][col]
-    m[row] = [x / pv for x in m[row]]
-    for i in range(len(m)):
-        if i != row and m[i][col]:
-            f = m[i][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+def _int_step(row, top, c, prev):
+    """A row below the pivot top[c], updated on ints."""
+    pv, f = top[c], row[c]
+    return [(pv * x - f * y) // prev for x, y in zip(row, top)]
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def _poly_step(row, top, c, prev):
+    """The same on polynomial term dicts; both rows are zero left of c."""
+    pv, f = top[c], row[c]
+    return [{}] * (c + 1) + [
+        _p_div_exact(_p_sub(_p_mul(pv, x), _p_mul(f, y)), prev)
+        for x, y in zip(row[c + 1:], top[c + 1:])]
 
-    Returns (matrix, pivot_columns).  The input is not modified.
+
+def _bareiss(m, step, prev):
+    """Fraction-free forward elimination in place; returns pivot columns.
+
+    step updates one row below the pivot and prev is the ring's one.
+    After the step at pivot (r, c) every entry below row r is the
+    (r + 2)-minor on the pivot rows and columns so far, so step's
+    division by the previous pivot is exact.  Both rings test zero by
+    truthiness.
     """
-    m = [[Fraction(x) if isinstance(x, int) else x for x in row]
-         for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -51,18 +58,24 @@ def rref(rows):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        _pivot(m, r, c)
+        top = m[r]
+        for i in range(r + 1, nrows):
+            m[i] = step(m[i], top, c, prev)
+        prev = top[c]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return pivots
 
 
 def mat_rank(rows) -> int:
-    if not rows:
+    """Rank of a Scalar matrix over the field of rational functions."""
+    if not rows or not rows[0]:
         return 0
-    return len(rref(rows)[1])
+    m = [over_common_denominator(row)[0] for row in rows]
+    one = {rows[0][0].registry._zero_mono: Fraction(1)}
+    return len(_bareiss(m, _poly_step, one))
 
 
 def mat_solve(a, b):
@@ -77,67 +90,23 @@ def mat_solve(a, b):
     n = len(a)
     m = [over_common_denominator([*a[i], *bm[i]])[0] for i in range(n)]
     reg = a[0][0].registry
-    prev = {(0,) * reg.arity: Fraction(1)}  # the pivot before the first
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        top, pv = m[c], m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            m[i] = [{}] * (c + 1) + [
-                _p_div_exact(_p_sub(_p_mul(pv, x), _p_mul(f, y)), prev)
-                for x, y in zip(m[i][c + 1:], top[c + 1:])]
-        prev = pv
+    if _bareiss(m, _poly_step, {reg._zero_mono: Fraction(1)})[:n] != \
+            list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    d = m[n - 1][n - 1]
     dx = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = [_p_mul(prev, v) for v in m[i][n:]]
+        acc = [_p_mul(d, v) for v in m[i][n:]]
         for j in range(i + 1, n):
             acc = [_p_sub(s, _p_mul(m[i][j], v)) for s, v in zip(acc, dx[j])]
         dx[i] = [_p_div_exact(s, m[i][i]) for s in acc]
-    sol = [[Scalar(reg, v, prev) for v in row] for row in dx]
+    sol = [[Scalar(reg, v, d) for v in row] for row in dx]
     return [row[0] for row in sol] if vector else sol
-
-
-def _bareiss(m):
-    """Fraction-free forward elimination in place; returns pivot columns.
-
-    After the step at pivot (r, c) every entry below row r is the
-    (r + 2)-minor on the pivot rows and columns so far, so the division
-    by the previous pivot is exact.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        pv = top[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[c]
-            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix."""
-    return len(_bareiss([list(row) for row in rows]))
+    return len(_bareiss([list(row) for row in rows], _int_step, 1))
 
 
 def int_solve(a, b) -> list[Fraction]:
@@ -148,7 +117,7 @@ def int_solve(a, b) -> list[Fraction]:
     """
     n = len(a)
     m = [list(row) + [v] for row, v in zip(a, b)]
-    if _bareiss(m)[:n] != list(range(n)):
+    if _bareiss(m, _int_step, 1)[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     d = m[n - 1][n - 1]
     dx = [0] * n

@@ -203,7 +203,7 @@ def fibration_data(p: HPolytope, face: Face, b=None) -> FibrationData:
     stab = basis.kernel[:basis.stabilizer_count]
     rows = [[vec[j - 1] for j in labels] for vec in stab]
     rows.append(list(b))
-    rank = mat_rank([row[:] for row in rows])
+    rank = mat_rank(rows)
     split_ok = rank == len(stab) + 1
     closed = True
     for v in b:

@@ -3,7 +3,9 @@
 Small and deterministic: Fraction pivoting with Bland's rule, so the
 solver terminates on degenerate problems and identical inputs always
 produce identical answers.  Variables are free; the conversion to
-standard form happens internally.
+standard form happens internally.  The module owns its Gauss-Jordan
+pivot, the only one in the package: ranks and solves elsewhere are
+fraction-free (see linalg).
 """
 
 from __future__ import annotations
@@ -11,14 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _pivot
-
 
 @dataclass(frozen=True)
 class LpResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
     value: Fraction | None
     x: list | None
+
+
+def _pivot(m, row, col):
+    """Gauss-Jordan step in place: scale the pivot row, clear its column."""
+    pv = m[row][col]
+    m[row] = [x / pv for x in m[row]]
+    for i in range(len(m)):
+        if i != row and m[i][col]:
+            f = m[i][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[row])]
 
 
 def _run_simplex(tab, basis, allowed_cols):

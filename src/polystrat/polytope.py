@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SingularMatrixError, int_rank, int_solve, mat_solve, \
-    rref
+from .linalg import SingularMatrixError, _bareiss, _int_step, int_rank, \
+    int_solve, mat_solve
 from .lp import least_slack, lp_maximize
 from .scalars import Scalar
 
@@ -125,20 +125,19 @@ def _fmt(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
+def _clear_denominators(values):
+    """(D, [D * x for x in values]) with D the least common denominator."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _primitive_row(values):
     """(integers, m): m * values is the primitive integer row, m > 0."""
-    den = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
+    den, ints = _clear_denominators(values)
     g = math.gcd(*ints) or 1
     return [x // g for x in ints], Fraction(den, g)
-
-
-def _clear_denominators(point):
-    """(D, [D * x for x in point]) with D the least common denominator."""
-    point = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-             for x in point]
-    den = math.lcm(*(x.denominator for x in point))
-    return den, [x.numerator * (den // x.denominator) for x in point]
 
 
 class HPolytope:
@@ -190,27 +189,25 @@ class HPolytope:
         return self._num_l[:]
 
     def _scaled_slacks(self, point):
-        """D * m_j times every slack at point, as integers, with D > 0."""
+        """(D, D * m_j times every slack at point as integers), D > 0."""
         den, num = _clear_denominators(point)
-        return [sum(a * k for a, k in zip(row, num)) - den * b
-                for row, b in zip(self._int_x, self._int_l)]
+        return den, [sum(a * k for a, k in zip(row, num)) - den * b
+                     for row, b in zip(self._int_x, self._int_l)]
 
-    def constraint_value(self, j: int, point) -> Fraction:
-        """Slack <point, X_j> - lambda_j at the evaluation point; j is 1-based."""
-        den, num = _clear_denominators(point)
-        v = (sum(a * k for a, k in zip(self._int_x[j - 1], num))
-             - den * self._int_l[j - 1])
-        m = self._int_scale[j - 1]
-        return Fraction(v * m.denominator, den * m.numerator)
+    def slacks(self, point):
+        """Exact slacks <point, X_j> - lambda_j; constraint j's is at j - 1."""
+        den, values = self._scaled_slacks(point)
+        return [Fraction(v * m.denominator, den * m.numerator)
+                for v, m in zip(values, self._int_scale)]
 
     def contains(self, point, strict: bool = False) -> bool:
-        slacks = self._scaled_slacks(point)
+        slacks = self._scaled_slacks(point)[1]
         if strict:
             return all(v > 0 for v in slacks)
         return all(v >= 0 for v in slacks)
 
     def active_set(self, point):
-        slacks = self._scaled_slacks(point)
+        slacks = self._scaled_slacks(point)[1]
         return tuple(j for j, v in enumerate(slacks, start=1) if v == 0)
 
     # -- validation ----------------------------------------------------
@@ -260,13 +257,19 @@ class HPolytope:
         max 1^T A y over A y >= 0, 1^T A y <= 1 has value 0.
         """
         rows = self._int_x
-        if int_rank(rows) < self.n:  # a line: a kernel vector
-            red, pivots = rref(rows)
+        echelon = [list(row) for row in rows]
+        pivots = _bareiss(echelon, _int_step, 1)
+        if len(pivots) < self.n:
+            # a line: the kernel vector that is 1 on the first free column
+            # and 0 on the others; the pivot entries solve the triangular
+            # pivot block of the echelon rows
             free = min(set(range(self.n)) - set(pivots))
-            y = [Fraction(c == free) for c in range(self.n)]
-            for row, c in zip(red, pivots):
-                y[c] = -row[free]
-            return _primitive_row(y)[0]
+            top = echelon[:len(pivots)]
+            y = dict(zip(pivots, int_solve(
+                [[row[c] for c in pivots] for row in top],
+                [-row[free] for row in top])))
+            y[free] = 1
+            return _primitive_row([y.get(c, 0) for c in range(self.n)])[0]
         total = [sum(col) for col in zip(*rows)]
         res = lp_maximize(total, [[-a for a in row] for row in rows] + [total],
                           [0] * self.d + [1])

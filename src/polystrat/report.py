@@ -363,8 +363,8 @@ def run_verification(p: HPolytope, options, rng):
     tor_res = 0.0
     for chart in charts:
         for mu in sample_polytope_points(p, per, rng, strict=True):
-            u = [math.sqrt(float(p.constraint_value(h, mu)))
-                 for h in chart.index_set]
+            slacks = p.slacks(mu)
+            u = [math.sqrt(float(slacks[h - 1])) for h in chart.index_set]
             z = regular_slice(p, chart, u)
             x = [Fraction(rng.randrange(-64, 65), 16) for _ in range(p.n)]
             z2 = torus_action(p, chart.index_set, [float(v) for v in x], z)

@@ -1,18 +1,19 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the library's own algorithms:
-sympy for field operations, fractions-based Gaussian elimination for
-ranks, breadth-first closure for finite subgroups of (Q/Z)^n, and
-Fraction slacks for the polytope predicates and the rejection sampler
-that the library decides on integer rows.  Two earlier library
-algorithms are kept as oracles for the ones that replaced them: the
-polytope validation by coordinate extremization, which runs the
-library's LP on other problems (one per coordinate and sign), and the
-Gauss-Jordan solve, which divides in the field at every step and so
-runs on Scalars as well as Fractions.
+sympy for field operations and ranks, breadth-first closure for finite
+subgroups of (Q/Z)^n, and Fraction slacks for the polytope predicates
+and the rejection sampler that the library decides on integer rows.
+Earlier library algorithms are kept as oracles for the ones that
+replaced them: the polytope validation by coordinate extremization,
+which runs the library's LP on other problems (one per coordinate and
+sign), and Gauss-Jordan reduction for solves, ranks and kernel vectors,
+which divides in the field at every step and so runs on Scalars as
+well as Fractions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
 
@@ -100,24 +101,65 @@ def sym_gcd(a, b, arity):
     return {m: Fraction(sign * int(c)) for m, c in terms.items()}
 
 
-def frac_rank(rows) -> int:
-    """Row rank by fraction-exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+def gj_rref(rows):
+    """(reduced row echelon form, pivot columns) by Gauss-Jordan reduction.
+
+    Entries are ints, Fractions or Scalars; every step divides in the
+    field, and the pivot is the first nonzero entry of its column.  This
+    is the library's reduction before fraction-free elimination
+    replaced it.
+    """
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row]
+         for row in rows]
+    pivots = []
     cols = len(m[0]) if m else 0
     for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def gj_rank(rows) -> int:
+    """Row rank by Gauss-Jordan reduction over a field (see gj_rref)."""
+    return len(gj_rref(rows)[1])
+
+
+def sym_rank(registry, rows) -> int:
+    """Rank of a Scalar matrix over sym_field(registry), by sympy."""
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sym_field(registry)
+    shape = (len(rows), len(rows[0]))
+    return DomainMatrix([[sym_element(registry, str(x)) for x in row]
+                         for row in rows], shape, field).rank()
+
+
+def rref_kernel_vector(rows):
+    """The kernel vector of a rank-deficient rational matrix, primitive.
+
+    It is 1 on the first non-pivot column of the reduced row echelon
+    form and 0 on the others, scaled to coprime integers with the same
+    sign.
+    """
+    red, pivots = gj_rref(rows)
+    free = min(set(range(len(rows[0]))) - set(pivots))
+    y = [Fraction(c == free) for c in range(len(rows[0]))]
+    for row, c in zip(red, pivots):
+        y[c] = -row[free]
+    den = lcm(*(x.denominator for x in y))
+    ints = [int(x * den) for x in y]
+    g = gcd(*ints)
+    return [x // g for x in ints]
 
 
 def gj_solve(a, b):
@@ -179,7 +221,6 @@ def qz_subgroup(generators, cap=5000):
 
 
 def element_order(vec):
-    from math import lcm
     denoms = [Fraction(x).denominator for x in vec]
     return lcm(*denoms) if denoms else 1
 
@@ -195,7 +236,6 @@ def orders_of_abelian_type(torsion):
     for t in torsion:
         elements = [el + (i,) for el in elements for i in range(t)]
     out = []
-    from math import gcd, lcm
     for el in elements:
         o = 1
         for t, x in zip(torsion, el):

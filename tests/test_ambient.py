@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from oracles import frac_rank
+from oracles import gj_rank
 from polystrat.ambient import (
     Quasilattice,
     adapted_kernel_basis,
@@ -74,7 +74,7 @@ def test_admissible_sets_match_rank_oracle(pyramid, tent):
         for vid, v in enumerate(p.vertices):
             expected = {
                 s for s in itertools.combinations(v.active, p.n)
-                if frac_rank([xs[j - 1] for j in s]) == p.n}
+                if gj_rank([xs[j - 1] for j in s]) == p.n}
             assert set(fam.for_vertex(vid)) == expected
 
 

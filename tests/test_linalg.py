@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import frac_rank, gj_solve, sym_element, sym_solve
+from oracles import gj_rank, gj_solve, sym_element, sym_rank, sym_solve
 
 from polystrat.linalg import SingularMatrixError, int_rank, int_solve, \
-    mat_solve
+    mat_rank, mat_solve
 from polystrat.scalars import ParamRegistry
 
 
@@ -36,7 +36,7 @@ def test_int_rank_and_int_solve_match_fraction_elimination():
     for _ in range(500):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols)
-        rank = frac_rank(m)
+        rank = gj_rank(m)
         deficient += rank < min(rows, cols)
         assert int_rank(m) == rank, m
 
@@ -150,3 +150,54 @@ def test_symbolic_solve_with_matrix_right_hand_side():
     for col in range(3):
         assert mat_solve(a, [row[col] for row in b]) == \
             [row[col] for row in got]
+
+
+# -- symbolic ranks -----------------------------------------------------------
+
+def _low_rank_matrix(rng, kind):
+    """L @ R with inner size k, so the rank is at most k.
+
+    L has small integers; unless the entries are integers, a fifth of
+    them get the first parameter added, so some dependencies hold only
+    over the rational functions.  R has
+    integer, polynomial or rational-function entries; the latter share
+    a pool of two denominators, as the kernel vectors that reach
+    mat_rank do.
+    """
+    reg = ParamRegistry(["p", "q"][:rng.randint(1, 2)])
+    params = [reg.param(nm) for nm in reg.names]
+    dens = [params[0] + 1, params[-1], params[0] - 2 * params[-1]]
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    k = rng.randint(0, min(rows, cols))
+    if kind == "integer":
+        right = [[reg.scalar(rng.randint(-3, 3)) for _ in range(cols)]
+                 for _ in range(k)]
+    elif kind == "polynomial":
+        right = [_random_row(rng, reg, params, [reg.one()], cols)
+                 for _ in range(k)]
+    else:
+        right = [_random_row(rng, reg, params, rng.sample(dens, 2), cols)
+                 for _ in range(k)]
+    shift = 0 if kind == "integer" else params[0]
+    left = [[rng.randint(-2, 2) + (shift if rng.random() < 0.2 else 0)
+             for _ in range(k)] for _ in range(rows)]
+    m = [[sum((left[i][t] * right[t][j] for t in range(k)), reg.zero())
+          for j in range(cols)] for i in range(rows)]
+    return reg, m, k
+
+
+def test_symbolic_rank_matches_sympy_and_gauss_jordan():
+    rng = random.Random(31)
+    kinds = ("integer", "polynomial", "rational function")
+    deficient = 0
+    for i in range(300):
+        kind = kinds[i % 3]
+        reg, m, k = _low_rank_matrix(rng, kind)
+        got = mat_rank(m)
+        assert got == sym_rank(reg, m), (kind, m)
+        assert got <= k
+        if kind != "rational function":
+            assert got == gj_rank(m), (kind, m)
+        deficient += got < min(len(m), len(m[0]))
+    # the seeded draws cover rank-deficient matrices of every kind
+    assert deficient > 100

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import bound_loop_first_code, frac_active_set, \
-    frac_constraint_value, frac_contains
+    frac_constraint_value, frac_contains, gj_rref, rref_kernel_vector
 
 from polystrat.polytope import (
     Face,
@@ -217,9 +217,8 @@ def test_integer_predicates_match_fraction_oracle(name, request):
             assert p.contains(pt, strict=True) == frac_contains(
                 p, pt, strict=True)
             assert p.active_set(pt) == frac_active_set(p, pt)
-            for j in range(1, p.d + 1):
-                assert p.constraint_value(j, pt) == frac_constraint_value(
-                    p, j, pt)
+            assert p.slacks(pt) == [frac_constraint_value(p, j, pt)
+                                    for j in range(1, p.d + 1)]
         for v in p.vertices:
             assert v.active == frac_active_set(p, v.coords)
         assert [v.coords for v in p.vertices] == \
@@ -335,6 +334,41 @@ def test_unbounded_diagnostic_names_a_recession_direction(normals, offsets):
     assert any(y)
     assert all(sum(Fraction(a) * b for a, b in zip(row, y)) >= 0
                for row in normals)
+
+
+def test_unbounded_diagnostic_names_the_reduced_kernel_vector():
+    """A line's direction is the primitive kernel vector of the reduced
+    row echelon form, 1 on its first free column; sign and scale count."""
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 120:
+        n = rng.choice((2, 3, 4))
+        basis = [[rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+                 for _ in range(rng.randint(1, n - 1))]
+        normals, d = [], n + rng.randint(1, 3)
+        while len(normals) < d:
+            coef = [rng.randint(-2, 2) for _ in basis]
+            a = [sum(k * b[i] for k, b in zip(coef, basis))
+                 for i in range(n)]
+            if any(a):
+                normals.append(a)
+        pivots = gj_rref(normals)[1]
+        if min(set(range(n)) - set(pivots)) == n - 1:
+            continue  # the free column is last
+        want = rref_kernel_vector(normals)
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        offsets = [sum(x * y for x, y in zip(a, c)) - rng.randint(1, 3)
+                   for a in normals]
+        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in normals]
+        scaled = ([[m * x for x in row] for m, row in zip(scales, normals)],
+                  [m * x for m, x in zip(scales, offsets)])
+        for rows, rhs in ((normals, offsets), scaled):
+            with pytest.raises(ValidationError) as err:
+                HPolytope(_reg(), rows, rhs)
+            assert err.value.codes == ["unbounded"]
+            assert _ray_in(err.value) == want, (rows, rhs)
+        checked += 1
 
 
 def _random_system(rng, kind, n):
