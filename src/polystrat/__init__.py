@@ -11,8 +11,8 @@ from .polytope import Face, FaceLattice, HPolytope, ValidationError, \
     Vertex, classify_face
 from .ambient import AdaptedBasisData, IndexFamily, ProjectionMap, \
     Quasilattice, adapted_kernel_basis, admissible_index_sets, \
-    change_of_basis, check_vertex_lambda_identity, classify_choice, \
-    find_flag_index_set, projection_matrix
+    change_of_basis, classify_choice, find_flag_index_set, \
+    projection_matrix
 from .groups import GroupDescriptor, GroupStructure, gamma_group, \
     gamma_face_group, group_structure, split_gamma, stabilizer_dim, \
     stabilizer_report
@@ -34,9 +34,9 @@ __all__ = [
     "LinkNode", "LinkPolytope", "ParamRegistry", "ProjectionMap",
     "Quasilattice", "Scalar", "ScalarError", "ValidationError", "Vertex",
     "adapted_kernel_basis", "admissible_index_sets", "build_report",
-    "change_of_basis", "check_vertex_lambda_identity", "classify_choice",
-    "classify_face", "cone_embedding", "cone_neighborhood", "cone_section",
-    "dot_export", "fibration_data", "find_flag_index_set",
+    "change_of_basis", "classify_choice", "classify_face",
+    "cone_embedding", "cone_neighborhood", "cone_section", "dot_export",
+    "fibration_data", "find_flag_index_set",
     "gamma_face_group", "gamma_group", "group_structure", "lift_point",
     "link_polytope", "link_tree", "moment_map_cone", "moment_values",
     "parse_scalar", "parse_spec", "projection_matrix", "psi_equations",

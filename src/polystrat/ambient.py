@@ -4,8 +4,10 @@ Everything here is symbolic.  The projection pi sends e_j to the normal
 X_j; its kernel is spanned by explicit vectors read off the change-of-
 basis matrix A_I, with X_j = sum_h a_hj X_h for every j.  Independence
 and basis tests are decided at the evaluation point, on the polytope's
-integer constraint rows, after which all identities are verified as
-exact Scalar equalities.
+integer constraint rows.  The offset identity lambda_k = sum_h a_hk
+lambda_h on a vertex's active set is the polytope's symbolic vertex
+certificate, and the slacks off the vertex come from its per-vertex
+table (HPolytope.vertex_slacks), whatever the basis I.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import SingularMatrixError, int_rank, mat_solve
-from .polytope import Face, HPolytope, ValidationError, _clear_denominators
+from .polytope import Face, HPolytope, ValidationError, \
+    _clear_denominators, _memoized
 from .scalars import Scalar, cleared, monomial_rows
 
 
@@ -108,17 +111,11 @@ class IndexFamily:
 
 def admissible_index_sets(p: HPolytope) -> IndexFamily:
     """All I contained in a vertex's active set with {X_h : h in I} a basis."""
-    key = ("admissible_index_sets",)
-    if key in p.memo:
-        return p.memo[key]
-    by_vertex = {}
-    for vid, v in enumerate(p.vertices):
-        # nonempty: a vertex solves n independent active constraints
-        by_vertex[vid] = [
-            subset for subset in itertools.combinations(v.active, p.n)
-            if int_rank([p._int_x[j - 1] for j in subset]) == p.n]
-    family = p.memo[key] = IndexFamily(by_vertex)
-    return family
+    # nonempty per vertex: a vertex solves n independent active constraints
+    return _memoized(p, ("admissible_index_sets",), lambda: IndexFamily({
+        vid: [subset for subset in itertools.combinations(v.active, p.n)
+              if int_rank([p._int_x[j - 1] for j in subset]) == p.n]
+        for vid, v in enumerate(p.vertices)}))
 
 
 def _solve_in_basis(i_sorted, rows, rhs):
@@ -137,17 +134,15 @@ def change_of_basis(p: HPolytope, index_set):
     polynomials (scaling a row of M_I A_I = pi keeps A_I).
     """
     i_sorted = tuple(sorted(index_set))
-    key = ("change_of_basis", i_sorted)
-    if key in p.memo:
-        return p.memo[key]
-    if len(i_sorted) != p.n:
-        raise ValueError(f"index set {i_sorted} has size {len(i_sorted)}, "
-                         f"need n={p.n}")
-    if ("cleared_pi",) not in p.memo:
-        p.memo[("cleared_pi",)] = [cleared(row) for row in zip(*p.normals)]
-    rows = p.memo[("cleared_pi",)]
-    a = p.memo[key] = tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
-    return a
+
+    def build():
+        if len(i_sorted) != p.n:
+            raise ValueError(f"index set {i_sorted} has size "
+                             f"{len(i_sorted)}, need n={p.n}")
+        rows = _memoized(p, ("cleared_pi",), lambda: [
+            cleared(row) for row in zip(*p.normals)])
+        return tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
+    return _memoized(p, ("change_of_basis", i_sorted), build)
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ def _kernel_vector(p, a, i_sorted, j, support):
     v = [p.registry.zero() for _ in range(p.d)]
     v[j - 1] = p.registry.one()
     for h in support:
-        v[h - 1] = v[h - 1] - a[i_sorted.index(h)][j - 1]
+        v[h - 1] = -a[i_sorted.index(h)][j - 1]
     return tuple(v)
 
 
@@ -252,36 +247,6 @@ def find_flag_index_set(p: HPolytope, face: Face):
                      f"for face {face.index_set}")
 
 
-def check_vertex_lambda_identity(p: HPolytope, vertex_id: int, index_set):
-    """Verify lambda_k = sum_h a_hk lambda_h for the active constraints.
-
-    Returns (ok, slacks) where slacks maps each inactive label r to the
-    Scalar sum_h a_hr lambda_h - lambda_r; each slack must be positive
-    at the evaluation point or the data is inconsistent.
-    """
-    i_sorted = tuple(sorted(index_set))
-    i_mu = p.vertices[vertex_id].active
-    a = change_of_basis(p, i_sorted)
-    ok = True
-    slacks = {}
-    for r in range(1, p.d + 1):
-        if r in i_sorted:
-            continue
-        combo = sum((a[pos][r - 1] * p.offsets[h - 1]
-                     for pos, h in enumerate(i_sorted)), p.registry.zero())
-        slack = combo - p.offsets[r - 1]
-        if r in i_mu:
-            ok = ok and slack.is_zero()
-            continue
-        if slack.sign() <= 0:
-            raise ValidationError(
-                [("degenerate-point",
-                  f"slack of constraint {r} at vertex {vertex_id} is "
-                  "not positive")])
-        slacks[r] = slack
-    return ok, slacks
-
-
 @dataclass(frozen=True)
 class ChoiceClassification:
     rational: bool
@@ -320,7 +285,7 @@ def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     appearing after clearing one common denominator per coordinate.
     """
     _check_dimension(p, q)
-    rows = [_clear_denominators(row)[1] for c in range(q.n)
+    rows = [row for c in range(q.n)
             for row in monomial_rows([g[c] for g in q.generators])]
     rational = int_rank(rows) == q.n
     delzant = rational and all(

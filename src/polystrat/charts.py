@@ -10,7 +10,10 @@ Domain checks mirror the defining inequalities of the chart sets: the
 regular slice needs sum_h a_hk |u_h|^2 > 0 for the extra active
 constraints and > -slack_r for the inactive ones; the singular slice
 is the same with the face block frozen to zero.  A chart is taken at a
-face; the regular chart is the chart at the whole polytope.
+face; the regular chart is the chart at the whole polytope.  The
+slacks, and Psi's constants, are read from the polytope's per-vertex
+slack table (HPolytope.vertex_slacks), where the offset identity at
+the chart's vertex is decided once for every basis I there.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from operator import mul
 import numpy as np
 
 from .ambient import AdaptedBasisData, adapted_kernel_basis, \
-    check_vertex_lambda_identity, find_flag_index_set, flag_intersection
-from .polytope import Face, HPolytope, _clear_denominators
+    find_flag_index_set, flag_intersection
+from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
 
 class DomainError(Exception):
@@ -41,14 +44,13 @@ def psi_equations(p: HPolytope, basis: AdaptedBasisData):
 
     Component i of Psi at z is sum_j coeff_j |z_j|^2 + constant, with
     coefficients the kernel basis vector and constant its pairing with
-    the offsets.
+    the offsets.  The vector of label j is e_j - sum_h a_hj e_h, so the
+    pairing is minus the vertex slack of j: zero on the active set,
+    which holds every stabilizer label.
     """
-    out = []
-    for vec in basis.kernel:
-        const = sum((vec[j] * p.offsets[j] for j in range(p.d)),
-                    p.registry.zero())
-        out.append((vec, const))
-    return tuple(out)
+    slacks = p.vertex_slacks(basis.vertex_id)
+    return tuple((vec, -slacks[j - 1])
+                 for vec, j in zip(basis.kernel, basis.kernel_labels))
 
 
 # -- charts --------------------------------------------------------------
@@ -69,8 +71,7 @@ class Chart:
     out_labels: tuple  # labels not in I_mu
     basis: AdaptedBasisData  # flag-adapted
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
-    slack_scalars: dict  # r -> Scalar sum_h a_hr lambda_h - lambda_r
-    slacks: dict  # r -> Fraction, positive
+    slacks: dict  # r -> Fraction, positive; see HPolytope.vertex_slacks
 
     @property
     def vertex_id(self) -> int:
@@ -82,28 +83,24 @@ class Chart:
 
 
 def _chart(p: HPolytope, face: Face, index_set) -> Chart:
-    key = ("chart", face.index_set, tuple(sorted(index_set)))
-    if key in p.memo:
-        return p.memo[key]
-    basis = adapted_kernel_basis(p, index_set, face=face)
-    i_sorted = basis.index_set
-    ok, slack_syms = check_vertex_lambda_identity(p, basis.vertex_id,
-                                                  i_sorted)
-    # validation certified every vertex's active set symbolically
-    assert ok, f"offset identity fails for I={i_sorted}"
-    common = flag_intersection(p, face, i_sorted)
-    union = set(face.index_set) | set(i_sorted)
-    i_mu = basis.vertex_index_set
-    chart = p.memo[key] = Chart(
-        face_index_set=face.index_set, index_set=i_sorted, common=common,
-        w_labels=tuple(h for h in i_sorted if h not in common),
-        mid_labels=tuple(k for k in i_mu if k not in union),
-        out_labels=tuple(r for r in range(1, p.d + 1) if r not in i_mu),
-        basis=basis, a_num=tuple(tuple(x.evaluate() for x in row)
-                                 for row in basis.a_matrix),
-        slack_scalars=slack_syms,
-        slacks={r: s.evaluate() for r, s in slack_syms.items()})
-    return chart
+    def build():
+        basis = adapted_kernel_basis(p, index_set, face=face)
+        i_sorted = basis.index_set
+        common = flag_intersection(p, face, i_sorted)
+        union = set(face.index_set) | set(i_sorted)
+        i_mu = basis.vertex_index_set
+        out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
+        slacks = p.vertex_slacks(basis.vertex_id)
+        return Chart(
+            face_index_set=face.index_set, index_set=i_sorted, common=common,
+            w_labels=tuple(h for h in i_sorted if h not in common),
+            mid_labels=tuple(k for k in i_mu if k not in union),
+            out_labels=out, basis=basis,
+            a_num=tuple(tuple(x.evaluate() for x in row)
+                        for row in basis.a_matrix),
+            slacks={r: slacks[r - 1].evaluate() for r in out})
+    return _memoized(p, ("chart", face.index_set, tuple(sorted(index_set))),
+                     build)
 
 
 def regular_chart(p: HPolytope, index_set) -> Chart:
@@ -156,12 +153,9 @@ def _fill_radicals(chart, z, rho):
 
 def _float_block(p: HPolytope, i_sorted):
     """The normals on I as a float array and all offsets as floats, once per I."""
-    key = ("float_block", i_sorted)
-    if key not in p.memo:
-        p.memo[key] = (np.array([[float(x) for x in p._num_x[h - 1]]
-                                 for h in i_sorted]),
-                       [float(l) for l in p._num_l])
-    return p.memo[key]
+    return _memoized(p, ("float_block", i_sorted), lambda: (
+        np.array([[float(x) for x in p._num_x[h - 1]] for h in i_sorted]),
+        [float(l) for l in p._num_l]))
 
 
 def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
@@ -380,8 +374,7 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True):
     _GRID * D * m_j.  Candidates are rejected on those integers; a
     Fraction point is built only for an accepted k.
     """
-    key = ("sampler", strict)
-    if key not in p.memo:
+    def setup():
         verts = [v.coords for v in p.vertices]
         lo = [min(v[i] for v in verts) for i in range(p.n)]
         hi = [max(v[i] for v in verts) for i in range(p.n)]
@@ -394,8 +387,8 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True):
         rows = [(tuple(map(mul, row, width)),
                  (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
                 for row, b in zip(p._int_x, p._int_l)]
-        p.memo[key] = (start, width, top, rows)
-    start, width, top, rows = p.memo[key]
+        return start, width, top, rows
+    start, width, top, rows = _memoized(p, ("sampler", strict), setup)
     draw = rng.randrange
     out = []
     guard = 0

@@ -10,12 +10,11 @@ identity of rational functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ambient import Quasilattice, admissible_index_sets, \
     basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
-from .polytope import Face, HPolytope, _clear_denominators
+from .polytope import Face, HPolytope
 from .scalars import Scalar, monomial_rows
 
 
@@ -90,8 +89,7 @@ class GroupDescriptor:
 
         Unknown column order: n_1..n_g then one integer shift m_c per
         coordinate.  Returns (rows, rhs) with integer entries, one row
-        per (coordinate, monomial) pair after clearing one common
-        denominator per coordinate.
+        per (coordinate, monomial) pair of monomial_rows.
         """
         g = len(self.generators)
         k = len(self.support)
@@ -102,12 +100,10 @@ class GroupDescriptor:
                 entries.append(target[c])
             # the last entry 1 = Q_c / Q_c gives the shift's coefficients
             for mrow in monomial_rows(entries + [self.registry.one()]):
-                shifts = [Fraction(0)] * k
+                shifts = [0] * k
                 shifts[c] = mrow[-1]
-                b = mrow[g] if target is not None else Fraction(0)
-                full = _clear_denominators(mrow[:g] + shifts + [b])[1]
-                rows.append(full[:-1])
-                rhs.append(full[-1])
+                rows.append(mrow[:g] + shifts)
+                rhs.append(mrow[g] if target is not None else 0)
         return rows, rhs
 
     def contains(self, vec) -> bool:
@@ -181,8 +177,7 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
     common = flag_intersection(p, face, i_sorted)
     coords = basis_coordinates(p, q, i_sorted)
     g = len(coords)
-    rows = [_clear_denominators(row)[1] for pos, h in enumerate(i_sorted)
-            if h not in common
+    rows = [row for pos, h in enumerate(i_sorted) if h not in common
             for row in monomial_rows([c[pos] for c in coords])]
     if rows:
         kernel = integer_kernel(rows)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .charts import singular_chart
 from .linalg import mat_rank
-from .polytope import Face, HPolytope, ValidationError
+from .polytope import Face, HPolytope, ValidationError, _memoized
 from .scalars import ParamRegistry, Scalar
 
 
@@ -263,13 +263,9 @@ def link_tree(p: HPolytope, options=None):
     faces = p.face_lattice.singular_faces()
     bs = tuple(_coerce_b(p, face, b_map.get(face.index_set))
                for face in faces)
-    key = ("link_tree", epsilon, bs)
-    if key not in p.memo:
-        p.memo[key] = tuple(
-            _build_node(p, face, (face.index_set,), b, epsilon,
-                        depth_left=p.n)
-            for face, b in zip(faces, bs))
-    return p.memo[key]
+    return _memoized(p, ("link_tree", epsilon, bs), lambda: tuple(
+        _build_node(p, face, (face.index_set,), b, epsilon, depth_left=p.n)
+        for face, b in zip(faces, bs)))
 
 
 def section_invariance_check(p: HPolytope, face: Face, b=None,

@@ -9,6 +9,10 @@ entries, so every slack keeps its sign.  All sign and rank decisions
 (feasibility, active sets, vertex solves, face dimensions) are made on
 these rows in integer arithmetic; symbolic vertex coordinates are
 recovered on demand and cross-checked against every active constraint.
+The slacks <v, X_j> - lambda_j of a symbolic vertex v form one table
+per vertex, which the charts read for their domain inequalities and
+the constants of Psi; on the active set the table is zero, since the
+certificate made those slacks vanish as Scalars.
 
 Validation runs two exact LPs on these rows: the largest least slack
 (empty, lower-dimensional, or an interior point) and the recession cone
@@ -133,6 +137,13 @@ def _clear_denominators(values):
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
+def _memoized(p, key, build):
+    """p.memo[key], calling build() to fill it on the first request."""
+    if key not in p.memo:
+        p.memo[key] = build()
+    return p.memo[key]
+
+
 def _primitive_row(values):
     """(integers, m): m * values is the primitive integer row, m > 0."""
     den, ints = _clear_denominators(values)
@@ -165,10 +176,10 @@ class HPolytope:
         self._int_l = tuple(r[-1] for r, _m in rows)
         self._int_scale = tuple(m for _r, m in rows)
         self._vertices = None
-        self._lattice = None
         self._interior = None
-        # objects other modules derive from this polytope (index family,
-        # A_I, charts, link forest, sampler), keyed by (function, args)
+        # objects derived from this polytope (face lattice, symbolic
+        # vertices and slacks, index family, A_I, charts, link forest,
+        # sampler), keyed by (function, args); see _memoized
         self.memo = {}
         if validate:
             self._validate()
@@ -306,9 +317,7 @@ class HPolytope:
 
     @property
     def face_lattice(self) -> FaceLattice:
-        if self._lattice is None:
-            self._lattice = self._build_lattice()
-        return self._lattice
+        return _memoized(self, ("face_lattice",), self._build_lattice)
 
     def _build_lattice(self):
         verts = self.vertices
@@ -338,6 +347,11 @@ class HPolytope:
 
     # -- symbolic vertex coordinates -------------------------------------
 
+    def _symbolic_slack(self, point, j):
+        """The Scalar <point, X_j> - lambda_j."""
+        return sum((x * c for x, c in zip(point, self.normals[j - 1])),
+                   self.registry.zero()) - self.offsets[j - 1]
+
     def vertex_point(self, vid: int):
         """Vertex coordinates as Scalars, valid for generic parameters.
 
@@ -346,31 +360,43 @@ class HPolytope:
         a nonzero residual means the active set holds only at the
         evaluation point.  Memoized.
         """
-        key = ("vertex_point", vid)
-        if key in self.memo:
-            return self.memo[key]
+        return _memoized(self, ("vertex_point", vid),
+                         lambda: self._certified_vertex(vid))
+
+    def _certified_vertex(self, vid):
         v = self.vertices[vid]
-        active = list(v.active)
         # lexicographically first independent n-subset at the eval point
         chosen = []
-        for j in active:
+        for j in v.active:
             if len(chosen) < self.n and int_rank(
                     [self._int_x[h - 1] for h in chosen + [j]]) > len(chosen):
                 chosen.append(j)
         a = [list(self.normals[j - 1]) for j in chosen]
         b = [self.offsets[j - 1] for j in chosen]
         pt = tuple(mat_solve(a, b))
-        for j in active:
-            if j in chosen:
-                continue
-            resid = sum((p * x for p, x in zip(pt, self.normals[j - 1])),
-                        self.registry.zero()) - self.offsets[j - 1]
-            if not resid.is_zero():
+        for j in v.active:
+            if j not in chosen and not self._symbolic_slack(pt, j).is_zero():
                 values = ", ".join(f"{nm}={x}" for nm, x in zip(
                     self.registry.names, self.registry.point))
                 raise ValidationError(
                     [("degenerate-point",
                       f"constraint {j} meets vertex {vid} {_fmt(v.coords)} "
                       f"only at the parameter values {values}")])
-        self.memo[key] = pt
         return pt
+
+    def vertex_slacks(self, vid: int):
+        """Scalar slacks <v, X_j> - lambda_j at vertex_point(vid), memoized.
+
+        Constraint j's slack is at j - 1.  For any admissible I at the
+        vertex, X_r = sum_{h in I} a_hr X_h and <v, X_h> = lambda_h give
+        slack_r = sum_{h in I} a_hr lambda_h - lambda_r, so the table
+        serves every chart basis at the vertex.  Active slacks are zero
+        by the certificate of vertex_point.
+        """
+        def build():
+            pt = self.vertex_point(vid)
+            active = self.vertices[vid].active
+            return tuple(self.registry.zero() if j in active
+                         else self._symbolic_slack(pt, j)
+                         for j in range(1, self.d + 1))
+        return _memoized(self, ("vertex_slacks", vid), build)

@@ -221,6 +221,7 @@ def _charts_section(p: HPolytope, q: Quasilattice):
         gamma = gamma_group(p, q, i_set)
         st = gamma.structure()
         eqs = psi_equations(p, chart.basis)
+        slacks = p.vertex_slacks(chart.vertex_id)
         out.append({
             "index_set": list(i_set),
             "vertex_index_set": list(chart.basis.vertex_index_set),
@@ -230,8 +231,7 @@ def _charts_section(p: HPolytope, q: Quasilattice):
             "kernel_vectors": [[str(x) for x in vec]
                                for vec in chart.basis.kernel],
             "psi_constants": [str(c) for _vec, c in eqs],
-            "slacks": {str(r): str(s)
-                       for r, s in sorted(chart.slack_scalars.items())},
+            "slacks": {str(r): str(slacks[r - 1]) for r in chart.out_labels},
             # empty on a validated polytope; see regular_chart
             "pi1_rank": 0,
             "i_star": [],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
@@ -685,13 +685,17 @@ def cleared(scalars: list[Scalar]) -> list[Scalar]:
 
 
 def monomial_rows(scalars: Iterable[Scalar]):
-    """Per-monomial coefficient rows of the scalars over one denominator.
+    """Per-monomial integer coefficient rows of scalars over one denominator.
 
     One row per monomial of the numerators, in sorted order; entry i is
-    that monomial's coefficient in the numerator of the i-th scalar, so
-    the Q-linear relations among the scalars are the vectors orthogonal
-    to every row.
+    that monomial's coefficient in the numerator of the i-th scalar,
+    times the row's least common denominator, so the Q-linear relations
+    among the scalars are the vectors orthogonal to every row.
     """
     nums, _den = over_common_denominator(scalars)
-    monos = sorted({m for num in nums for m in num})
-    return [[num.get(m, _ZERO) for num in nums] for m in monos]
+    rows = []
+    for m in sorted({m for num in nums for m in num}):
+        row = [num.get(m, _ZERO) for num in nums]
+        den = _int_lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (den // c.denominator) for c in row])
+    return rows

@@ -9,7 +9,8 @@ replaced them: the polytope validation by coordinate extremization,
 which runs the library's LP on other problems (one per coordinate and
 sign), and Gauss-Jordan reduction for solves, ranks and kernel vectors,
 which divides in the field at every step and so runs on Scalars as
-well as Fractions.
+well as Fractions, and the A_I-based offset identity and Psi constants
+that the per-vertex slack table replaced.
 """
 
 from fractions import Fraction
@@ -348,3 +349,40 @@ def bound_loop_first_code(normals, offsets):
            for j in range(1, p.d + 1)):
         return "redundant-constraint"
     return None
+
+
+# -- offset identity and Psi constants through A_I ----------------------------
+
+def check_vertex_lambda_identity(p, vertex_id, index_set):
+    """Verify lambda_k = sum_h a_hk lambda_h for the active constraints.
+
+    Returns (ok, slacks) where slacks maps each inactive label r to the
+    Scalar sum_h a_hr lambda_h - lambda_r, built term by term from A_I.
+    """
+    from polystrat.ambient import change_of_basis
+
+    i_sorted = tuple(sorted(index_set))
+    i_mu = p.vertices[vertex_id].active
+    a = change_of_basis(p, i_sorted)
+    ok = True
+    slacks = {}
+    for r in range(1, p.d + 1):
+        if r in i_sorted:
+            continue
+        combo = sum((a[pos][r - 1] * p.offsets[h - 1]
+                     for pos, h in enumerate(i_sorted)), p.registry.zero())
+        slack = combo - p.offsets[r - 1]
+        if r in i_mu:
+            ok = ok and slack.is_zero()
+            continue
+        # the integer view found r inactive at the vertex, and the slack
+        # evaluates to that vertex's slack there
+        assert slack.sign() > 0, \
+            f"slack of constraint {r} at vertex {vertex_id} is not positive"
+        slacks[r] = slack
+    return ok, slacks
+
+
+def psi_constant_sum(p, vec):
+    """The constant sum_j vec_j lambda_j of a Psi component, term by term."""
+    return sum((vec[j] * p.offsets[j] for j in range(p.d)), p.registry.zero())

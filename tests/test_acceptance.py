@@ -8,9 +8,10 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import order_multiset, orders_of_abelian_type, qz_subgroup
+from oracles import check_vertex_lambda_identity, order_multiset, \
+    orders_of_abelian_type, qz_subgroup
 from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
-    change_of_basis, check_vertex_lambda_identity
+    change_of_basis
 from polystrat.charts import psi_equations
 from polystrat.groups import GroupDescriptor, gamma_group, group_structure, \
     split_gamma, stabilizer_dim

@@ -4,14 +4,13 @@ import itertools
 
 import pytest
 
-from oracles import gj_rank
+from oracles import check_vertex_lambda_identity, gj_rank
 from polystrat.ambient import (
     Quasilattice,
     adapted_kernel_basis,
     admissible_index_sets,
     basis_coordinates,
     change_of_basis,
-    check_vertex_lambda_identity,
     classify_choice,
     find_flag_index_set,
     projection_matrix,

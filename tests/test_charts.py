@@ -12,10 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import frac_sample_polytope_points
+from oracles import check_vertex_lambda_identity, \
+    frac_sample_polytope_points, psi_constant_sum
 
 import polystrat.charts as C
-from polystrat.ambient import admissible_index_sets, change_of_basis
+from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
+    change_of_basis
+from polystrat.links import link_tree
 from polystrat.lp import open_feasible_point
 from polystrat.polytope import HPolytope
 from polystrat.scalars import ParamRegistry
@@ -68,6 +71,48 @@ def test_psi_equations_symbolic(pyr):
     assert str(c1) == "0"
     assert [str(x) for x in v5] == ["0", "p5/p2", "0", "p5", "1"]
     assert str(c5) == "-p5"
+
+
+def _check_slack_table(p, rng):
+    """vertex_slacks and psi_equations against the A_I-based sums.
+
+    Every admissible I is checked at the whole polytope and at one
+    seeded random face through its vertex that meets the flag condition.
+    """
+    fam = admissible_index_sets(p)
+    for i_set in fam:
+        vid = fam.vertex_of(i_set)
+        active = p.vertices[vid].active
+        table = p.vertex_slacks(vid)
+        assert len(table) == p.d
+        ok, slacks = check_vertex_lambda_identity(p, vid, i_set)
+        assert ok
+        assert all(table[k - 1].is_zero() for k in active)
+        assert {r: table[r - 1] for r in range(1, p.d + 1)
+                if r not in active} == slacks
+        faces = [f for f in p.face_lattice.faces if vid in f.vertex_ids
+                 and len(set(f.index_set) & set(i_set)) == p.n - f.dim]
+        for face in (None, rng.choice(faces)):
+            basis = adapted_kernel_basis(p, i_set, face=face)
+            for vec, const in C.psi_equations(p, basis):
+                assert const == psi_constant_sum(p, vec)
+
+
+@pytest.mark.parametrize("name", ["pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3"])
+def test_vertex_slacks_match_the_offset_identity_oracle(name, request):
+    p, _q, _options = request.getfixturevalue(name)
+    _check_slack_table(p, random.Random(79))
+
+
+def test_link_vertex_slacks_match_the_offset_identity_oracle(tent):
+    p, _q, options = tent
+    rng = random.Random(83)
+    links = [node.link.polytope for root in link_tree(p, options)
+             for node in root.walk()]
+    assert len(links) == 33
+    for poly in links:
+        _check_slack_table(poly, rng)
 
 
 def test_tent_chart_blocks(tnt):

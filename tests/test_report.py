@@ -15,6 +15,7 @@ import pytest
 
 import polystrat.ambient as ambient
 import polystrat.charts as charts
+import polystrat.polytope as polytope
 from polystrat.cli import fixture_spec
 from polystrat.polytope import HPolytope
 from polystrat.report import SpecError, build_report, dot_export, fnum, \
@@ -195,11 +196,19 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     counts = Counter()
     for owner, name in ((HPolytope, "__init__"),
                         (ambient.IndexFamily, "__init__"),
-                        (charts, "Chart"),
-                        (charts, "check_vertex_lambda_identity")):
+                        (charts, "Chart")):
         monkeypatch.setattr(owner, name, _counting(
             counts, name if owner is charts else owner.__name__,
             getattr(owner, name)))
+    slack_tables = Counter()
+    memoized = polytope._memoized
+
+    def counting_memoized(poly, key, build):
+        if key[0] == "vertex_slacks":
+            build = _counting(slack_tables, (id(poly), key), build)
+        return memoized(poly, key, build)
+
+    monkeypatch.setattr(polytope, "_memoized", counting_memoized)
     report, ok = build_report(p, q, dict(options, samples=10))
     dot_export(p, options)
     assert ok
@@ -219,7 +228,10 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     # node, shared by its fibration, embedding constants and samples
     assert len(report["charts"]) == 72
     assert counts["Chart"] == 72 + nodes
-    assert counts["check_vertex_lambda_identity"] == counts["Chart"]
+    # at most one slack table per (polytope, vertex), shared by the
+    # charts at that vertex and their Psi constants
+    assert set(slack_tables.values()) == {1}
+    assert len(slack_tables) == 24
 
 
 # -- pinned content -------------------------------------------------------

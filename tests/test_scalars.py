@@ -225,6 +225,12 @@ def test_monomial_rows(reg):
     # 1/p2 and 2/p2 are Q-dependent; the vector (2, 0, -1, 0) kills every row
     assert all(2 * r[0] - r[2] == 0 for r in rows)
     assert monomial_rows([]) == []
+    # each row is cleared by its own least common denominator:
+    # (p1/2 + 1/3, p1/4) has numerator rows (1/2, 1/4) and (1/3, 0)
+    frac = [reg.parse("p1/2 + 1/3"), reg.parse("p1/4")]
+    rows = monomial_rows(frac)
+    assert sorted(map(tuple, rows)) == [(1, 0), (2, 1)]
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_hash_consistent_with_eq(reg):
