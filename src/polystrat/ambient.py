@@ -19,7 +19,7 @@ from functools import cached_property
 from .linalg import SingularMatrixError, int_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError, \
     _clear_denominators, _memoized
-from .scalars import Scalar, cleared, monomial_rows
+from .scalars import cleared, monomial_rows
 
 
 class Quasilattice:
@@ -29,9 +29,7 @@ class Quasilattice:
         self.registry = registry
         self.source_polytope = None  # set when built from a polytope's normals
         self.generators = tuple(
-            tuple(g if isinstance(g, Scalar) else
-                  registry.parse(g) if isinstance(g, str) else
-                  registry.scalar(g) for g in row)
+            tuple(registry.scalar(g) for g in row)
             for row in generators)
         if not self.generators:
             raise ValueError("a quasilattice needs at least one generator")

@@ -243,6 +243,28 @@ def moment_map_cone(p: HPolytope, chart: Chart, z_f):
     return psi, phi
 
 
+def _coerce_b(p: HPolytope, labels, b):
+    """The Scalars b_j > 0 over a face's labels, from a list or a dict
+    (missing labels, or all when b is None, default to 1)."""
+    if b is None:
+        b = {}
+    if isinstance(b, dict):
+        stray = [j for j in b if j not in labels]
+        if stray:
+            raise ValueError(f"b names constraints {stray} outside the "
+                             f"face {labels}")
+        b = [b.get(j, 1) for j in labels]
+    b = tuple(p.registry.scalar(v) for v in b)
+    if len(b) != len(labels):
+        raise ValueError(f"b must list {len(labels)} coefficients "
+                         f"for constraints {labels}")
+    for j, s in zip(labels, b):
+        if s.sign() <= 0:
+            raise ValueError(f"b_{j} must be positive at the "
+                             "evaluation point")
+    return b
+
+
 @dataclass(frozen=True)
 class ConeNeighborhood:
     """Constants making the local cone embedding well defined.
@@ -272,12 +294,7 @@ def cone_neighborhood(p: HPolytope, chart: Chart, b=None) -> ConeNeighborhood:
     the worst negative-coefficient-to-b ratio.
     """
     i_f = chart.face_index_set
-    if b is None:
-        b = {j: Fraction(1) for j in i_f}
-    else:
-        b = {j: Fraction(b[j]) for j in i_f}
-    if any(v <= 0 for v in b.values()):
-        raise ValueError("b coefficients must be positive")
+    b = {j: s.evaluate() for j, s in zip(i_f, _coerce_b(p, i_f, b))}
 
     pos = {h: k for k, h in enumerate(chart.index_set)}
     ineqs = _domain(chart.a_num, chart.mid_labels + chart.out_labels,

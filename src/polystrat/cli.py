@@ -78,7 +78,7 @@ def _analyze(data: dict, only: str | None, seed: int | None,
         _diag("validation", str(e))
         return EXIT_VALIDATION
     except RuntimeError as e:
-        # cross-check failures (singularity transfer, recursion bound)
+        # cross-check failures (link vertices, recursion bound)
         _diag("verification", str(e))
         return EXIT_VERIFY
     text = render_report(report)

@@ -15,7 +15,7 @@ from .ambient import Quasilattice, admissible_index_sets, \
     basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
 from .polytope import Face, HPolytope
-from .scalars import Scalar, monomial_rows
+from .scalars import monomial_rows
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class GroupDescriptor:
         self.support = tuple(support)
         gens = []
         for g in generators:
-            g = tuple(x if isinstance(x, Scalar) else registry.scalar(x)
-                      for x in g)
+            g = tuple(registry.scalar(x) for x in g)
             if len(g) != len(self.support):
                 raise ValueError("generator length does not match support")
             if not all(x.is_integer() for x in g):
@@ -108,8 +107,7 @@ class GroupDescriptor:
 
     def contains(self, vec) -> bool:
         """Membership of a Scalar vector (mod Z) in the generated group."""
-        vec = tuple(x if isinstance(x, Scalar) else self.registry.scalar(x)
-                    for x in vec)
+        vec = tuple(self.registry.scalar(x) for x in vec)
         if len(vec) != len(self.support):
             raise ValueError("vector length does not match support")
         if not self.generators:

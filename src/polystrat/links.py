@@ -9,9 +9,11 @@ strictly containing F.  The intrinsic presentation lives in an exact
 orthogonal basis of the Y-annihilator, so its coordinates stay
 rational at the evaluation point.
 
-Two routes compute the singular set of the link: intrinsically from
-its own H-presentation, and by transferring the classification of the
-parent faces.  Disagreement is a hard error.
+The link's face lattice is the parent's interval [F, P], relabelled
+inside I_F; the slice itself is not validated.  Its own vertices are
+the one cross-check: their active sets must be the relabelled faces
+covering F.  Face index sets are the meets of vertex active sets, so
+this makes the intrinsic lattice the interval; a mismatch is an error.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import singular_chart
+from .charts import _coerce_b, singular_chart
 from .linalg import mat_rank
-from .polytope import Face, HPolytope, ValidationError, _memoized
+from .polytope import Face, FaceLattice, HPolytope, _memoized
 from .scalars import ParamRegistry, Scalar
 
 
@@ -29,32 +31,11 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _coerce_b(p: HPolytope, face: Face, b):
-    labels = face.index_set
-    if b is None:
-        return tuple(p.registry.one() for _ in labels)
-    if isinstance(b, dict):
-        vals = [b.get(j, 1) for j in labels]
-    else:
-        vals = list(b)
-        if len(vals) != len(labels):
-            raise ValueError(f"b must list {len(labels)} coefficients "
-                             f"for constraints {labels}")
-    out = []
-    for j, v in zip(labels, vals):
-        s = p.registry.scalar(v) if not isinstance(v, Scalar) else v
-        if s.sign() <= 0:
-            raise ValueError(f"b_{j} must be positive at the "
-                             "evaluation point")
-        out.append(s)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ConeSection:
     """Transversal slice data of the cone at a singular face.
 
-    polytope is the validated intrinsic presentation of the slice: one
+    polytope is the unvalidated intrinsic presentation of the slice: one
     constraint per label of the face, in the annihilator basis.
     """
 
@@ -76,8 +57,8 @@ def cone_section(p: HPolytope, face: Face, b=None,
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    b = _coerce_b(p, face, b)
     labels = face.index_set
+    b = _coerce_b(p, labels, b)
     y = [p.registry.zero() for _ in range(p.n)]
     level = p.registry.scalar(epsilon)
     for bj, j in zip(b, labels):
@@ -113,12 +94,8 @@ def cone_section(p: HPolytope, face: Face, b=None,
         xj = [p._num_x[j - 1][i] for i in range(p.n)]
         normals.append([_dot(u, xj) for u in basis])
         offsets.append(p._num_l[j - 1] - _dot(xi0, xj))
-    try:
-        # validation checks the slice is nonempty, bounded, full-dim
-        poly = HPolytope(ParamRegistry([]), normals, offsets)
-    except ValidationError as e:
-        raise ValueError(f"cone section at {labels} is degenerate: "
-                         f"{e}") from e
+    # valid since p is, b > 0 and epsilon > 0; link_polytope checks it
+    poly = HPolytope(ParamRegistry([]), normals, offsets, validate=False)
     return ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
                        y=tuple(y), level=level, y_num=y_num, xi0=xi0,
                        ann_basis=tuple(tuple(u) for u in basis),
@@ -138,45 +115,39 @@ class LinkPolytope:
     polytope: HPolytope
     to_parent: dict  # link index set -> parent index set
 
-    def parent_labels(self, link_index_set):
-        labels = self.section.face_index_set
-        return tuple(sorted(labels[t - 1] for t in link_index_set))
-
 
 def link_polytope(p: HPolytope, section: ConeSection) -> LinkPolytope:
+    """The slice, its face lattice installed from the interval [F, P].
+
+    A face G above F becomes T_G, the positions of I_G in I_F, of
+    dimension dim G - dim F - 1 with G's singularity.  RuntimeError if
+    the slice's vertex active sets are not the T_E of the E covering F.
+    """
     poly = section.polytope
     labels = section.face_index_set
     parent = p.face_lattice
     face = parent.face(labels)
-    expected = {g.index_set: g for g in parent.superfaces(face)}
-    expected[()] = parent.top
-    if face.index_set == ():
-        raise ValueError("link of the whole polytope is undefined")
-    to_parent = {}
-    seen = set()
-    for g in poly.face_lattice.faces:
-        lab = tuple(sorted(labels[t - 1] for t in g.index_set))
-        if lab not in expected:
-            raise RuntimeError(
-                f"link face {g.index_set} maps to {lab}, which is not a "
-                f"face above {labels}")
-        gp = expected[lab]
-        if gp.dim != g.dim + face.dim + 1:
-            raise RuntimeError(
-                f"dimension mismatch at link face {g.index_set}: "
-                f"{g.dim} vs parent {gp.dim}")
-        if g.index_set != () and gp.index_set != () \
-                and g.singular != gp.singular:
-            raise RuntimeError(
-                f"singularity transfer fails at link face {g.index_set}: "
-                f"intrinsic {g.singular}, parent {gp.singular}")
-        to_parent[g.index_set] = lab
-        seen.add(lab)
-    missing = set(expected) - seen
-    if missing:
-        raise RuntimeError(f"faces above {labels} missing from the link: "
-                           f"{sorted(missing)}")
-    return LinkPolytope(section=section, polytope=poly, to_parent=to_parent)
+    pos = {j: t for t, j in enumerate(labels, start=1)}
+    above = {tuple(pos[j] for j in g.index_set): g
+             for g in parent.superfaces(face)}
+    verts = poly.vertices
+    atoms = sorted(t for t, g in above.items() if g.dim == face.dim + 1)
+    if sorted(v.active for v in verts) != atoms:
+        raise RuntimeError(
+            f"the vertices of the link at face {labels} do not match the "
+            "faces above it")
+
+    def lattice():
+        return FaceLattice(poly.n, [
+            Face(index_set=t, dim=g.dim - face.dim - 1, r=g.r,
+                 singular=g.singular,
+                 vertex_ids=tuple(i for i, v in enumerate(verts)
+                                  if set(t) <= set(v.active)))
+            for t, g in above.items()])
+
+    _memoized(poly, ("face_lattice",), lattice)
+    return LinkPolytope(section=section, polytope=poly, to_parent={
+        t: g.index_set for t, g in above.items()})
 
 
 @dataclass(frozen=True)
@@ -197,19 +168,15 @@ class FibrationData:
 
 
 def fibration_data(p: HPolytope, face: Face, b=None) -> FibrationData:
-    b = _coerce_b(p, face, b)
     labels = face.index_set
+    b = _coerce_b(p, labels, b)
     basis = singular_chart(p, face).basis
     stab = basis.kernel[:basis.stabilizer_count]
     rows = [[vec[j - 1] for j in labels] for vec in stab]
     rows.append(list(b))
     rank = mat_rank(rows)
     split_ok = rank == len(stab) + 1
-    closed = True
-    for v in b:
-        if not (v / b[0]).is_rational_constant():
-            closed = False
-            break
+    closed = all((v / b[0]).is_rational_constant() for v in b)
     return FibrationData(face_index_set=labels, y_tilde=b, closed=closed,
                          augmented_rank=rank, split_ok=split_ok)
 
@@ -245,7 +212,7 @@ def _build_node(p: HPolytope, face: Face, chain, b, epsilon,
     children = []
     for g in link.polytope.face_lattice.singular_faces():
         children.append(_build_node(
-            link.polytope, g, chain + (link.parent_labels(g.index_set),),
+            link.polytope, g, chain + (link.to_parent[g.index_set],),
             None, epsilon, depth_left - 1))
     return LinkNode(chain=chain, face_index_set=face.index_set, link=link,
                     fibration=fib, children=tuple(children))
@@ -261,7 +228,11 @@ def link_tree(p: HPolytope, options=None):
     b_map = options.get("b", {})
     epsilon = Fraction(options.get("epsilon", 1))
     faces = p.face_lattice.singular_faces()
-    bs = tuple(_coerce_b(p, face, b_map.get(face.index_set))
+    stray = [k for k in b_map if k not in {f.index_set for f in faces}]
+    if stray:
+        raise ValueError(f"b is given for {stray}, which are not singular "
+                         "faces")
+    bs = tuple(_coerce_b(p, face.index_set, b_map.get(face.index_set))
                for face in faces)
     return _memoized(p, ("link_tree", epsilon, bs), lambda: tuple(
         _build_node(p, face, (face.index_set,), b, epsilon, depth_left=p.n)
@@ -271,15 +242,12 @@ def link_tree(p: HPolytope, options=None):
 def section_invariance_check(p: HPolytope, face: Face, b=None,
                              eps1=Fraction(1), eps2=Fraction(2),
                              b2=None) -> bool:
-    """Labeled face-lattice isomorphism between two sections of one cone."""
-    l1 = link_polytope(p, cone_section(p, face, b=b, epsilon=eps1))
-    l2 = link_polytope(p, cone_section(p, face, b=b2 if b2 is not None
-                                       else b, epsilon=eps2))
+    """Whether two sections of one cone have the same vertices, each
+    named by the parent labels of its active set (hence equal lattices)."""
+    def profile(b, epsilon):
+        section = cone_section(p, face, b=b, epsilon=epsilon)
+        labels = section.face_index_set
+        return sorted(tuple(labels[t - 1] for t in v.active)
+                      for v in section.polytope.vertices)
 
-    def profile(link):
-        out = {}
-        for g in link.polytope.face_lattice.faces:
-            out[link.to_parent[g.index_set]] = (g.dim, g.singular)
-        return out
-
-    return profile(l1) == profile(l2)
+    return profile(b, eps1) == profile(b2 if b2 is not None else b, eps2)

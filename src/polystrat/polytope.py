@@ -33,7 +33,6 @@ from fractions import Fraction
 from .linalg import SingularMatrixError, _bareiss, _int_step, int_rank, \
     int_solve, mat_solve
 from .lp import least_slack, lp_maximize
-from .scalars import Scalar
 
 
 class ValidationError(Exception):
@@ -156,9 +155,9 @@ class HPolytope:
 
     def __init__(self, registry, normals, offsets, validate: bool = True):
         self.registry = registry
-        self.normals = tuple(tuple(self._coerce(x) for x in row)
+        self.normals = tuple(tuple(registry.scalar(x) for x in row)
                              for row in normals)
-        self.offsets = tuple(self._coerce(x) for x in offsets)
+        self.offsets = tuple(registry.scalar(x) for x in offsets)
         if not self.normals or len({len(r) for r in self.normals}) != 1:
             raise ValidationError([("shape", "normals must be a nonempty "
                                     "rectangular array")])
@@ -179,17 +178,11 @@ class HPolytope:
         self._interior = None
         # objects derived from this polytope (face lattice, symbolic
         # vertices and slacks, index family, A_I, charts, link forest,
-        # sampler), keyed by (function, args); see _memoized
+        # sampler), keyed by (function, args); see _memoized.  A link
+        # polytope's face lattice is put here by links.link_polytope
         self.memo = {}
         if validate:
             self._validate()
-
-    def _coerce(self, x):
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, str):
-            return self.registry.parse(x)
-        return self.registry.scalar(x)
 
     # -- numeric views -------------------------------------------------
 

@@ -273,14 +273,6 @@ def _groups_section(p: HPolytope, q: Quasilattice):
     }, per_face
 
 
-def _numeric_b(options, face):
-    """The face's options["b"] entry as cone_neighborhood takes it."""
-    b_sym = options["b"].get(face.index_set)
-    if b_sym is None:
-        return None
-    return {j: s.evaluate() for j, s in zip(face.index_set, b_sym)}
-
-
 def _link_node_json(p: HPolytope, node, options, with_constants=True):
     lp = node.link
     lat = lp.polytope.face_lattice
@@ -315,7 +307,7 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
     if with_constants:
         face = p.face_lattice.face(node.face_index_set)
         chart = singular_chart(p, face)
-        nb = cone_neighborhood(p, chart, b=_numeric_b(options, face))
+        nb = cone_neighborhood(p, chart, b=options["b"].get(face.index_set))
         entry["embedding_constants"] = {
             "flag_index_set": list(chart.index_set),
             "b": [str(x) for x in nb.b],
@@ -388,7 +380,8 @@ def run_verification(p: HPolytope, options, rng):
                 z = singular_slice(p, chart, w)
                 _ups, psi, phi = moment_values(p, z, chart.basis)
                 sing_res = max(sing_res, _residual(psi, phi, mu))
-            nb = cone_neighborhood(p, chart, b=_numeric_b(options, face))
+            nb = cone_neighborhood(p, chart,
+                                   b=options["b"].get(face.index_set))
             zfs = sample_cone_points(p, chart, nb, per, rng)
             for zf in zfs:
                 w = []

@@ -1,8 +1,13 @@
-"""Shared fixtures: the bundled polytopes, built once per session.
+"""Shared fixtures: the bundled polytopes and one benchmark input, built once
+per session.
 
 Face lattices and change-of-basis caches live on the polytope objects,
 so sharing them across test modules keeps the suite fast.
 """
+
+import importlib.util
+import random
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +48,14 @@ def cube3():
 @pytest.fixture(scope="session")
 def simplex3():
     return _load("simplex3")
+
+
+@pytest.fixture(scope="session")
+def cross3():
+    """The benchmark's 3-cross-polytope at seed 1 (perfbench/inputs.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs",
+        Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return parse_spec(inputs.cross_polytope(3, random.Random(1)))

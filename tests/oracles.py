@@ -9,8 +9,10 @@ replaced them: the polytope validation by coordinate extremization,
 which runs the library's LP on other problems (one per coordinate and
 sign), and Gauss-Jordan reduction for solves, ranks and kernel vectors,
 which divides in the field at every step and so runs on Scalars as
-well as Fractions, and the A_I-based offset identity and Psi constants
-that the per-vertex slack table replaced.
+well as Fractions, the A_I-based offset identity and Psi constants
+that the per-vertex slack table replaced, and the intrinsic route to a
+link polytope (validation and a lattice closed from its own vertices)
+that the parent's interval [F, P] replaced.
 """
 
 from fractions import Fraction
@@ -386,3 +388,12 @@ def check_vertex_lambda_identity(p, vertex_id, index_set):
 def psi_constant_sum(p, vec):
     """The constant sum_j vec_j lambda_j of a Psi component, term by term."""
     return sum((vec[j] * p.offsets[j] for j in range(p.d)), p.registry.zero())
+
+
+# -- link polytopes by the intrinsic route -----------------------------------
+
+def intrinsic_polytope(poly):
+    """poly rebuilt with validation, its lattice closed from its vertices."""
+    from polystrat.polytope import HPolytope
+
+    return HPolytope(poly.registry, poly.normals, poly.offsets)

@@ -8,8 +8,8 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import check_vertex_lambda_identity, order_multiset, \
-    orders_of_abelian_type, qz_subgroup
+from oracles import check_vertex_lambda_identity, intrinsic_polytope, \
+    order_multiset, orders_of_abelian_type, qz_subgroup
 from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
     change_of_basis
 from polystrat.charts import psi_equations
@@ -39,13 +39,21 @@ def _recheck_transfer(parent_poly, face, lp):
            for g in parent_poly.face_lattice.superfaces(face)}
     sup[()] = parent_poly.face_lattice.top
     lat = lp.polytope.face_lattice
+    labels = lp.section.face_index_set
     assert set(lp.to_parent) == {g.index_set for g in lat.faces}
     assert sorted(lp.to_parent.values()) == sorted(sup)
     for g in lat.faces:
+        assert lp.to_parent[g.index_set] == tuple(
+            labels[t - 1] for t in g.index_set)
         target = sup[lp.to_parent[g.index_set]]
         assert target.dim == g.dim + face.dim + 1
         if g.index_set != () and target.index_set != ():
             assert g.singular == target.singular
+    # the intrinsic route: the slice validated, its lattice closed from
+    # its own vertices
+    oracle = intrinsic_polytope(lp.polytope)
+    assert oracle.vertices == lp.polytope.vertices
+    assert oracle.face_lattice.faces == lat.faces
 
 
 def test_criterion_1_pyramid_exact_data(pyramid):
@@ -117,7 +125,7 @@ def test_criterion_3_group_displays(tent, pyramid_unit, tent_unit):
                 assert gamma_group(up, uq, i_set).structure().is_trivial
 
 
-def test_criterion_4_link_polytopes(pyramid, tent):
+def test_criterion_4_link_polytopes(pyramid, tent, cross3):
     with criterion(4, "apex link square, tent vertex link, transfer checks"):
         p, _, _ = pyramid
         t, _, _ = tent
@@ -137,7 +145,7 @@ def test_criterion_4_link_polytopes(pyramid, tent):
         assert mapped == [(1, 2, 3, 4), (1, 3, 6, 7), (2, 4, 6, 7)]
         assert all(t.face_lattice.face(i).dim == 1 for i in mapped)
 
-        for poly in (p, t):
+        for poly in (p, t, cross3[0]):
             stack = [(poly, node) for node in link_tree(poly)]
             while stack:
                 parent, node = stack.pop()

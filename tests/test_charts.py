@@ -421,6 +421,10 @@ def test_cone_neighborhood_b_override(pyr):
     assert nb.epsilon == Fraction(1)
     with pytest.raises(ValueError, match="positive"):
         C.cone_neighborhood(p, sch, b={1: 1, 2: 0, 3: 1, 4: 1})
+    # labels left out default to 1, as in cone_section
+    assert C.cone_neighborhood(p, sch, b={1: 1}) == C.cone_neighborhood(p, sch)
+    with pytest.raises(ValueError, match="outside the face"):
+        C.cone_neighborhood(p, sch, b={9: 5})
 
 
 def test_apex_cone_embedding_pinned(pyr):

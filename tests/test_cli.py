@@ -7,6 +7,7 @@ script when one is on PATH.
 """
 
 import copy
+import dataclasses
 import json
 import os
 import pathlib
@@ -14,12 +15,15 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import polystrat
+from polystrat import links
 from polystrat.cli import EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY, \
     fixture_spec, main
+from polystrat.polytope import HPolytope
 from polystrat.report import ALL_SECTIONS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -153,6 +157,35 @@ def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["verification"]["pass"] is False
     assert _diags(captured.err)[0]["error"] == "verification"
+
+
+def test_link_vertex_mismatch_is_verify_failure(tmp_path, capsys,
+                                                monkeypatch):
+    """A link whose own vertices disagree with the parent's lattice exits 4.
+
+    The slice at the tent's vertex (1, 2, 3, 4, 6, 7) gets its third
+    constraint pushed outward until it is redundant.
+    """
+    section = links.cone_section
+
+    def pushed(p, face, b=None, epsilon=Fraction(1)):
+        sec = section(p, face, b=b, epsilon=epsilon)
+        if sec.face_index_set != (1, 2, 3, 4, 6, 7):
+            return sec
+        poly = sec.polytope
+        offsets = [x.evaluate() - (1 if t == 3 else 0)
+                   for t, x in enumerate(poly.offsets, start=1)]
+        return dataclasses.replace(sec, polytope=HPolytope(
+            poly.registry, poly.normals, offsets, validate=False))
+
+    monkeypatch.setattr(links, "cone_section", pushed)
+    path = _write_spec(tmp_path, fixture_spec("tent"))
+    assert main(["analyze", path, "--only", "links"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (diag,) = _diags(captured.err)
+    assert diag["error"] == "verification"
+    assert "(1, 2, 3, 4, 6, 7)" in diag["detail"]
 
 
 @pytest.mark.parametrize("options", [

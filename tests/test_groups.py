@@ -24,7 +24,7 @@ from polystrat.groups import (
     stabilizer_report,
 )
 from polystrat.polytope import HPolytope
-from polystrat.scalars import ParamRegistry
+from polystrat.scalars import ParamRegistry, ScalarError
 
 
 # -- pinned chart groups -----------------------------------------------------
@@ -262,3 +262,31 @@ def test_same_group_is_an_equivalence(pyramid):
         p.registry, g.support,
         list(g.generators) + [g.generators[0]])
     assert g.same_group(doubled) and doubled.same_group(g)
+
+
+# -- one Scalar coercion ------------------------------------------------------
+
+
+def test_constructors_reject_scalars_of_another_registry():
+    """A Scalar from another registry is evaluated at that registry's point.
+
+    Kept, it would give vertices at p = 5 on a polytope whose registry
+    evaluates at p = 2, so every constructor refuses it.
+    """
+    r1 = ParamRegistry(["p"], {"p": 2})
+    p = ParamRegistry(["p"], {"p": 5}).param("p")
+    simplex = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    with pytest.raises(ScalarError, match="different registry"):
+        HPolytope(r1, simplex, [0, 0, -1, -p])
+    with pytest.raises(ScalarError, match="different registry"):
+        HPolytope(r1, [[1, 0, 0], [0, 1, 0], [0, 0, p], [-1, -1, -1]],
+                  [0, 0, -1, -1])
+    with pytest.raises(ScalarError, match="different registry"):
+        Quasilattice(r1, [[1, 0], [0, p]])
+    with pytest.raises(ScalarError, match="different registry"):
+        GroupDescriptor(r1, (1,), [[p / 3]])
+    group = GroupDescriptor(r1, (1,), [[Fraction(1, 2)]])
+    with pytest.raises(ScalarError, match="different registry"):
+        group.contains([p / 3])
+    # strings, ints and Fractions are still parsed into the registry
+    assert HPolytope(r1, simplex, ["0", 0, Fraction(-1), "-p"]).vertices

@@ -2,30 +2,43 @@
 
 The face-transfer checks here recompute the expected correspondence
 from the two face lattices directly instead of trusting the checks
-built into link_polytope.
+built into link_polytope, and rebuild each link by the intrinsic route
+(validation, and a lattice closed from the slice's own vertices).
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import polystrat.links as L
+from oracles import intrinsic_polytope
+from polystrat.polytope import HPolytope, ValidationError
 
 
 def _recheck_transfer(parent_poly, face, lp):
-    """Independent bijection + dimension + singularity audit."""
+    """Independent bijection + dimension + singularity audit.
+
+    The slice rebuilt with validation must have the installed vertices
+    and face lattice.
+    """
     sup = {g.index_set: g
            for g in parent_poly.face_lattice.superfaces(face)}
     sup[()] = parent_poly.face_lattice.top
     lat = lp.polytope.face_lattice
+    labels = lp.section.face_index_set
     assert set(lp.to_parent) == {g.index_set for g in lat.faces}
     assert sorted(lp.to_parent.values()) == sorted(sup)
     for g in lat.faces:
-        assert lp.to_parent[g.index_set] == lp.parent_labels(g.index_set)
+        assert lp.to_parent[g.index_set] == tuple(
+            labels[t - 1] for t in g.index_set)
         target = sup[lp.to_parent[g.index_set]]
         assert target.dim == g.dim + face.dim + 1
         if g.index_set != () and target.index_set != ():
             assert g.singular == target.singular
+    oracle = intrinsic_polytope(lp.polytope)
+    assert oracle.vertices == lp.polytope.vertices
+    assert oracle.face_lattice.faces == lat.faces
 
 
 # -- sections -------------------------------------------------------------
@@ -138,8 +151,8 @@ def test_tent_tree(tent):
                 assert sub.link.polytope.is_simple
 
 
-def test_tree_transfer_recheck_every_node(pyramid, tent):
-    for fx in (pyramid, tent):
+def test_tree_transfer_recheck_every_node(pyramid, tent, cross3):
+    for fx in (pyramid, tent, cross3):
         p, _, _ = fx
         for root in L.link_tree(p):
             stack = [(p, root)]
@@ -158,6 +171,9 @@ def test_tree_options(pyramid):
     assert len(forest) == 1
     assert not forest[0].fibration.closed
     assert forest[0].link.polytope.face_lattice.f_vector() == (4, 4)
+    # b for a face that is not singular is rejected, not ignored
+    with pytest.raises(ValueError, match="not singular"):
+        L.link_tree(p, {"b": {(1, 2): ["7"]}})
 
 
 def test_simple_fixtures_have_empty_forests(cube3, simplex3):
@@ -204,3 +220,25 @@ def test_bad_coefficients_rejected(pyramid):
         L.cone_section(p, apex, epsilon=0)
     # b above 1 is accepted
     L.cone_section(p, apex, b=[1, 1, 1, 2])
+    # a b_j for a label outside the face is rejected, not ignored
+    with pytest.raises(ValueError, match=r"\[9\] outside the face"):
+        L.cone_section(p, apex, b={9: 5})
+    with pytest.raises(ValueError, match="b must list 4"):
+        L.fibration_data(p, apex, b=[1, 1])
+
+
+def test_link_vertices_must_match_the_parent_lattice(tent):
+    p, _, _ = tent
+    nu1 = p.face_lattice.face((1, 2, 3, 4, 6, 7))
+    section = L.cone_section(p, nu1)
+    poly = section.polytope
+    # push the slice's constraint 3 outward until it is redundant
+    offsets = [x.evaluate() - (1 if t == 3 else 0)
+               for t, x in enumerate(poly.offsets, start=1)]
+    with pytest.raises(ValidationError) as err:
+        HPolytope(poly.registry, poly.normals, offsets)
+    assert err.value.codes == ["redundant-constraint"]
+    pushed = dataclasses.replace(section, polytope=HPolytope(
+        poly.registry, poly.normals, offsets, validate=False))
+    with pytest.raises(RuntimeError, match=r"\(1, 2, 3, 4, 6, 7\)"):
+        L.link_polytope(p, pushed)

@@ -195,10 +195,11 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     p, q, options = parse_spec(fixture_spec("tent"))
     counts = Counter()
     for owner, name in ((HPolytope, "__init__"),
+                        (HPolytope, "_build_lattice"),
                         (ambient.IndexFamily, "__init__"),
                         (charts, "Chart")):
         monkeypatch.setattr(owner, name, _counting(
-            counts, name if owner is charts else owner.__name__,
+            counts, owner.__name__ if name == "__init__" else name,
             getattr(owner, name)))
     slack_tables = Counter()
     memoized = polytope._memoized
@@ -222,6 +223,9 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     assert nodes == 33
     # one intrinsic polytope per link node, none rebuilt for the DOT file
     assert counts["HPolytope"] == nodes
+    # the tent's lattice was built by parse_spec; each link's lattice is
+    # its parent's interval, never closed from its own vertices
+    assert counts["_build_lattice"] == 0
     # at most one index family per polytope: the tent and each link
     assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
     # one regular chart per admissible set, plus one flag chart per link
