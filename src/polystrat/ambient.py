@@ -109,7 +109,7 @@ class IndexFamily:
 
 def admissible_index_sets(p: HPolytope) -> IndexFamily:
     """All I contained in a vertex's active set with {X_h : h in I} a basis."""
-    # nonempty per vertex: a vertex solves n independent active constraints
+    # nonempty per vertex: every vertex's active rows have rank n
     return _memoized(p, ("admissible_index_sets",), lambda: IndexFamily({
         vid: [subset for subset in itertools.combinations(v.active, p.n)
               if int_rank([p._int_x[j - 1] for j in subset]) == p.n]

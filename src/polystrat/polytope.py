@@ -6,12 +6,16 @@ constraint is evaluated at the registry's evaluation point and stored
 once as a primitive integer row (a_j, b_j) = m_j (X_j, lambda_j), with
 m_j > 0 the lcm of its denominators over the gcd of the scaled
 entries, so every slack keeps its sign.  All sign and rank decisions
-(feasibility, active sets, vertex solves, face dimensions) are made on
-these rows in integer arithmetic; symbolic vertex coordinates are
-recovered on demand and cross-checked against every active constraint.
-The slacks <v, X_j> - lambda_j of a symbolic vertex v form one table
-per vertex, which the charts read for their domain inequalities and
-the constants of Psi; on the active set the table is zero, since the
+(feasibility, active sets, vertices, face dimensions) are made on
+these rows in integer arithmetic.  The vertices come from a double
+description of the homogenized rows, whose work grows with the
+vertices of the partial systems rather than with the C(d, n) subsets
+of constraints, and each one is certified inside with active rows of
+rank n.  Symbolic vertex coordinates are recovered on demand and, with
+parameters, cross-checked against every active constraint.  The
+slacks <v, X_j> - lambda_j of a symbolic vertex v form one table per
+vertex, which the charts read for their domain inequalities and the
+constants of Psi; on the active set the table is zero, since the
 certificate made those slacks vanish as Scalars.
 
 Validation runs two exact LPs on these rows: the largest least slack
@@ -25,13 +29,11 @@ the usual indexing of the defining inequalities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SingularMatrixError, _bareiss, _int_step, int_rank, \
-    int_solve, mat_solve
+from .linalg import _bareiss, _int_step, int_rank, int_solve, mat_solve
 from .lp import least_slack, lp_maximize
 
 
@@ -292,19 +294,76 @@ class HPolytope:
         return self._vertices
 
     def _enumerate(self):
-        seen = {}
-        for subset in itertools.combinations(range(self.d), self.n):
-            a = [self._int_x[i] for i in subset]
-            b = [self._int_l[i] for i in subset]
-            try:
-                pt = tuple(int_solve(a, b))
-            except SingularMatrixError:
+        """Vertices by double description on the integer rows.
+
+        The cone {(x, t) : <a_j, x> - b_j t >= 0, t >= 0} of a bounded
+        polytope has the extreme rays (v, 1), v its vertices (Motzkin et
+        al. 1953; Fukuda and Prodon 1996).  Each ray is a primitive
+        integer vector with the bitmask of the rows it is tight on: bit 0
+        is t >= 0, bit j constraint j.  The first n + 1 independent rows
+        give a simplicial cone, whose rays are the columns of their
+        inverse.  Every other row is then inserted in label order: the
+        rays on its nonnegative side stay, and each adjacent pair across
+        it adds the combination on the row.  Two rays are adjacent when
+        their common zero set has at least n - 1 rows and no third ray
+        is tight on all of them.  RuntimeError if the system is
+        unbounded (possible only with validate=False) or a ray fails the
+        vertex certificate: inside, with active rows of rank n.
+        """
+        n = self.n
+        rows = [(0,) * n + (1,)] + [x + (-b,) for x, b in
+                                    zip(self._int_x, self._int_l)]
+        block = []
+        for i, row in enumerate(rows):
+            if int_rank([rows[k] for k in block] + [row]) > len(block):
+                block.append(i)
+                if len(block) == n + 1:
+                    break
+        else:
+            raise RuntimeError(f"the homogenized rows have rank {len(block)} "
+                               f"< {n + 1}: the system is unbounded")
+        a = [rows[i] for i in block]
+        full = sum(1 << i for i in block)
+        rays = [(_primitive_row(int_solve(a, [int(h == k)
+                                              for h in range(n + 1)]))[0],
+                 full & ~(1 << i)) for k, i in enumerate(block)]
+        for i, row in enumerate(rows):
+            if (full >> i) & 1:
                 continue
-            if pt in seen:
-                continue
-            if self.contains(pt):
-                seen[pt] = self.active_set(pt)
-        verts = [Vertex(coords=c, active=a) for c, a in seen.items()]
+            bit = 1 << i
+            kept, pos, neg = [], [], []
+            for y, z in rays:
+                s = sum(u * v for u, v in zip(row, y))
+                if s > 0:
+                    kept.append((y, z))
+                    pos.append((s, y, z))
+                elif s < 0:
+                    neg.append((s, y, z))
+                else:
+                    kept.append((y, z | bit))
+            for sp, yp, zp in pos:
+                for sn, yn, zn in neg:
+                    z = zp & zn
+                    if z.bit_count() < n - 1 or any(
+                            w & z == z and w != zp and w != zn
+                            for _y, w in rays):
+                        continue
+                    kept.append((_primitive_row(
+                        [sp * v - sn * u for u, v in zip(yp, yn)])[0],
+                        z | bit))
+            rays = kept
+        verts = []
+        for y, _z in rays:
+            if not y[-1]:
+                raise RuntimeError("the system is unbounded: it contains a "
+                                   f"ray in direction {_fmt(y[:-1])}")
+            pt = tuple(Fraction(c, y[-1]) for c in y[:-1])
+            active = self.active_set(pt)
+            if not self.contains(pt) or int_rank(
+                    [self._int_x[j - 1] for j in active]) != n:
+                raise RuntimeError(f"double description gave {_fmt(pt)}, "
+                                   "which is not a vertex")
+            verts.append(Vertex(coords=pt, active=active))
         verts.sort(key=lambda v: v.coords)
         return tuple(verts)
 
@@ -351,13 +410,17 @@ class HPolytope:
         Solves n independent active constraints symbolically, then
         requires the remaining active constraints to vanish as Scalars;
         a nonzero residual means the active set holds only at the
-        evaluation point.  Memoized.
+        evaluation point.  Without parameters the exact vertex is the
+        answer.  Memoized.
         """
         return _memoized(self, ("vertex_point", vid),
                          lambda: self._certified_vertex(vid))
 
     def _certified_vertex(self, vid):
         v = self.vertices[vid]
+        if not self.registry.names:
+            # nothing symbolic can differ from the exact vertex
+            return tuple(self.registry.scalar(x) for x in v.coords)
         # lexicographically first independent n-subset at the eval point
         chosen = []
         for j in v.active:

@@ -51,11 +51,17 @@ def simplex3():
 
 
 @pytest.fixture(scope="session")
-def cross3():
-    """The benchmark's 3-cross-polytope at seed 1 (perfbench/inputs.py)."""
+def bench_inputs():
+    """The benchmark's seeded input generators (perfbench/inputs.py)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs",
         Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return parse_spec(inputs.cross_polytope(3, random.Random(1)))
+    return inputs
+
+
+@pytest.fixture(scope="session")
+def cross3(bench_inputs):
+    """The benchmark's 3-cross-polytope at seed 1."""
+    return parse_spec(bench_inputs.cross_polytope(3, random.Random(1)))

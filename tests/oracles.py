@@ -10,11 +10,14 @@ which runs the library's LP on other problems (one per coordinate and
 sign), and Gauss-Jordan reduction for solves, ranks and kernel vectors,
 which divides in the field at every step and so runs on Scalars as
 well as Fractions, the A_I-based offset identity and Psi constants
-that the per-vertex slack table replaced, and the intrinsic route to a
+that the per-vertex slack table replaced, the intrinsic route to a
 link polytope (validation and a lattice closed from its own vertices)
-that the parent's interval [F, P] replaced.
+that the parent's interval [F, P] replaced, and vertex enumeration by
+solving every n-subset of constraints, which double description
+replaced.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -397,3 +400,27 @@ def intrinsic_polytope(poly):
     from polystrat.polytope import HPolytope
 
     return HPolytope(poly.registry, poly.normals, poly.offsets)
+
+
+# -- vertices by solving every n-subset of constraints -----------------------
+
+def brute_force_vertices(p):
+    """The vertices from all C(d, n) subset solves, sorted by coords."""
+    from polystrat.linalg import SingularMatrixError, int_solve
+    from polystrat.polytope import Vertex
+
+    seen = {}
+    for subset in itertools.combinations(range(p.d), p.n):
+        a = [p._int_x[i] for i in subset]
+        b = [p._int_l[i] for i in subset]
+        try:
+            pt = tuple(int_solve(a, b))
+        except SingularMatrixError:
+            continue
+        if pt in seen:
+            continue
+        if p.contains(pt):
+            seen[pt] = p.active_set(pt)
+    verts = [Vertex(coords=c, active=a) for c, a in seen.items()]
+    verts.sort(key=lambda v: v.coords)
+    return tuple(verts)
