@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import SingularMatrixError, int_rank, mat_solve
-from .polytope import Face, HPolytope, ValidationError, \
-    _clear_denominators, _memoized
-from .scalars import cleared, monomial_rows
+from .polytope import Face, HPolytope, ValidationError, _memoized
+from .scalars import _clear_denominators, monomial_rows
 
 
 class Quasilattice:
@@ -128,8 +127,9 @@ def change_of_basis(p: HPolytope, index_set):
     """Matrix A_I with X_j = sum_{h in I} a_hj X_h, rows ordered by sorted I.
 
     Columns restricted to I form the identity by construction.  Results
-    are memoized on the polytope, as are the rows of pi cleared to
-    polynomials (scaling a row of M_I A_I = pi keeps A_I).
+    are memoized on the polytope.  mat_solve clears each row of
+    [M_I | pi] to polynomials over the lcm of that pi row's denominators
+    (scaling a row of M_I A_I = pi keeps A_I).
     """
     i_sorted = tuple(sorted(index_set))
 
@@ -137,8 +137,7 @@ def change_of_basis(p: HPolytope, index_set):
         if len(i_sorted) != p.n:
             raise ValueError(f"index set {i_sorted} has size "
                              f"{len(i_sorted)}, need n={p.n}")
-        rows = _memoized(p, ("cleared_pi",), lambda: [
-            cleared(row) for row in zip(*p.normals)])
+        rows = [list(row) for row in zip(*p.normals)]
         return tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
     return _memoized(p, ("change_of_basis", i_sorted), build)
 

@@ -15,7 +15,7 @@ from .ambient import Quasilattice, admissible_index_sets, \
     basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
 from .polytope import Face, HPolytope
-from .scalars import monomial_rows
+from .scalars import dot, monomial_rows
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,11 @@ class GroupDescriptor:
         g = len(self.generators)
         if g == 0:
             return GroupStructure(free_rank=0, torsion=())
+        # rows is nonempty: a surviving generator makes the support
+        # nonempty, and each coordinate's shift column 1 = Q_c / Q_c has
+        # the nonzero numerator Q_c
         rows, _ = self._system()
-        kernel = integer_kernel(rows) if rows else \
-            [[1 if i == j else 0 for j in range(g + len(self.support))]
-             for i in range(g + len(self.support))]
-        relations = [vec[:g] for vec in kernel]
+        relations = [vec[:g] for vec in integer_kernel(rows)]
         free, torsion = quotient_structure(relations, g)
         return GroupStructure(free_rank=free, torsion=tuple(torsion))
 
@@ -183,13 +183,8 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
         kernel = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
 
     keep = [pos for pos, h in enumerate(i_sorted) if h in common]
-    gens = []
-    for combo in kernel:
-        vec = []
-        for pos in keep:
-            vec.append(sum((coords[i][pos] * combo[i] for i in range(g)),
-                           p.registry.zero()))
-        gens.append(tuple(vec))
+    gens = [tuple(dot([c[pos] for c in coords], combo) for pos in keep)
+            for combo in kernel]
     return GroupDescriptor(p.registry, common, gens)
 
 

@@ -7,7 +7,9 @@ along Y = sum b_j X_j yields an (n-p-1)-polytope whose faces are in
 order-preserving bijection with the faces of the original polytope
 strictly containing F.  The intrinsic presentation lives in an exact
 orthogonal basis of the Y-annihilator, so its coordinates stay
-rational at the evaluation point.
+rational at the evaluation point.  Y and the level are Scalar sums,
+each normalized once (scalars.dot); the Gram-Schmidt step runs on
+their Fraction values (_dot).
 
 The link's face lattice is the parent's interval [F, P], relabelled
 inside I_F; the slice itself is not validated.  Its own vertices are
@@ -24,7 +26,7 @@ from fractions import Fraction
 from .charts import _coerce_b, singular_chart
 from .linalg import mat_rank
 from .polytope import Face, FaceLattice, HPolytope, _memoized
-from .scalars import ParamRegistry, Scalar
+from .scalars import ParamRegistry, Scalar, dot
 
 
 def _dot(u, v):
@@ -59,12 +61,9 @@ def cone_section(p: HPolytope, face: Face, b=None,
         raise ValueError("epsilon must be positive")
     labels = face.index_set
     b = _coerce_b(p, labels, b)
-    y = [p.registry.zero() for _ in range(p.n)]
-    level = p.registry.scalar(epsilon)
-    for bj, j in zip(b, labels):
-        for i in range(p.n):
-            y[i] = y[i] + bj * p.normals[j - 1][i]
-        level = level + bj * p.offsets[j - 1]
+    y = [dot(b, [p.normals[j - 1][i] for j in labels]) for i in range(p.n)]
+    level = dot((*b, p.registry.scalar(epsilon)),
+                [*(p.offsets[j - 1] for j in labels), 1])
     y_num = tuple(s.evaluate() for s in y)
     yy = _dot(y_num, y_num)
     if yy == 0:

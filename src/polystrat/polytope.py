@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .linalg import _bareiss, _int_step, int_rank, int_solve, mat_solve
 from .lp import least_slack, lp_maximize
+from .scalars import _clear_denominators, dot
 
 
 class ValidationError(Exception):
@@ -128,14 +129,6 @@ class FaceLattice:
 
 def _fmt(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
-
-
-def _clear_denominators(values):
-    """(D, [D * x for x in values]) with D the least common denominator."""
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-              for x in values]
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _memoized(p, key, build):
@@ -401,8 +394,7 @@ class HPolytope:
 
     def _symbolic_slack(self, point, j):
         """The Scalar <point, X_j> - lambda_j."""
-        return sum((x * c for x, c in zip(point, self.normals[j - 1])),
-                   self.registry.zero()) - self.offsets[j - 1]
+        return dot((*point, self.offsets[j - 1]), (*self.normals[j - 1], -1))
 
     def vertex_point(self, vid: int):
         """Vertex coordinates as Scalars, valid for generic parameters.

@@ -18,7 +18,10 @@ Two kinds of questions are answered about a scalar:
 Internally a polynomial is a dict mapping exponent tuples (one slot per
 registered parameter) to nonzero Fractions.  A gcd with a single term is
 the monomial of common exponents (a term's divisors are terms), so a
-one-term denominator c * m normalizes by division term by term.
+one-term denominator c * m normalizes by division term by term.  Every
+sum of products goes through dot, which adds the products of numerators
+over one common denominator and normalizes once; the canonical form
+makes that the same Scalar as a sum normalized after every term.
 """
 
 from __future__ import annotations
@@ -135,17 +138,20 @@ def _p_div_exact(a: dict, b: dict) -> dict:
     return {m: c for m, c in q.items() if c}
 
 
+def _clear_denominators(values):
+    """(D, [D * x for x in values]) with D the least common denominator."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in values]
+    den = _int_lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _p_signed_content(a: dict) -> Fraction:
     """Rational c with a/c primitive integer and positive leading coefficient."""
     if not a:
         return _ONE
-    den = 1
-    for c in a.values():
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    num = 0
-    for c in a.values():
-        num = _int_gcd(num, c.numerator * (den // c.denominator))
-    content = Fraction(num, den)
+    den, ints = _clear_denominators(a.values())
+    content = Fraction(_int_gcd(*ints), den)
     if a[_p_lead(a)] < 0:
         content = -content
     return content
@@ -677,11 +683,20 @@ def over_common_denominator(scalars: Iterable[Scalar]):
     return nums, den
 
 
-def cleared(scalars: list[Scalar]) -> list[Scalar]:
-    """The scalars times their common denominator, as polynomial Scalars."""
-    one = {scalars[0].registry._zero_mono: _ONE}
-    return [Scalar(s.registry, num, one, _normalized=True)
-            for s, num in zip(scalars, over_common_denominator(scalars)[0])]
+def dot(u, v) -> Scalar:
+    """sum_i u_i v_i, normalized once.
+
+    u is a nonempty sequence of Scalars and v holds Scalars or ints.
+    Each side is put over one common denominator; the products of the
+    numerators are summed as polynomials into one Scalar.
+    """
+    reg = u[0].registry
+    nu, du = over_common_denominator(u)
+    nv, dv = over_common_denominator([reg.scalar(x) for x in v])
+    num: dict = {}
+    for a, b in zip(nu, nv):
+        num = _p_add(num, _p_mul(a, b))
+    return Scalar(reg, num, _p_mul(du, dv))
 
 
 def monomial_rows(scalars: Iterable[Scalar]):
@@ -693,9 +708,5 @@ def monomial_rows(scalars: Iterable[Scalar]):
     among the scalars are the vectors orthogonal to every row.
     """
     nums, _den = over_common_denominator(scalars)
-    rows = []
-    for m in sorted({m for num in nums for m in num}):
-        row = [num.get(m, _ZERO) for num in nums]
-        den = _int_lcm(*(c.denominator for c in row))
-        rows.append([c.numerator * (den // c.denominator) for c in row])
-    return rows
+    return [_clear_denominators([num.get(m, _ZERO) for num in nums])[1]
+            for m in sorted({m for num in nums for m in num})]

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sym_element, sym_solve
 import polystrat
-from polystrat import links
+from polystrat import links, scalars
 from polystrat.cli import EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY, \
     fixture_spec, main
 from polystrat.polytope import HPolytope
@@ -148,6 +149,41 @@ def test_generic_cube_cut_is_analyzed(tmp_path, capsys):
     assert main(["analyze", path, "--only", "charts"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["charts"] and captured.err == ""
+
+
+def test_two_term_denominators_reach_the_general_gcd(tmp_path, capsys,
+                                                      monkeypatch):
+    """The pyramid with constraint 2 divided by p2 + 1.
+
+    The polytope and its singular apex are unchanged, but A_I gets
+    entries over two-term denominators, so normalization leaves the
+    monomial gcd for the general one (_prem) end to end.
+    """
+    data = _pyramid_spec(samples=20)
+    data["normals"][1] = ["0", "-p2/(p2 + 1)", "-p2/(p2 + 1)"]
+    data["offsets"][1] = "-p2/(p2 + 1)"
+    prem_calls = []
+    prem = scalars._prem
+    monkeypatch.setattr(scalars, "_prem",
+                        lambda *args: prem_calls.append(1) or prem(*args))
+    assert main(["analyze", _write_spec(tmp_path, data)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert prem_calls
+    report = json.loads(out)
+    assert report["verification"]["pass"] is True
+    assert [f["index_set"] for f in report["polytope"]["faces"]
+            if f["singular"]] == [[1, 2, 3, 4]]
+    reg = scalars.ParamRegistry(["p2", "p5"])
+    normals = data["normals"]
+    assert report["charts"]
+    for chart in report["charts"]:
+        m_i = [[normals[h - 1][i] for h in chart["index_set"]]
+               for i in range(3)]
+        for j, x_j in enumerate(normals):
+            want = sym_solve(reg, m_i, x_j)
+            assert [sym_element(reg, row[j])
+                    for row in chart["a_matrix"]] == want, (chart, j)
 
 
 def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sym_equal, sym_eval, sym_gcd
+from oracles import sym_element, sym_equal, sym_eval, sym_gcd
 from polystrat.scalars import (
     EvaluationError,
     ParamRegistry,
     Scalar,
     ScalarError,
     ScalarParseError,
+    dot,
     monomial_rows,
     _p_gcd,
     _p_mul,
@@ -175,11 +176,12 @@ def test_field_axioms_random():
             assert b / b == one
 
 
-def _random_term_poly(rng, arity, terms):
-    """Random terms c * m, c a small nonzero Fraction, m of degree <= 3."""
+def _random_term_poly(rng, arity, terms, degree=3):
+    """Random terms c * m, c a small nonzero Fraction, m of degree <= degree
+    in each parameter."""
     poly = {}
     for _ in range(terms):
-        m = tuple(rng.randint(0, 3) for _ in range(arity))
+        m = tuple(rng.randint(0, degree) for _ in range(arity))
         c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
         poly[m] = poly.get(m, Fraction(0)) + c
     return {m: c for m, c in poly.items() if c}
@@ -204,6 +206,38 @@ def test_gcd_matches_sympy():
         assert _p_gcd(a, b) == want, (a, b)
         assert _p_gcd(b, a) == want, (a, b)
     assert single > 100
+
+
+def _random_dot_operand(rng, reg, dens):
+    """A numerator of up to three terms over one of dens."""
+    return Scalar(reg, _random_term_poly(rng, reg.arity, rng.randint(0, 3), 1),
+                  rng.choice(dens))
+
+
+def test_dot_matches_term_by_term_sum_and_sympy():
+    """dot normalizes once; the canonical form makes that the same string."""
+    rng = random.Random(14)
+    for _ in range(300):
+        reg = ParamRegistry(["p1", "p2", "p3"][:rng.randint(1, 3)])
+        # one two- or three-term denominator and two single terms, as in
+        # A_I, whose entries share det M_I
+        dens = []
+        while len(dens) < 3:
+            den = _random_term_poly(rng, reg.arity,
+                                    1 if dens else rng.randint(2, 3), 1)
+            if den:
+                dens.append(den)
+        k = rng.randint(1, 6)
+        u = [_random_dot_operand(rng, reg, dens) for _ in range(k)]
+        if rng.random() < 0.5:
+            v = [rng.randint(-3, 3) for _ in range(k)]
+        else:
+            v = [_random_dot_operand(rng, reg, dens) for _ in range(k)]
+        got = dot(u, v)
+        assert str(got) == str(sum((a * b for a, b in zip(u, v)),
+                                   reg.zero())), (u, v)
+        text = " + ".join(f"({a})*({b})" for a, b in zip(u, v))
+        assert sym_element(reg, str(got)) == sym_element(reg, text), (u, v)
 
 
 def test_over_common_denominator(reg):
