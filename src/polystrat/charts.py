@@ -1,7 +1,7 @@
 """Moment maps, chart domains, slices, and local cone embeddings.
 
 Coefficients (change-of-basis entries, slacks, kernel vectors) are
-exact; points are double-precision complex vectors of length d.  A
+exact; points are lists of d Python complex numbers.  A
 point z determines Upsilon_j = |z_j|^2 + lambda_j; the reduced moment
 map Psi pairs Upsilon with the kernel basis of pi, and Phi solves
 <Phi, X_h> = Upsilon_h over an admissible index block.
@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from .ambient import AdaptedBasisData, adapted_kernel_basis, \
     find_flag_index_set, flag_intersection
@@ -145,40 +143,66 @@ def _fill_radicals(chart, z, rho):
         if rad <= 0:
             raise DomainError(label, f"domain inequality for constraint "
                                      f"{label} fails: {rad} <= 0")
-        z[label - 1] = math.sqrt(rad)
+        z[label - 1] = complex(math.sqrt(rad))
     return z
 
 
 # -- moment maps and slices ----------------------------------------------
 
 def _float_block(p: HPolytope, i_sorted):
-    """The normals on I as a float array and all offsets as floats, once per I."""
+    """The normals on I as float rows and all offsets as floats, once per I."""
     return _memoized(p, ("float_block", i_sorted), lambda: (
-        np.array([[float(x) for x in p._num_x[h - 1]] for h in i_sorted]),
+        tuple(tuple(float(x) for x in p._num_x[h - 1]) for h in i_sorted),
         [float(l) for l in p._num_l]))
 
 
+def _solve_block(rows, rhs, i_sorted):
+    """x with rows x = rhs, by elimination with partial pivoting (LAPACK's gesv).
+
+    rows is the float block of the normals on I, or its transpose.  A
+    pivot below 1e-12 of the largest entry means those normals are not
+    a basis at the evaluation point: a ValueError names I.
+    """
+    n = len(rhs)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    tiny = 1e-12 * max((abs(x) for row in a for x in row[:n]), default=0.0)
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if not abs(a[piv][k]) > tiny:
+            raise ValueError(f"normals of I={i_sorted} are not a basis")
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [row[n] for row in a]
+    for k in reversed(range(n)):
+        x[k] /= a[k][k]
+        for i in range(k):
+            x[i] -= a[i][k] * x[k]
+    return x
+
+
 def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
-    """(Upsilon, Psi, Phi) of an ambient point as float vectors."""
-    z = np.asarray(z, dtype=complex)
+    """(Upsilon, Psi, Phi) of an ambient point as lists of floats."""
     i_sorted = basis.index_set
     rows, lam = _float_block(p, i_sorted)
-    ups = [abs(z[j]) ** 2 + lam[j] for j in range(p.d)]
+    ups = [abs(v) ** 2 + l for v, l in zip(z, lam)]
     psi = [sum(vec[j] * ups[j] for j in range(p.d))
            for vec in basis.float_kernel]
-    rhs = [ups[h - 1] for h in i_sorted]
-    phi = np.linalg.solve(rows, np.array(rhs))
-    return ups, psi, list(phi)
+    phi = _solve_block(rows, [ups[h - 1] for h in i_sorted], i_sorted)
+    return ups, psi, phi
 
 
 def lift_point(p: HPolytope, mu):
     """Nonnegative real lift with |z_j|^2 = <mu, X_j> - lambda_j."""
-    z = np.zeros(p.d, dtype=complex)
+    z = []
     for j, r in enumerate(p.slacks(mu), start=1):
         if r < 0:
             raise DomainError(j, f"constraint {j} is violated: "
                                  f"radicand {r} < 0")
-        z[j - 1] = math.sqrt(float(r))
+        z.append(complex(math.sqrt(float(r))))
     return z
 
 
@@ -187,7 +211,7 @@ def regular_slice(p: HPolytope, chart: Chart, u):
     i_sorted = chart.index_set
     if len(u) != p.n:
         raise ValueError(f"u must have {p.n} coordinates on I={i_sorted}")
-    z = np.zeros(p.d, dtype=complex)
+    z = [0j] * p.d
     for pos, h in enumerate(i_sorted):
         z[h - 1] = complex(u[pos])
     return _fill_radicals(chart, z, [abs(complex(x)) ** 2 for x in u])
@@ -199,7 +223,7 @@ def singular_slice(p: HPolytope, chart: Chart, w):
     if len(w) != len(chart.w_labels):
         raise ValueError(f"w must have {len(chart.w_labels)} coordinates "
                          f"on {chart.w_labels}")
-    z = np.zeros(p.d, dtype=complex)
+    z = [0j] * p.d
     sq = {}
     for h, val in zip(chart.w_labels, w):
         val = complex(val)
@@ -214,9 +238,8 @@ def torus_action(p: HPolytope, index_set, x_vec, z):
     """Rotate z by the phases of exp applied to the I-block preimage of x."""
     i_sorted = tuple(sorted(index_set))
     rows, _lam = _float_block(p, i_sorted)
-    theta = np.linalg.solve(rows.T,
-                            np.array([float(v) for v in x_vec]))
-    z = np.asarray(z, dtype=complex).copy()
+    theta = _solve_block(zip(*rows), [float(v) for v in x_vec], i_sorted)
+    z = [complex(v) for v in z]
     for pos, h in enumerate(i_sorted):
         z[h - 1] *= cmath.exp(2j * math.pi * theta[pos])
     return z
@@ -367,7 +390,7 @@ def cone_embedding(p: HPolytope, chart: Chart, nb: ConeNeighborhood, w, z_f):
         raise DomainError(0, f"sum b_j |z_j|^2 = {ball} is not below "
                              f"epsilon = {float(nb.epsilon)}")
 
-    z = np.zeros(p.d, dtype=complex)
+    z = [0j] * p.d
     for h, val in zip(chart.w_labels, w):
         z[h - 1] = complex(val)
     for j, val in zip(i_f, z_f):

@@ -2,7 +2,8 @@
 
 Pinned numbers are computed by hand from the fixture data at the
 evaluation point (pyramid p2=2, p5=3; tent p1=2, p5=3, p8=5); float
-routes are cross-checked against the exact change-of-basis data.
+routes are cross-checked against the exact change-of-basis data, and
+the float solve and moment maps against numpy at the same points.
 """
 
 import cmath
@@ -250,7 +251,7 @@ def test_slice_lands_on_zero_level_sampled(pyr, tnt):
                 z = C.regular_slice(p, ch, u)
                 ups, psi, phi = C.moment_values(p, z, ch.basis)
                 assert max(abs(v) for v in psi) <= 1e-9
-                # phi comes from a LAPACK solve; pairing it with every
+                # phi comes from a float solve; pairing it with every
                 # normal must reproduce Upsilon
                 nx = p.numeric_normals()
                 for r in range(1, p.d + 1):
@@ -297,6 +298,88 @@ def test_torus_preserves_moment_values_sampled(pyr, tnt):
             _, psi, phi = C.moment_values(p, z2, ch.basis)
             assert max(abs(a - b) for a, b in zip(phi, phi0)) <= 1e-9
             assert max(abs(a - b) for a, b in zip(psi, psi0)) <= 1e-9
+
+
+# -- the float solve against numpy ----------------------------------------
+
+
+def _rel_err(got, want, scale=None):
+    """Largest entry error over scale, by default the largest |want|."""
+    want = np.asarray(want)
+    if scale is None:
+        scale = np.abs(want).max()
+    return np.abs(np.asarray(got) - want).max() / scale
+
+
+def test_solve_block_matches_numpy_solve():
+    # entries are multiples of 1/8 in [-4, 4], as rational normals are;
+    # every third system has a zero leading pivot, forcing a row swap
+    rng = random.Random(89)
+    swaps = 0
+    for t in range(300):
+        n = rng.randint(1, 6)
+        while True:
+            a = [[rng.randint(-32, 32) / 8 for _ in range(n)]
+                 for _ in range(n)]
+            if t % 3 == 0 and n > 1:
+                a[0][0] = 0.0
+            if np.linalg.matrix_rank(a) == n:
+                break
+        swaps += a[0][0] == 0.0
+        b = [rng.randint(1, 64) / 16 * rng.choice((-1, 1)) for _ in range(n)]
+        got = C._solve_block(a, b, tuple(range(1, n + 1)))
+        assert all(type(x) is float for x in got)
+        assert _rel_err(got, np.linalg.solve(a, b)) <= 1e-12, (a, b)
+    assert swaps >= 80
+
+
+@pytest.mark.parametrize("name", ["pyramid", "tent"])
+def test_moment_values_and_torus_match_numpy(request, name):
+    # numpy reference at the same points: |z|^2 + lambda, the float
+    # kernel times Upsilon, and LAPACK solves of the block and its transpose
+    p, _q, _options = request.getfixturevalue(name)
+    rng = random.Random(97)
+    lam = np.array([float(l) for l in p.numeric_offsets()])
+    for i_set in admissible_index_sets(p):
+        ch = C.regular_chart(p, i_set)
+        rows = np.array([[float(x) for x in p.numeric_normals()[h - 1]]
+                         for h in ch.index_set])
+        pos = [h - 1 for h in ch.index_set]
+        for _mu, u in C.sample_regular_domain(p, ch, 3, rng):
+            z = C.regular_slice(p, ch, u)
+            assert all(type(v) is complex for v in z)
+            ups, psi, phi = C.moment_values(p, z, ch.basis)
+            ups_ref = np.abs(np.array(z)) ** 2 + lam
+            assert _rel_err(ups, ups_ref) <= 1e-12
+            # Psi cancels to about 0 on the slice: scale by its terms
+            kernel = np.array(ch.basis.float_kernel)
+            assert _rel_err(psi, kernel @ ups_ref,
+                            (np.abs(kernel) @ np.abs(ups_ref)).max()) <= 1e-12
+            assert _rel_err(phi, np.linalg.solve(rows, ups_ref[pos])) <= 1e-12
+            x = [rng.uniform(-2, 2) for _ in range(p.n)]
+            z2 = C.torus_action(p, ch.index_set, x, z)
+            want = np.array(z)
+            want[pos] *= np.exp(2j * np.pi * np.linalg.solve(rows.T, x))
+            assert _rel_err(z2, want) <= 1e-12
+
+
+def test_torus_action_rejects_a_rank_deficient_block(pyr, tnt):
+    # a rank-deficient block is a ValueError naming I, not a
+    # ZeroDivisionError from the elimination
+    p, _ = pyr
+    z = C.lift_point(p, p.interior_point())
+    with pytest.raises(ValueError, match=r"I=\(1, 3, 5\)"):
+        C.torus_action(p, (5, 3, 1), [0.5, 0, 0], z)
+    t, _ = tnt
+    with pytest.raises(ValueError, match=r"I=\(3, 5, 7, 9\)"):
+        C.torus_action(t, (3, 5, 7, 9), [1, 0, 0, 0], [1j] * t.d)
+    # singular in exact arithmetic but not after rounding: LAPACK gives
+    # a finite answer here, the float solve still refuses it
+    block = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+    with pytest.raises(ValueError, match="not a basis"):
+        C._solve_block(block, [1.0, 2.0, 3.0], (1, 2, 3))
+    with pytest.raises(ValueError, match="not a basis"):
+        C._solve_block([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], (1, 2))
 
 
 # -- singular charts and slices -------------------------------------------

@@ -2,8 +2,9 @@
 
 The golden files cover only the exact sections (faces, charts, groups,
 links); the verification block holds float residuals that may differ
-in the last bits across BLAS builds, so determinism of the full report
-is checked within this process instead.
+in the last bits across platforms' libm and across Python versions
+(``sum`` of floats is compensated from 3.12 on), so determinism of the
+full report is checked within this process instead.
 """
 
 import copy
