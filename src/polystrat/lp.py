@@ -1,11 +1,11 @@
 """Exact rational linear programming via a two-phase simplex method.
 
-Small and deterministic: Fraction pivoting with Bland's rule, so the
-solver terminates on degenerate problems and identical inputs always
-produce identical answers.  Variables are free; the conversion to
-standard form happens internally.  The module owns its Gauss-Jordan
-pivot, the only one in the package: ranks and solves elsewhere are
-fraction-free (see linalg).
+The tests' reference simplex: their oracles solve LPs with it, and no
+other module of the package calls it.  It stays importable because
+perfbench/tracer.py hooks lp_maximize and open_feasible_point by name.
+Fraction pivoting with Bland's rule, so the solver terminates on
+degenerate problems and identical inputs give identical answers.
+Variables are free; the conversion to standard form happens internally.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ vertex, which the charts read for their domain inequalities and the
 constants of Psi; on the active set the table is zero, since the
 certificate made those slacks vanish as Scalars.
 
-Validation runs two exact LPs on these rows: the largest least slack
-(empty, lower-dimensional, or an interior point) and the recession cone
-{y : A y >= 0} (bounded iff it is {0}).  With parameters it also
-certifies every vertex's active set symbolically, for generic values.
+Validation reads the rays of the same double description: no ray with
+t > 0 means empty, one with t = 0 unbounded, and rays of rank at most n
+lower-dimensional.  With parameters it also certifies every vertex's
+active set symbolically, for generic values.
 
 Constraint labels are 1-based everywhere in the public API, matching
 the usual indexing of the defining inequalities.
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import _bareiss, _int_step, int_rank, int_solve, mat_solve
-from .lp import least_slack, lp_maximize
 from .scalars import _clear_denominators, dot
 
 
@@ -170,7 +169,6 @@ class HPolytope:
         self._int_l = tuple(r[-1] for r, _m in rows)
         self._int_scale = tuple(m for _r, m in rows)
         self._vertices = None
-        self._interior = None
         # objects derived from this polytope (face lattice, symbolic
         # vertices and slacks, index family, A_I, charts, link forest,
         # sampler), keyed by (function, args); see _memoized.  A link
@@ -223,20 +221,21 @@ class HPolytope:
         if issues:
             raise ValidationError(issues)
 
-        # one LP for nonemptiness and an interior point, one for
-        # boundedness; positive row scales change neither answer
-        best = least_slack(self._int_x, self._int_l)
-        if best.value < 0:
+        # rays on the pivot columns, which span the column space of A, so
+        # feasibility is kept; positive row scales change no decision
+        echelon = [list(row) for row in self._int_x]
+        pivots = _bareiss(echelon, _int_step, 1)
+        rays = [y for y, _z in self._rays(tuple(pivots))]
+        if not any(y[-1] for y in rays):
             raise ValidationError([("empty", "no point satisfies all "
                                     "constraints")])
-        ray = self._recession_ray()
+        ray = self._recession_ray(echelon, pivots, rays)
         if ray:
             raise ValidationError([("unbounded", "the feasible set contains "
                                     f"a ray in direction {_fmt(ray)}")])
-        if best.value == 0:
+        if int_rank(rays) <= self.n:
             raise ValidationError([("lower-dimensional",
                                     "feasible set has empty interior")])
-        self._interior = tuple(best.x[:-1])
         for j in range(1, self.d + 1):
             face = self.face_lattice.by_index_set.get((j,))
             if face is None or face.dim != self.n - 1:
@@ -249,15 +248,9 @@ class HPolytope:
             for vid in range(len(self.vertices)):
                 self.vertex_point(vid)
 
-    def _recession_ray(self):
-        """A primitive integer y != 0 with A y >= 0, or None.
-
-        A nonempty {x : A x >= b} is bounded iff A has rank n and the LP
-        max 1^T A y over A y >= 0, 1^T A y <= 1 has value 0.
-        """
-        rows = self._int_x
-        echelon = [list(row) for row in rows]
-        pivots = _bareiss(echelon, _int_step, 1)
+    def _recession_ray(self, echelon, pivots, rays):
+        """A primitive integer y != 0 with A y >= 0, or None, for a
+        nonempty system: below rank n a line, else a ray with t = 0."""
         if len(pivots) < self.n:
             # a line: the kernel vector that is 1 on the first free column
             # and 0 on the others; the pivot entries solve the triangular
@@ -269,96 +262,99 @@ class HPolytope:
                 [-row[free] for row in top])))
             y[free] = 1
             return _primitive_row([y.get(c, 0) for c in range(self.n)])[0]
-        total = [sum(col) for col in zip(*rows)]
-        res = lp_maximize(total, [[-a for a in row] for row in rows] + [total],
-                          [0] * self.d + [1])
-        return _primitive_row(res.x)[0] if res.value else None
+        return next((y[:-1] for y in rays if not y[-1]), None)
 
     def interior_point(self):
-        """A point strictly inside found by validation, else None."""
-        return self._interior
+        """The vertex average, strictly inside a full-dimensional polytope."""
+        coords = [v.coords for v in self.vertices]
+        return tuple(sum(c) / len(coords) for c in zip(*coords))
 
     # -- vertices and faces ---------------------------------------------
 
     @property
     def vertices(self):
+        """The rays (v, 1) on all columns, certified inside with active
+        rows of rank n; RuntimeError on a failure or a direction."""
         if self._vertices is None:
-            self._vertices = self._enumerate()
+            verts = []
+            for y, _z in self._rays(tuple(range(self.n))):
+                if not y[-1]:
+                    raise RuntimeError("the system is unbounded: it contains "
+                                       f"a ray in direction {_fmt(y[:-1])}")
+                pt = tuple(Fraction(c, y[-1]) for c in y[:-1])
+                active = self.active_set(pt)
+                if not self.contains(pt) or int_rank(
+                        [self._int_x[j - 1] for j in active]) != self.n:
+                    raise RuntimeError(f"double description gave {_fmt(pt)}, "
+                                       "which is not a vertex")
+                verts.append(Vertex(coords=pt, active=active))
+            self._vertices = tuple(sorted(verts, key=lambda v: v.coords))
         return self._vertices
 
-    def _enumerate(self):
-        """Vertices by double description on the integer rows.
+    def _rays(self, cols):
+        """Extreme rays by double description on the columns cols, memoized.
 
-        The cone {(x, t) : <a_j, x> - b_j t >= 0, t >= 0} of a bounded
-        polytope has the extreme rays (v, 1), v its vertices (Motzkin et
-        al. 1953; Fukuda and Prodon 1996).  Each ray is a primitive
-        integer vector with the bitmask of the rows it is tight on: bit 0
-        is t >= 0, bit j constraint j.  The first n + 1 independent rows
-        give a simplicial cone, whose rays are the columns of their
-        inverse.  Every other row is then inserted in label order: the
-        rays on its nonnegative side stay, and each adjacent pair across
-        it adds the combination on the row.  Two rays are adjacent when
-        their common zero set has at least n - 1 rows and no third ray
-        is tight on all of them.  RuntimeError if the system is
-        unbounded (possible only with validate=False) or a ray fails the
-        vertex certificate: inside, with active rows of rank n.
+        The cone {(x, t) : <a_j, x> - b_j t >= 0, t >= 0}, x on the
+        columns cols, has the extreme rays (v, 1), v the vertices, and
+        (y, 0), y the extreme recession directions (Motzkin et al. 1953;
+        Fukuda and Prodon 1996).  Each ray is a primitive integer vector
+        with the bitmask of the rows it is tight on: bit 0 is t >= 0,
+        bit j constraint j.  The first m + 1 independent rows, m =
+        len(cols), give a simplicial cone, whose rays are the columns of
+        their inverse.  Every other row is then inserted in label order:
+        the rays on its nonnegative side stay, and each adjacent pair
+        across it adds the combination on the row.  Two rays are adjacent
+        when their common zero set has at least m - 1 rows and no third
+        ray is tight on all of them.  RuntimeError if the rows have rank
+        below m + 1: the cone holds a line.
         """
-        n = self.n
-        rows = [(0,) * n + (1,)] + [x + (-b,) for x, b in
-                                    zip(self._int_x, self._int_l)]
-        block = []
-        for i, row in enumerate(rows):
-            if int_rank([rows[k] for k in block] + [row]) > len(block):
-                block.append(i)
-                if len(block) == n + 1:
-                    break
-        else:
-            raise RuntimeError(f"the homogenized rows have rank {len(block)} "
-                               f"< {n + 1}: the system is unbounded")
-        a = [rows[i] for i in block]
-        full = sum(1 << i for i in block)
-        rays = [(_primitive_row(int_solve(a, [int(h == k)
-                                              for h in range(n + 1)]))[0],
-                 full & ~(1 << i)) for k, i in enumerate(block)]
-        for i, row in enumerate(rows):
-            if (full >> i) & 1:
-                continue
-            bit = 1 << i
-            kept, pos, neg = [], [], []
-            for y, z in rays:
-                s = sum(u * v for u, v in zip(row, y))
-                if s > 0:
-                    kept.append((y, z))
-                    pos.append((s, y, z))
-                elif s < 0:
-                    neg.append((s, y, z))
-                else:
-                    kept.append((y, z | bit))
-            for sp, yp, zp in pos:
-                for sn, yn, zn in neg:
-                    z = zp & zn
-                    if z.bit_count() < n - 1 or any(
-                            w & z == z and w != zp and w != zn
-                            for _y, w in rays):
-                        continue
-                    kept.append((_primitive_row(
-                        [sp * v - sn * u for u, v in zip(yp, yn)])[0],
-                        z | bit))
-            rays = kept
-        verts = []
-        for y, _z in rays:
-            if not y[-1]:
-                raise RuntimeError("the system is unbounded: it contains a "
-                                   f"ray in direction {_fmt(y[:-1])}")
-            pt = tuple(Fraction(c, y[-1]) for c in y[:-1])
-            active = self.active_set(pt)
-            if not self.contains(pt) or int_rank(
-                    [self._int_x[j - 1] for j in active]) != n:
-                raise RuntimeError(f"double description gave {_fmt(pt)}, "
-                                   "which is not a vertex")
-            verts.append(Vertex(coords=pt, active=active))
-        verts.sort(key=lambda v: v.coords)
-        return tuple(verts)
+        def build():
+            m = len(cols)
+            rows = [(0,) * m + (1,)] + [
+                tuple(x[c] for c in cols) + (-b,)
+                for x, b in zip(self._int_x, self._int_l)]
+            block = []
+            for i, row in enumerate(rows):
+                if int_rank([rows[k] for k in block] + [row]) > len(block):
+                    block.append(i)
+                    if len(block) == m + 1:
+                        break
+            else:
+                raise RuntimeError(f"the homogenized rows have rank "
+                                   f"{len(block)} < {m + 1}: the system is "
+                                   "unbounded")
+            a = [rows[i] for i in block]
+            full = sum(1 << i for i in block)
+            rays = [(_primitive_row(int_solve(a, [int(h == k)
+                                                  for h in range(m + 1)]))[0],
+                     full & ~(1 << i)) for k, i in enumerate(block)]
+            for i, row in enumerate(rows):
+                if (full >> i) & 1:
+                    continue
+                bit = 1 << i
+                kept, pos, neg = [], [], []
+                for y, z in rays:
+                    s = sum(u * v for u, v in zip(row, y))
+                    if s > 0:
+                        kept.append((y, z))
+                        pos.append((s, y, z))
+                    elif s < 0:
+                        neg.append((s, y, z))
+                    else:
+                        kept.append((y, z | bit))
+                for sp, yp, zp in pos:
+                    for sn, yn, zn in neg:
+                        z = zp & zn
+                        if z.bit_count() < m - 1 or any(
+                                w & z == z and w != zp and w != zn
+                                for _y, w in rays):
+                            continue
+                        kept.append((_primitive_row(
+                            [sp * v - sn * u for u, v in zip(yp, yn)])[0],
+                            z | bit))
+                rays = kept
+            return rays
+        return _memoized(self, ("rays", cols), build)
 
     @property
     def face_lattice(self) -> FaceLattice:

@@ -34,6 +34,8 @@ from .scalars import ParamRegistry, ScalarError
 ALL_SECTIONS = ("faces", "charts", "groups", "links", "verify")
 DEFAULT_SAMPLES = 100
 DEFAULT_TOL = {"residual": 1e-9, "embedding": 1e-8}
+SPEC_KEYS = ("dimension", "parameters", "normals", "offsets", "quasilattice",
+             "options")
 
 
 class SpecError(ValueError):
@@ -53,6 +55,18 @@ def _require(data, key, kind, where="spec"):
     return val
 
 
+def _known_keys(data, known, where):
+    for key in data:
+        if key not in known:
+            raise SpecError(f"unknown key {key!r} in {where}")
+
+
+def _options(given=None):
+    """given over the defaults, whose keys are the only options."""
+    return {"samples": DEFAULT_SAMPLES, "seed": 0, "epsilon": Fraction(1),
+            "tolerances": dict(DEFAULT_TOL), "b": {}, **(given or {})}
+
+
 def _scalar(reg, x, where):
     """One scalar of the spec: an expression string or a finite number."""
     if isinstance(x, bool) or not isinstance(x, (str, int, float)):
@@ -68,6 +82,7 @@ def parse_spec(data: dict):
     """Build (polytope, quasilattice, options) from a spec dictionary."""
     if not isinstance(data, dict):
         raise SpecError("spec must be a JSON object")
+    _known_keys(data, SPEC_KEYS, "spec")
     n = _require(data, "dimension", int)
     if isinstance(n, bool) or n < 1:
         raise SpecError("spec.dimension must be a positive integer")
@@ -80,6 +95,7 @@ def parse_spec(data: dict):
                 not isinstance(entry.get("name"), str):
             raise SpecError("parameters must be objects with a string name "
                             "and a value")
+        _known_keys(entry, ("name", "value"), f"parameter {entry['name']!r}")
         names.append(entry["name"])
         if "value" in entry:
             try:
@@ -122,17 +138,13 @@ def parse_spec(data: dict):
     raw = data.get("options", {})
     if not isinstance(raw, dict):
         raise SpecError("options must be an object")
+    options = _options()
+    _known_keys(raw, options, "options")
     try:
-        epsilon = Fraction(str(raw.get("epsilon", 1)))
+        options["epsilon"] = Fraction(str(raw.get("epsilon", 1)))
     except (ValueError, ZeroDivisionError) as e:
         raise SpecError(f"bad options.epsilon: {e}") from e
-    options = {
-        "samples": raw.get("samples", DEFAULT_SAMPLES),
-        "seed": raw.get("seed", 0),
-        "epsilon": epsilon,
-        "tolerances": dict(DEFAULT_TOL),
-        "b": {},
-    }
+    options.update({k: raw[k] for k in ("samples", "seed") if k in raw})
     # exact type checks: bool is a subclass of int
     if type(options["samples"]) is not int or options["samples"] < 1:
         raise SpecError("options.samples must be a positive integer")
@@ -143,9 +155,8 @@ def parse_spec(data: dict):
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SpecError("options.tolerances must be an object")
+    _known_keys(tolerances, DEFAULT_TOL, "options.tolerances")
     for k, v in tolerances.items():
-        if k not in DEFAULT_TOL:
-            raise SpecError(f"unknown tolerance {k!r}")
         if isinstance(v, bool):
             raise SpecError(f"bad tolerance {k!r}: a boolean")
         try:
@@ -320,9 +331,8 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
 
 
 def _links_section(p: HPolytope, options):
-    forest = link_tree(p, {"b": options["b"],
-                           "epsilon": options["epsilon"]})
-    return [_link_node_json(p, node, options) for node in forest]
+    return [_link_node_json(p, node, options)
+            for node in link_tree(p, options)]
 
 
 # -- verification --------------------------------------------------------
@@ -422,14 +432,8 @@ def build_report(p: HPolytope, q: Quasilattice | None = None,
     """Assemble the report dict; returns (report, verification_ok)."""
     if q is None:
         q = Quasilattice.from_normals(p)
-    base_options = {"samples": DEFAULT_SAMPLES, "seed": 0,
-                    "epsilon": Fraction(1),
-                    "tolerances": dict(DEFAULT_TOL), "b": {}}
-    if options:
-        base_options.update(options)
-    options = base_options
+    options = _options(options)
     if seed is not None:
-        options = dict(options)
         options["seed"] = seed
     report = {"schema": "polystrat-report/1"}
     ok = True
@@ -458,7 +462,7 @@ def render_report(report: dict) -> str:
 
 def dot_export(p: HPolytope, options=None) -> str:
     """Face lattice (covering edges) and link forest in DOT format."""
-    options = options or {"b": {}, "epsilon": Fraction(1)}
+    options = _options(options)
     lat = p.face_lattice
     lines = ["digraph stratification {", '  rankdir="BT";']
     lines.append('  subgraph cluster_faces {')
@@ -477,8 +481,7 @@ def dot_export(p: HPolytope, options=None) -> str:
                 lines.append(f"    {fid(f)} -> {fid(g)};")
     lines.append("  }")
 
-    forest = link_tree(p, {"b": options.get("b", {}),
-                           "epsilon": options.get("epsilon", Fraction(1))})
+    forest = link_tree(p, options)
     if forest:
         lines.append("  subgraph cluster_links {")
         lines.append('    label="link forest";')

@@ -6,10 +6,11 @@ subgroups of (Q/Z)^n, and Fraction slacks for the polytope predicates
 and the rejection sampler that the library decides on integer rows.
 Earlier library algorithms are kept as oracles for the ones that
 replaced them: the polytope validation by coordinate extremization,
-which runs the library's LP on other problems (one per coordinate and
-sign), and Gauss-Jordan reduction for solves, ranks and kernel vectors,
-which divides in the field at every step and so runs on Scalars as
-well as Fractions, the A_I-based offset identity and Psi constants
+which solves one LP per coordinate and sign with polystrat.lp (the
+exact simplex that no module of the package runs any more), and
+Gauss-Jordan reduction for solves, ranks and kernel vectors, which
+divides in the field at every step and so runs on Scalars as well as
+Fractions, the A_I-based offset identity and Psi constants
 that the per-vertex slack table replaced, the intrinsic route to a
 link polytope (validation and a lattice closed from its own vertices)
 that the parent's interval [F, P] replaced, and vertex enumeration by
@@ -318,7 +319,8 @@ def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
 def bound_loop_first_code(normals, offsets):
     """First issue code of {x : normals @ x >= offsets}, or None.
 
-    The validation HPolytope ran before its two-LP certificate: the
+    The validation HPolytope ran before it read the rays of its double
+    description (and before the two-LP certificate in between): the
     shape checks, then 2n LPs extremizing every coordinate (infeasible
     means empty, unbounded means unbounded), then a strictly feasible
     point (none means lower-dimensional), then a facet for every

@@ -247,6 +247,23 @@ def test_malformed_options_are_parse_errors(tmp_path, capsys, options):
     assert len(diags) == 1 and diags[0]["error"] == "parse"
 
 
+@pytest.mark.parametrize("where, key", [
+    ("spec", "normal"), ("options", "sample"), ("parameter", "valu"),
+    ("options.tolerances", "residuals")])
+def test_unknown_spec_keys_are_parse_errors(tmp_path, capsys, where, key):
+    data = _pyramid_spec()
+    target = {"spec": data, "options": data["options"],
+              "parameter": data["parameters"][0],
+              "options.tolerances": data["options"].setdefault(
+                  "tolerances", {})}[where]
+    target[key] = 5
+    assert main(["analyze", _write_spec(tmp_path, data)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (diag,) = _diags(captured.err)
+    assert diag["error"] == "parse" and repr(key) in diag["detail"]
+
+
 def test_unwritable_outputs_are_io_errors(tmp_path, capsys):
     path = _write_spec(tmp_path, _pyramid_spec())
     blocker = tmp_path / "plain-file"

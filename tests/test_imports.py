@@ -5,7 +5,9 @@ No linter ships with the project, so this reads each module with the
 standard library's ast.  __init__.py is exempt from the unused-import
 check, since it imports names to re-export them, and so is
 ``from __future__ import annotations``.  One subprocess test runs the
-command line and checks that numpy was never loaded.
+command line and checks that neither numpy nor scipy was loaded, nor
+polystrat.lp: the exact simplex is the tests' reference solver, and
+validation decides from the double description alone.
 """
 
 import ast
@@ -63,14 +65,15 @@ codes = [main(["fixtures", "list"]),
          main(["analyze", spec, "--only", "faces"]),
          main(["fixtures", "run", "pyramid", "--out", out])]
 print(json.dumps({"codes": codes, "file": __import__("polystrat").__file__,
-                  "loaded": sorted(m for m in ("numpy", "scipy")
+                  "loaded": sorted(m for m in ("numpy", "scipy", "polystrat.lp")
                                    if m in sys.modules)}))
 """
 
 
 def test_cli_runs_without_loading_numpy(tmp_path):
     # fixtures list, a faces-only analyze and a full fixtures run (which
-    # runs verification), with the benchmark's pinned PYTHONPATH=src
+    # runs verification), with the benchmark's pinned PYTHONPATH=src; none
+    # loads numpy, scipy or the simplex
     root = Path(__file__).resolve().parents[1]
     spec = root / "src" / "polystrat" / "fixtures" / "pyramid.json"
     env = dict(os.environ, PYTHONPATH="src")

@@ -11,12 +11,14 @@ import pytest
 from oracles import bound_loop_first_code, frac_active_set, \
     frac_constraint_value, frac_contains, gj_rref, rref_kernel_vector
 
+from polystrat.links import link_tree
 from polystrat.polytope import (
     Face,
     HPolytope,
     ValidationError,
     classify_face,
 )
+from polystrat.report import parse_spec
 from polystrat.scalars import ParamRegistry
 
 
@@ -225,9 +227,12 @@ def test_integer_predicates_match_fraction_oracle(name, request):
             [v.coords for v in base.vertices]
 
 
-def test_interior_point_is_strictly_inside(pyramid, tent, cube3):
-    for fx in (pyramid, tent, cube3):
-        p = fx[0]
+def test_interior_point_is_strictly_inside(pyramid, tent, cube3,
+                                          bench_inputs):
+    cell24 = parse_spec(bench_inputs.cell24(random.Random(1)))[0]
+    # a link polytope is built with validate=False
+    link = link_tree(tent[0], tent[2])[0].link.polytope
+    for p in (pyramid[0], tent[0], cube3[0], cell24, link):
         assert p.contains(p.interior_point(), strict=True)
 
 
@@ -384,6 +389,16 @@ def _random_system(rng, kind, n):
     def through(a, slack):
         return sum(x * y for x, y in zip(a, c)) - slack
 
+    def flat(u):
+        """A primitive nonzero row orthogonal to u."""
+        uu = sum(x * x for x in u)
+        while True:
+            a = row()
+            au = sum(x * y for x, y in zip(a, u))
+            a = [uu * x - au * y for x, y in zip(a, u)]
+            if any(a):
+                return [x // math.gcd(*a) for x in a]
+
     normals, offsets = [], []
     if kind in ("bounded", "empty", "lower-dimensional"):
         for i in range(n):
@@ -392,7 +407,7 @@ def _random_system(rng, kind, n):
                 e[i] = s
                 normals.append(e)
                 offsets.append(through(e, rng.randint(1, 3)))
-    elif kind == "ray":
+    elif kind in ("ray", "flat-ray"):
         u = row()
         for _ in range(n + rng.randint(1, 3)):
             a = row()
@@ -409,17 +424,27 @@ def _random_system(rng, kind, n):
                 a[(k + 1) % n] = 1
             normals.append(a)
             offsets.append(through(a, rng.randint(1, 3)))
-    # cuts through or near c; ray and line systems keep their direction
-    extra = {"random": n + 3, "ray": 0, "line": 0}.get(kind)
+    elif kind == "empty-low-rank":
+        # rows of rank < n: all orthogonal to u
+        u = row()
+        for _ in range(n + rng.randint(1, 3)):
+            a = flat(u)
+            normals.append(a)
+            offsets.append(through(a, rng.randint(1, 3)))
+    # cuts through or near c; ray, line and low-rank systems keep their
+    # direction
+    extra = {"random": n + 3, "ray": 0, "line": 0, "flat-ray": 0,
+             "empty-low-rank": 0}.get(kind)
     for _ in range(rng.randint(0, 3) if extra is None else extra):
         a = row()
         normals.append(a)
         offsets.append(through(a, rng.randint(-1, 3)) if kind != "random"
                        else rng.randint(-6, 2))
-    if kind in ("empty", "lower-dimensional"):
-        # a slab of width -1 (empty) or 0 through c (lower-dimensional)
-        a = row()
-        width = -1 if kind == "empty" else 0
+    if kind in ("empty", "lower-dimensional", "empty-low-rank", "flat-ray"):
+        # a slab of width -1 (empty) or 0 through c (lower-dimensional);
+        # the flat ray's slab contains its direction u
+        a = flat(u) if kind in ("empty-low-rank", "flat-ray") else row()
+        width = -1 if kind.startswith("empty") else 0
         normals += [a, [-x for x in a]]
         offsets += [through(a, 0), -through(a, 0) - width]
     return normals, offsets
@@ -433,15 +458,19 @@ def _first_code(normals, offsets):
     return None, None
 
 
-def test_two_lp_validation_matches_bound_loop_oracle():
+def test_validation_matches_bound_loop_oracle():
     rng = random.Random(20261018)
     kinds = ("bounded", "ray", "line", "empty", "lower-dimensional",
-             "random")
+             "random", "empty-low-rank", "flat-ray")
+    # two kinds decide by construction: rows of rank < n with an empty
+    # slab, and a ray inside a zero-width slab (unbounded comes first)
+    forced = {"empty-low-rank": "empty", "flat-ray": "unbounded"}
     seen = Counter()
-    for i in range(240):
+    for i in range(320):
         kind = kinds[i % len(kinds)]
-        normals, offsets = _random_system(rng, kind, rng.choice((2, 3)))
+        normals, offsets = _random_system(rng, kind, rng.choice((2, 3, 4)))
         want = bound_loop_first_code(normals, offsets)
+        assert want == forced.get(kind, want), (kind, normals, offsets)
         seen[want] += 1
         # each constraint times a positive rational describes the same set
         scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9))

@@ -129,6 +129,14 @@ def test_parse_spec_options():
     lambda d: _broken(options={"tolerances": {"residual": "nan"}}),
     lambda d: _broken(options={"tolerances": {"embedding": float("inf")}}),
     lambda d: _broken(options={"tolerances": {"residual": -1e-9}}),
+    # unknown keys: a typo would otherwise run with the default
+    lambda d: _broken(options={"sample": 5}),
+    lambda d: _broken(normal=[["1", "0"], ["0", "1"], ["-p1", "0"],
+                              ["0", "-1"]]),
+    lambda d: _broken(parameters=[{"name": "p1", "value": "3/2",
+                                   "values": "2"}]),
+    lambda d: _pyramid(seed=1, b={"1,2,3,4": ["1", "1", "1", "p2"]},
+                       epsilon="1/2", samples=7, tolerance={}),
 ])
 def test_parse_spec_rejects(mutate):
     with pytest.raises(SpecError):
