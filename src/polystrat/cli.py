@@ -18,9 +18,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .polytope import ValidationError
-from .report import ALL_SECTIONS, SpecError, build_report, dot_export, \
-    parse_spec, render_report
+from . import ALL_SECTIONS
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -42,6 +40,7 @@ def _diag(kind: str, detail: str):
 
 
 def _load_spec_file(path: str) -> dict:
+    from .report import SpecError
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -53,6 +52,7 @@ def _load_spec_file(path: str) -> dict:
 
 
 def fixture_spec(name: str) -> dict:
+    from .report import SpecError
     if name not in FIXTURES:
         raise SpecError(f"unknown fixture {name!r}; try 'fixtures list'")
     ref = resources.files("polystrat") / "fixtures" / f"{name}.json"
@@ -61,6 +61,9 @@ def fixture_spec(name: str) -> dict:
 
 def _analyze(data: dict, only: str | None, seed: int | None,
              out: str | None, dot: str | None, quiet: bool = False) -> int:
+    from .polytope import ValidationError
+    from .report import SpecError, build_report, dot_export, parse_spec, \
+        render_report
     try:
         p, q, options = parse_spec(data)
     except SpecError as e:
@@ -122,6 +125,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.command == "fixtures" and args.fixtures_command == "list":
+        for name in sorted(FIXTURES):
+            sys.stdout.write(f"{name}\t{FIXTURES[name]}\n")
+        return 0
+
+    from .report import SpecError
     if args.command == "analyze":
         try:
             data = _load_spec_file(args.spec)
@@ -131,10 +140,6 @@ def main(argv=None) -> int:
         return _analyze(data, args.only, args.seed, args.out, args.dot)
 
     if args.command == "fixtures":
-        if args.fixtures_command == "list":
-            for name in sorted(FIXTURES):
-                sys.stdout.write(f"{name}\t{FIXTURES[name]}\n")
-            return 0
         names = args.names or sorted(FIXTURES)
         if args.out:
             try:

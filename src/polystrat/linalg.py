@@ -4,17 +4,18 @@ Every rank, solve and kernel vector runs one forward loop, Bareiss
 (1968): after each pivot step every entry below the pivot row is a minor
 of the input, so the division by the previous pivot is exact.  Integer
 matrices (the constraint rows at the evaluation point) are eliminated on
-ints.  Scalar matrices are cleared row by row to polynomials over the
-parameter ring and eliminated there, so a rank normalizes no Scalar and
-a solve builds one Scalar per entry of the solution.  The pivot is the
-first nonzero entry of its column, which keeps results deterministic.
+ints.  Scalar matrices are cleared row by row to polynomials with
+integer coefficients and eliminated in Z[p_1, ..., p_m], so a rank
+normalizes no Scalar and a solve builds one Scalar per entry of the
+solution.  The pivot is the first nonzero entry of its column, which
+keeps results deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, _p_div_exact, _p_mul, _p_sub, \
+from .scalars import _p_div_exact, _p_mul, _p_sub, _reduced, \
     over_common_denominator
 
 
@@ -74,8 +75,7 @@ def mat_rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     m = [over_common_denominator(row)[0] for row in rows]
-    one = {rows[0][0].registry._zero_mono: Fraction(1)}
-    return len(_bareiss(m, _poly_step, one))
+    return len(_bareiss(m, _poly_step, rows[0][0].registry._unit))
 
 
 def mat_solve(a, b):
@@ -90,8 +90,7 @@ def mat_solve(a, b):
     n = len(a)
     m = [over_common_denominator([*a[i], *bm[i]])[0] for i in range(n)]
     reg = a[0][0].registry
-    if _bareiss(m, _poly_step, {reg._zero_mono: Fraction(1)})[:n] != \
-            list(range(n)):
+    if _bareiss(m, _poly_step, reg._unit)[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     d = m[n - 1][n - 1]
     dx = [None] * n
@@ -100,7 +99,7 @@ def mat_solve(a, b):
         for j in range(i + 1, n):
             acc = [_p_sub(s, _p_mul(m[i][j], v)) for s, v in zip(acc, dx[j])]
         dx[i] = [_p_div_exact(s, m[i][i]) for s in acc]
-    sol = [[Scalar(reg, v, d) for v in row] for row in dx]
+    sol = [[_reduced(reg, v, d) for v in row] for row in dx]
     return [row[0] for row in sol] if vector else sol
 
 

@@ -19,6 +19,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import ALL_SECTIONS
 from .ambient import Quasilattice, admissible_index_sets, classify_choice, \
     find_flag_index_set
 from .charts import cone_embedding, cone_neighborhood, lift_point, \
@@ -31,7 +32,6 @@ from .links import link_tree
 from .polytope import HPolytope
 from .scalars import ParamRegistry, ScalarError
 
-ALL_SECTIONS = ("faces", "charts", "groups", "links", "verify")
 DEFAULT_SAMPLES = 100
 DEFAULT_TOL = {"residual": 1e-9, "embedding": 1e-8}
 SPEC_KEYS = ("dimension", "parameters", "normals", "offsets", "quasilattice",

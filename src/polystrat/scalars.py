@@ -1,11 +1,13 @@
 """Exact arithmetic in the rational-function field QQ(p_1, ..., p_m).
 
-Scalars are quotients of multivariate polynomials with Fraction
-coefficients over a fixed, ordered set of formal parameters.  Every value
-is kept in a canonical form (reduced fraction, fixed monomial order,
-primitive integer denominator with positive leading coefficient), so
-equality and hashing are plain structural comparisons and serialization
-is byte-stable.
+Scalars are quotients of multivariate polynomials with integer
+coefficients over a fixed, ordered set of formal parameters, times one
+rational content.  Every value is kept in a canonical form (reduced
+fraction, fixed monomial order, primitive integer numerator and
+denominator with positive leading coefficients, the sign and the
+rational factor in the content), so equality and hashing are plain
+structural comparisons and serialization is byte-stable: str() folds
+the content back into the numerator's coefficients.
 
 Two kinds of questions are answered about a scalar:
 
@@ -16,12 +18,14 @@ Two kinds of questions are answered about a scalar:
   primes (first declared parameter -> 2, second -> 3, ...).
 
 Internally a polynomial is a dict mapping exponent tuples (one slot per
-registered parameter) to nonzero Fractions.  A gcd with a single term is
-the monomial of common exponents (a term's divisors are terms), so a
-one-term denominator c * m normalizes by division term by term.  Every
-sum of products goes through dot, which adds the products of numerators
-over one common denominator and normalizes once; the canonical form
-makes that the same Scalar as a sum normalized after every term.
+registered parameter) to nonzero ints, so sums, products, exact
+divisions and gcds run on ints; only the content is a Fraction.  A gcd
+with a single term is the monomial of common exponents (a term's
+divisors are terms), so a one-term denominator c * m normalizes by
+division term by term.  Every sum of products goes through dot, which
+adds the products of numerators over one common denominator and
+normalizes once; the canonical form makes that the same Scalar as a sum
+normalized after every term.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def _default_point(count: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic on {exponent tuple: Fraction} dicts
+# raw polynomial arithmetic on {exponent tuple: int} dicts
 
 
 def _mono_key(m: tuple[int, ...]) -> tuple:
@@ -72,7 +76,7 @@ def _p_lead(a: dict) -> tuple[int, ...]:
 def _p_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, _ZERO) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -80,20 +84,31 @@ def _p_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _p_neg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
-
-
 def _p_sub(a: dict, b: dict) -> dict:
-    return _p_add(a, _p_neg(b))
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _p_sum(polys) -> dict:
+    out: dict = {}
+    for a in polys:
+        for m, c in a.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def _p_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, _ZERO) + ca * cb
+            m = tuple(map(int.__add__, ma, mb))
+            s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
@@ -101,41 +116,46 @@ def _p_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _p_scale(a: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in a.items()}
+def _p_scale(a: dict, k: int) -> dict:
+    if k == 1:
+        return a
+    return {m: c * k for m, c in a.items()} if k else {}
 
 
 def _p_div_exact(a: dict, b: dict) -> dict:
-    """Quotient a/b when the division is exact; raises otherwise."""
+    """Quotient a/b when it has integer coefficients; raises otherwise."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(b) == 1:
         (lb, cb), = b.items()
-        q = {tuple(x - y for x, y in zip(m, lb)): c / cb for m, c in a.items()}
-        if any(e < 0 for m in q for e in m):
-            raise ArithmeticError("inexact polynomial division")
+        if cb == 1 and not any(lb):
+            return a
+        q = {}
+        for m, c in a.items():
+            mq = tuple(map(int.__sub__, m, lb))
+            q[mq], r = divmod(c, cb)
+            if r or min(mq, default=0) < 0:
+                raise ArithmeticError("inexact polynomial division")
         return q
-    q: dict = {}
+    q = {}
     r = dict(a)
     lb = _p_lead(b)
     cb = b[lb]
     while r:
         lr = _p_lead(r)
-        m = tuple(x - y for x, y in zip(lr, lb))
-        if any(e < 0 for e in m):
+        m = tuple(map(int.__sub__, lr, lb))
+        c, rem = divmod(r[lr], cb)
+        if rem or min(m) < 0:
             raise ArithmeticError("inexact polynomial division")
-        c = r[lr] / cb
-        q[m] = q.get(m, _ZERO) + c
+        q[m] = c
         for mb, cbb in b.items():
-            mm = tuple(x + y for x, y in zip(m, mb))
-            s = r.get(mm, _ZERO) - c * cbb
+            mm = tuple(map(int.__add__, m, mb))
+            s = r.get(mm, 0) - c * cbb
             if s:
                 r[mm] = s
             else:
                 r.pop(mm, None)
-    return {m: c for m, c in q.items() if c}
+    return q
 
 
 def _clear_denominators(values):
@@ -146,19 +166,19 @@ def _clear_denominators(values):
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def _p_signed_content(a: dict) -> Fraction:
-    """Rational c with a/c primitive integer and positive leading coefficient."""
-    if not a:
-        return _ONE
-    den, ints = _clear_denominators(a.values())
-    content = Fraction(_int_gcd(*ints), den)
-    if a[_p_lead(a)] < 0:
-        content = -content
-    return content
+def _p_content(a: dict) -> int:
+    """Integer c with a/c primitive and positive leading coefficient."""
+    c = _int_gcd(*a.values())
+    return -c if a[_p_lead(a)] < 0 else c
 
 
 def _p_prim_int(a: dict) -> dict:
-    return _p_scale(a, 1 / _p_signed_content(a)) if a else {}
+    """a over its signed content; a may have Fraction coefficients."""
+    if not a:
+        return {}
+    a = dict(zip(a, _clear_denominators(a.values())[1]))
+    c = _p_content(a)
+    return {m: x // c for m, x in a.items()} if c != 1 else a
 
 
 def _main_var(a: dict, b: dict) -> int | None:
@@ -195,7 +215,7 @@ def _lead_coeff_in(a: dict, v: int) -> dict:
 def _shift(v: int, e: int, arity: int) -> dict:
     m = [0] * arity
     m[v] = e
-    return {tuple(m): _ONE}
+    return {tuple(m): 1}
 
 
 def _prem(f: dict, g: dict, v: int, arity: int) -> dict:
@@ -220,7 +240,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
     """Polynomial gcd, normalized primitive-integer with positive lead."""
     if a and b and (len(a) == 1 or len(b) == 1):
         # a term's divisors are terms: the gcd is the common monomial
-        return {tuple(map(min, zip(*a, *b))): _ONE}
+        return {tuple(map(min, zip(*a, *b))): 1}
     a = _p_prim_int(a)
     b = _p_prim_int(b)
     if not a:
@@ -246,9 +266,8 @@ def _p_gcd(a: dict, b: dict) -> dict:
 
 
 def _p_lcm(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    return _p_prim_int(_p_mul(a, _p_div_exact(b, _p_gcd(a, b))))
+    """lcm of two primitive polynomials with positive leads, normalized."""
+    return _p_mul(a, _p_div_exact(b, _p_gcd(a, b)))
 
 
 def _p_eval(a: dict, point: tuple[Fraction, ...]) -> Fraction:
@@ -282,7 +301,7 @@ class EvaluationError(ScalarError):
 class ParamRegistry:
     """Ordered set of formal parameters plus a rational evaluation point."""
 
-    __slots__ = ("_names", "_index", "_point", "_zero_mono")
+    __slots__ = ("_names", "_index", "_point", "_zero_mono", "_unit")
 
     def __init__(self, names: Iterable[str] = (),
                  values: Mapping[str, object] | None = None):
@@ -302,6 +321,7 @@ class ParamRegistry:
             point[self._index[nm]] = Fraction(val)
         self._point = tuple(point)
         self._zero_mono = (0,) * len(names)
+        self._unit = {self._zero_mono: 1}
 
     def _check_names(self, values: Mapping[str, object]):
         for nm in values:
@@ -335,16 +355,14 @@ class ParamRegistry:
         if isinstance(x, str):
             return parse_scalar(self, x)
         c = Fraction(x)
-        num = {self._zero_mono: c} if c else {}
-        return Scalar(self, num, {self._zero_mono: _ONE}, _normalized=True)
+        return Scalar._of(self, c, self._unit if c else {}, self._unit)
 
     def param(self, name: str) -> "Scalar":
         i = self._index.get(name)
         if i is None:
             raise ScalarError(f"unknown parameter {name!r}")
         mono = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Scalar(self, {mono: _ONE}, {self._zero_mono: _ONE},
-                      _normalized=True)
+        return Scalar._of(self, _ONE, {mono: 1}, self._unit)
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -356,6 +374,30 @@ class ParamRegistry:
         return parse_scalar(self, text)
 
 
+def _reduced(reg: ParamRegistry, num: dict, den: dict,
+             scale=_ONE) -> "Scalar":
+    """The Scalar scale * num / den for int term dicts, den nonzero.
+
+    The signed integer contents of num and den move into the Fraction
+    content, and their primitive parts are divided by their gcd.
+    """
+    if not num:
+        return Scalar._of(reg, _ZERO, {}, reg._unit)
+    g = _p_content(num)
+    h = _p_content(den)
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+    if h != 1:
+        den = {m: c // h for m, c in den.items()}
+    if den != reg._unit and num != reg._unit:
+        d = _p_gcd(num, den)
+        if d != reg._unit:
+            num = _p_div_exact(num, d)
+            den = _p_div_exact(den, d)
+    return Scalar._of(reg, Fraction(g * scale.numerator,
+                                    h * scale.denominator), num, den)
+
+
 class Scalar:
     """Element of QQ(p_1, ..., p_m) in canonical form.
 
@@ -365,32 +407,31 @@ class Scalar:
     are spelled out: p1*p1).
     """
 
-    __slots__ = ("registry", "_num", "_den", "_key")
+    __slots__ = ("registry", "_c", "_num", "_den", "_hash")
 
-    def __init__(self, registry: ParamRegistry, num: dict, den: dict,
-                 _normalized: bool = False):
-        self.registry = registry
-        if not _normalized:
-            num, den = self._normalize(num, den, registry)
-        self._num = num
-        self._den = den
-        self._key = (tuple(sorted(num.items())), tuple(sorted(den.items())))
-
-    @staticmethod
-    def _normalize(num: dict, den: dict, registry: ParamRegistry):
+    def __init__(self, registry: ParamRegistry, num: dict, den: dict):
+        """num / den for term dicts with int or Fraction coefficients."""
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        if not num:
-            return {}, {registry._zero_mono: _ONE}
-        g = _p_gcd(num, den)
-        if len(g) > 1 or g.get(registry._zero_mono) != _ONE:
-            num = _p_div_exact(num, g)
-            den = _p_div_exact(den, g)
-        c = _p_signed_content(den)
-        if c != _ONE:
-            num = _p_scale(num, 1 / c)
-            den = _p_scale(den, 1 / c)
-        return num, den
+        dn, ints = _clear_denominators(num.values())
+        dd, dints = _clear_denominators(den.values())
+        other = _reduced(registry, dict(zip(num, ints)),
+                         dict(zip(den, dints)), Fraction(dd, dn))
+        self._set(registry, other._c, other._num, other._den)
+
+    def _set(self, registry, c, num, den):
+        self.registry = registry
+        self._c = c
+        self._num = num
+        self._den = den
+        self._hash = None
+
+    @classmethod
+    def _of(cls, registry, c, num, den) -> "Scalar":
+        """c * num / den, already canonical: no normalization."""
+        s = object.__new__(cls)
+        s._set(registry, c, num, den)
+        return s
 
     # -- introspection ------------------------------------------------
 
@@ -398,17 +439,16 @@ class Scalar:
         return not self._num
 
     def is_rational_constant(self) -> bool:
-        zero = self.registry._zero_mono
-        return self._den == {zero: _ONE} and set(self._num) <= {zero}
+        unit = self.registry._unit
+        return self._den == unit and (not self._num or self._num == unit)
 
     def is_integer(self) -> bool:
-        return (self.is_rational_constant()
-                and self.as_fraction().denominator == 1)
+        return self.is_rational_constant() and self._c.denominator == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational_constant():
             raise ScalarError(f"{self} is not a rational constant")
-        return self._num.get(self.registry._zero_mono, _ZERO)
+        return self._c
 
     def evaluate(self, values: Mapping[str, object] | None = None) -> Fraction:
         """Exact value at the registry point (or at an override mapping)."""
@@ -422,7 +462,7 @@ class Scalar:
         if den == 0:
             raise EvaluationError(
                 f"denominator of {self} vanishes at evaluation point {point}")
-        return _p_eval(self._num, point) / den
+        return self._c * _p_eval(self._num, point) / den
 
     def sign(self) -> int:
         v = self.evaluate()
@@ -443,7 +483,7 @@ class Scalar:
                         c = c * val ** mm[i]
                         mm[i] = 0
                 key = tuple(mm)
-                s = out.get(key, _ZERO) + c
+                s = out.get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
@@ -453,7 +493,7 @@ class Scalar:
         den = sub(self._den)
         if not den:
             raise EvaluationError("substitution makes the denominator zero")
-        return Scalar(reg, sub(self._num), den)
+        return Scalar(reg, sub(self._num), den) * self._c
 
     # -- arithmetic ---------------------------------------------------
 
@@ -470,14 +510,27 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _p_add(_p_mul(self._num, o._den), _p_mul(o._num, self._den))
-        return Scalar(self.registry, num, _p_mul(self._den, o._den))
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        a, b = self._c, o._c
+        lcd = _int_lcm(a.denominator, b.denominator)
+        ka = a.numerator * (lcd // a.denominator)
+        kb = b.numerator * (lcd // b.denominator)
+        if self._den == o._den:
+            num = _p_add(_p_scale(self._num, ka), _p_scale(o._num, kb))
+            den = self._den
+        else:
+            num = _p_add(_p_scale(_p_mul(self._num, o._den), ka),
+                         _p_scale(_p_mul(o._num, self._den), kb))
+            den = _p_mul(self._den, o._den)
+        return _reduced(self.registry, num, den, Fraction(1, lcd))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.registry, _p_neg(self._num), self._den,
-                      _normalized=True)
+        return Scalar._of(self.registry, -self._c, self._num, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -495,8 +548,15 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.registry, _p_mul(self._num, o._num),
-                      _p_mul(self._den, o._den))
+        if not self._num or not o._num:
+            return self.registry.zero()
+        if o.is_rational_constant():
+            return Scalar._of(self.registry, self._c * o._c, self._num,
+                              self._den)
+        if self.is_rational_constant():
+            return Scalar._of(self.registry, self._c * o._c, o._num, o._den)
+        return _reduced(self.registry, _p_mul(self._num, o._num),
+                        _p_mul(self._den, o._den), self._c * o._c)
 
     __rmul__ = __mul__
 
@@ -506,8 +566,11 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.registry, _p_mul(self._num, o._den),
-                      _p_mul(self._den, o._num))
+        if o.is_rational_constant():
+            return Scalar._of(self.registry, self._c / o._c, self._num,
+                              self._den)
+        return _reduced(self.registry, _p_mul(self._num, o._den),
+                        _p_mul(self._den, o._num), self._c / o._c)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -519,10 +582,16 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._key == o._key
+        return (self._c == o._c and self._num == o._num
+                and self._den == o._den)
 
     def __hash__(self):
-        return hash(self._key)
+        # the hash of the fully expanded numerator and denominator terms
+        if self._hash is None:
+            self._hash = hash((
+                tuple(sorted((m, self._c * c) for m, c in self._num.items())),
+                tuple(sorted(self._den.items()))))
+        return self._hash
 
     def __bool__(self):
         return bool(self._num)
@@ -532,13 +601,14 @@ class Scalar:
 
     # -- serialization ------------------------------------------------
 
-    def _poly_str(self, poly: dict) -> str:
+    def _poly_str(self, poly: dict, content=1) -> str:
         if not poly:
             return "0"
         names = self.registry.names
         parts = []
         for m, c in sorted(poly.items(), key=lambda t: _mono_key(t[0]),
                            reverse=True):
+            c *= content
             neg = c < 0
             ac = -c if neg else c
             factors = []
@@ -554,8 +624,8 @@ class Scalar:
         return "".join(parts)
 
     def __str__(self):
-        ns = self._poly_str(self._num)
-        if self._den == {self.registry._zero_mono: _ONE}:
+        ns = self._poly_str(self._num, self._c)
+        if self._den == self.registry._unit:
             return ns
         if len(self._num) > 1:
             ns = f"({ns})"
@@ -668,19 +738,25 @@ def parse_scalar(registry: ParamRegistry, text: str) -> Scalar:
 def over_common_denominator(scalars: Iterable[Scalar]):
     """Numerator polynomials of the given scalars over one common denominator.
 
-    Returns (numerators, denominator) as raw term dicts; the i-th scalar
-    equals numerators[i] / denominator.
+    Returns (numerators, denominator) as int term dicts; the i-th scalar
+    equals numerators[i] / denominator.  The denominator is the lcm of
+    the primitive denominators times one integer scale, the lcm of the
+    contents' denominators.
     """
     scalars = list(scalars)
     if not scalars:
         return [], {}
-    den: dict = {(0,) * scalars[0].registry.arity: _ONE}
+    den = scalars[0].registry._unit
     for s in scalars:
         if s._den != den:
             den = _p_lcm(den, s._den)
-    nums = [s._num if s._den == den else
-            _p_mul(s._num, _p_div_exact(den, s._den)) for s in scalars]
-    return nums, den
+    ratios = [s._c.as_integer_ratio() for s in scalars]
+    scale = _int_lcm(*(d for _, d in ratios))
+    nums = [_p_scale(s._num if s._den == den else
+                     _p_mul(s._num, _p_div_exact(den, s._den)),
+                     n * (scale // d))
+            for s, (n, d) in zip(scalars, ratios)]
+    return nums, _p_scale(den, scale)
 
 
 def dot(u, v) -> Scalar:
@@ -688,25 +764,35 @@ def dot(u, v) -> Scalar:
 
     u is a nonempty sequence of Scalars and v holds Scalars or ints.
     Each side is put over one common denominator; the products of the
-    numerators are summed as polynomials into one Scalar.
+    numerators are summed as polynomials into one Scalar.  When every
+    v_i is an int, u's numerators are scaled by them directly.
     """
     reg = u[0].registry
-    nu, du = over_common_denominator(u)
-    nv, dv = over_common_denominator([reg.scalar(x) for x in v])
-    num: dict = {}
-    for a, b in zip(nu, nv):
-        num = _p_add(num, _p_mul(a, b))
-    return Scalar(reg, num, _p_mul(du, dv))
+    nu, den = over_common_denominator(u)
+    if all(type(x) is int for x in v):
+        terms = [_p_scale(a, k) for a, k in zip(nu, v)]
+    else:
+        nv, dv = over_common_denominator([reg.scalar(x) for x in v])
+        terms = [_p_mul(a, b) for a, b in zip(nu, nv)]
+        den = _p_mul(den, dv)
+    return _reduced(reg, _p_sum(terms), den)
 
 
 def monomial_rows(scalars: Iterable[Scalar]):
     """Per-monomial integer coefficient rows of scalars over one denominator.
 
     One row per monomial of the numerators, in sorted order; entry i is
-    that monomial's coefficient in the numerator of the i-th scalar,
-    times the row's least common denominator, so the Q-linear relations
-    among the scalars are the vectors orthogonal to every row.
+    that monomial's coefficient in the numerator of the i-th scalar over
+    the lcm of the primitive denominators, times the row's least common
+    denominator, so the Q-linear relations among the scalars are the
+    vectors orthogonal to every row.
     """
-    nums, _den = over_common_denominator(scalars)
-    return [_clear_denominators([num.get(m, _ZERO) for num in nums])[1]
-            for m in sorted({m for num in nums for m in num})]
+    nums, den = over_common_denominator(scalars)
+    # over_common_denominator scaled every numerator by den's content
+    scale = _int_gcd(*den.values())
+    rows = []
+    for m in sorted({m for num in nums for m in num}):
+        row = [num.get(m, 0) for num in nums]
+        g = _int_gcd(scale, *row)
+        rows.append([x // g for x in row])
+    return rows

@@ -7,10 +7,13 @@ check, since it imports names to re-export them, and so is
 ``from __future__ import annotations``.  One subprocess test runs the
 command line and checks that neither numpy nor scipy was loaded, nor
 polystrat.lp: the exact simplex is the tests' reference solver, and
-validation decides from the double description alone.
+validation decides from the double description alone.  Another checks
+that ``fixtures list`` loads no module beyond the package and its
+command line: the package resolves its public names on first access.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -86,3 +89,39 @@ def test_cli_runs_without_loading_numpy(tmp_path):
     assert Path(result["file"]).resolve().parent == root / "src" / "polystrat"
     assert result["loaded"] == []
     assert (tmp_path / "pyramid.report.json").exists()
+
+
+LIST_CHILD = """
+import json, sys
+from polystrat.cli import main
+code = main(["fixtures", "list"])
+print(json.dumps({"code": code,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "polystrat")}))
+"""
+
+
+def test_fixtures_list_loads_no_math_module():
+    # the benchmark's setup_s times this command in a fresh process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", LIST_CHILD], cwd=root,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["loaded"] == ["polystrat", "polystrat.cli"]
+
+
+def test_public_names_resolve():
+    for name in polystrat.__all__:
+        module = importlib.import_module(
+            f"polystrat.{polystrat._EXPORTS[name]}")
+        assert getattr(polystrat, name) is getattr(module, name), name
+    namespace = {}
+    exec("from polystrat import *", namespace)
+    assert set(polystrat.__all__) <= set(namespace)
+    assert set(polystrat.__all__) <= set(dir(polystrat))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        polystrat.no_such_name

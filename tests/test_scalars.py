@@ -2,15 +2,22 @@
 
 Reference arithmetic comes from sympy (oracles.sym_eval / sym_equal);
 the library must agree on every sampled expression and round-trip its
-own canonical strings.
+own canonical strings.  Every Scalar the library builds, by arithmetic,
+by mat_solve or as an A_I entry, stores int coefficients only: a
+primitive numerator and denominator with positive leading coefficients
+under one Fraction content.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from oracles import sym_element, sym_equal, sym_eval, sym_gcd
+from polystrat.ambient import admissible_index_sets, change_of_basis
+from polystrat.linalg import SingularMatrixError, mat_solve
+from polystrat.report import parse_spec
 from polystrat.scalars import (
     EvaluationError,
     ParamRegistry,
@@ -20,6 +27,7 @@ from polystrat.scalars import (
     dot,
     monomial_rows,
     _p_gcd,
+    _p_lead,
     _p_mul,
     over_common_denominator,
 )
@@ -272,3 +280,107 @@ def test_hash_consistent_with_eq(reg):
     b = reg.param("p1")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- the integer representation -----------------------------------------------
+
+def assert_integer_representation(s):
+    """int coefficients, primitive parts with positive leads, Fraction values."""
+    assert type(s._c) is Fraction, s
+    for poly in (s._num, s._den):
+        # never a Fraction, nor a float from a stray int / int
+        assert all(type(c) is int for c in poly.values()), (s, poly)
+        if poly:
+            assert gcd(*poly.values()) == 1, (s, poly)
+            assert poly[_p_lead(poly)] > 0, (s, poly)
+    assert s._den, s
+    # a generic point, where no sampled denominator vanishes
+    point = {nm: Fraction(10007 + i, 7919)
+             for i, nm in enumerate(s.registry.names)}
+    assert type(s.evaluate(point)) is Fraction, s
+    if s.is_rational_constant():
+        assert type(s.as_fraction()) is Fraction, s
+        assert s._den == {s.registry._zero_mono: 1}
+
+
+def test_arithmetic_keeps_integer_coefficients():
+    rng = random.Random(41)
+    r = ParamRegistry(["p1", "p2"])
+    pool = [r.parse(_random_expr(rng, 2)) for _ in range(16)]
+    pool += [r.zero(), r.one(), r.scalar(Fraction(-3, 4)), r.param("p2"),
+             r.parse("(p1 + 2)/(6*p2 - 4)")]
+    for _ in range(150):
+        a, b = rng.choice(pool), rng.choice(pool)
+        results = [a + b, a - b, a * b, -a, a * Fraction(2, 3), 1 - a,
+                   a.substitute({"p2": Fraction(5, 2)}),
+                   dot([a, b], [rng.randint(-3, 3), rng.randint(-3, 3)]),
+                   dot([a, b], [b, 2])]
+        if b:
+            results += [a / b, 3 / b]
+        for x in results:
+            assert_integer_representation(x)
+    # the public constructor takes Fraction coefficients and converts them
+    s = Scalar(r, {(1, 0): Fraction(1, 2), (0, 0): Fraction(-3, 4)},
+               {(0, 1): Fraction(-2, 3)})
+    assert_integer_representation(s)
+    assert str(s) == "(-3/4*p1 + 9/8)/p2"
+
+
+def test_mat_solve_keeps_integer_coefficients():
+    rng = random.Random(43)
+    r = ParamRegistry(["p", "q"])
+    pool = [r.parse(t) for t in ("p", "q", "1/2", "-3", "p/(q + 1)",
+                                 "(2*p - 1)/3", "1/(p*q - 2)", "0")]
+    solved = 0
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        a = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        b = [[rng.choice(pool) for _ in range(2)] for _ in range(n)]
+        try:
+            x = mat_solve(a, b)
+        except SingularMatrixError:
+            continue
+        solved += 1
+        for row in x:
+            for s in row:
+                assert_integer_representation(s)
+    assert solved > 25
+
+
+def test_change_of_basis_keeps_integer_coefficients(tent, cross3,
+                                                    bench_inputs):
+    # tent and the exact-scale workload's cross-polytopes at seed 1
+    cross4 = parse_spec(bench_inputs.cross_polytope(4, random.Random(2)))
+    for p in (tent[0], cross3[0], cross4[0]):
+        for i_set in admissible_index_sets(p):
+            for row in change_of_basis(p, i_set):
+                for s in row:
+                    assert_integer_representation(s)
+
+
+def test_dot_with_integer_weights():
+    """Weights as ints, as Scalars and as a term-by-term sum agree."""
+    rng = random.Random(17)
+    zero = negative = all_zero = 0
+    for i in range(120):
+        reg = ParamRegistry(["p1", "p2", "p3"][:rng.randint(1, 3)])
+        dens = []
+        while len(dens) < 3:
+            den = _random_term_poly(rng, reg.arity,
+                                    1 if dens else rng.randint(2, 3), 1)
+            if den:
+                dens.append(den)
+        k = rng.randint(1, 5)
+        u = [_random_dot_operand(rng, reg, dens) for _ in range(k)]
+        w = [0] * k if i % 10 == 0 else [rng.randint(-3, 3) for _ in range(k)]
+        got = dot(u, w)
+        assert got == dot(u, [reg.scalar(x) for x in w]), (u, w)
+        want = sum((a * x for a, x in zip(u, w)), reg.zero())
+        assert str(got) == str(want), (u, w)
+        assert_integer_representation(got)
+        zero += 0 in w
+        negative += any(x < 0 for x in w)
+        all_zero += not any(w)
+        if not any(w):
+            assert got.is_zero()
+    assert zero > 20 and negative > 50 and all_zero >= 12
