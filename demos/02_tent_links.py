@@ -48,7 +48,7 @@ print("section invariant under epsilon change:",
       section_invariance_check(p, nu1, eps1=Fraction(1, 3), eps2=2))
 
 # the circle direction over the section closes up only for rational b
-fib = fibration_data(p, edge, b={2: "p1"})
+fib = fibration_data(cone_section(p, edge, b={2: "p1"}))
 print("edge fibration with b_2 = p1: closed =", fib.closed,
       "split =", fib.split_ok)
 

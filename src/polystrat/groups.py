@@ -15,7 +15,7 @@ from .ambient import Quasilattice, admissible_index_sets, \
     basis_coordinates, find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
 from .polytope import Face, HPolytope
-from .scalars import dot, monomial_rows
+from .scalars import _int_dot, monomial_rows, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,14 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
     g = len(coords)
     rows = [row for pos, h in enumerate(i_sorted) if h not in common
             for row in monomial_rows([c[pos] for c in coords])]
-    if rows:
-        kernel = integer_kernel(rows)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
+    kernel = integer_kernel(rows) if rows else [
+        [1 if i == j else 0 for j in range(g)] for i in range(g)]
 
-    keep = [pos for pos, h in enumerate(i_sorted) if h in common]
-    gens = [tuple(dot([c[pos] for c in coords], combo) for pos in keep)
-            for combo in kernel]
+    # each kept column is cleared once per face
+    cols = [over_common_denominator([c[pos] for c in coords])
+            for pos, h in enumerate(i_sorted) if h in common]
+    gens = [tuple(_int_dot(p.registry, nums, den, combo)
+                  for nums, den in cols) for combo in kernel]
     return GroupDescriptor(p.registry, common, gens)
 
 

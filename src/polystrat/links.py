@@ -16,6 +16,9 @@ inside I_F; the slice itself is not validated.  Its own vertices are
 the one cross-check: their active sets must be the relabelled faces
 covering F.  Face index sets are the meets of vertex active sets, so
 this makes the intrinsic lattice the interval; a mismatch is an error.
+
+The fibration split needs no chart: a flag chart's stabilizer rows span the
+relations among the X_j of I_F, so b is in their span iff Y = sum b_j X_j = 0.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import _coerce_b, singular_chart
-from .linalg import mat_rank
+from .charts import _coerce_b
 from .polytope import Face, FaceLattice, HPolytope, _memoized
 from .scalars import ParamRegistry, Scalar, dot
 
@@ -155,29 +157,23 @@ class FibrationData:
 
     y_tilde lists the coefficients of sum b_j e_j on sorted(I_F).  The
     fiber subgroup closes up iff all coefficient ratios are rational
-    constants; the augmented rank certifies that y_tilde extends the
-    stabilizer kernel block to a direct sum.
+    constants.  split_ok says y_tilde extends the stabilizer kernel block
+    to a direct sum: a flag chart writes each stabilizer X_k through the
+    independent X_h, h in I cap I_F, so that holds exactly when Y != 0.
     """
 
     face_index_set: tuple
     y_tilde: tuple  # Scalars over sorted(I_F)
     closed: bool
-    augmented_rank: int
     split_ok: bool
 
 
-def fibration_data(p: HPolytope, face: Face, b=None) -> FibrationData:
-    labels = face.index_set
-    b = _coerce_b(p, labels, b)
-    basis = singular_chart(p, face).basis
-    stab = basis.kernel[:basis.stabilizer_count]
-    rows = [[vec[j - 1] for j in labels] for vec in stab]
-    rows.append(list(b))
-    rank = mat_rank(rows)
-    split_ok = rank == len(stab) + 1
-    closed = all((v / b[0]).is_rational_constant() for v in b)
-    return FibrationData(face_index_set=labels, y_tilde=b, closed=closed,
-                         augmented_rank=rank, split_ok=split_ok)
+def fibration_data(section: ConeSection) -> FibrationData:
+    b = section.b
+    return FibrationData(
+        face_index_set=section.face_index_set, y_tilde=b,
+        closed=all((v / b[0]).is_rational_constant() for v in b),
+        split_ok=any(section.y))
 
 
 @dataclass(frozen=True)
@@ -207,14 +203,12 @@ def _build_node(p: HPolytope, face: Face, chain, b, epsilon,
                            "ambient dimension bound")
     section = cone_section(p, face, b=b, epsilon=epsilon)
     link = link_polytope(p, section)
-    fib = fibration_data(p, face, b=b)
-    children = []
-    for g in link.polytope.face_lattice.singular_faces():
-        children.append(_build_node(
-            link.polytope, g, chain + (link.to_parent[g.index_set],),
-            None, epsilon, depth_left - 1))
+    children = tuple(
+        _build_node(link.polytope, g, chain + (link.to_parent[g.index_set],),
+                    None, epsilon, depth_left - 1)
+        for g in link.polytope.face_lattice.singular_faces())
     return LinkNode(chain=chain, face_index_set=face.index_set, link=link,
-                    fibration=fib, children=tuple(children))
+                    fibration=fibration_data(section), children=children)
 
 
 def link_tree(p: HPolytope, options=None):

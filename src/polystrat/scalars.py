@@ -770,12 +770,15 @@ def dot(u, v) -> Scalar:
     reg = u[0].registry
     nu, den = over_common_denominator(u)
     if all(type(x) is int for x in v):
-        terms = [_p_scale(a, k) for a, k in zip(nu, v)]
-    else:
-        nv, dv = over_common_denominator([reg.scalar(x) for x in v])
-        terms = [_p_mul(a, b) for a, b in zip(nu, nv)]
-        den = _p_mul(den, dv)
-    return _reduced(reg, _p_sum(terms), den)
+        return _int_dot(reg, nu, den, v)
+    nv, dv = over_common_denominator([reg.scalar(x) for x in v])
+    return _reduced(reg, _p_sum([_p_mul(a, b) for a, b in zip(nu, nv)]),
+                    _p_mul(den, dv))
+
+
+def _int_dot(reg: ParamRegistry, nums, den, ints) -> Scalar:
+    """sum_i ints_i * nums_i / den, for over_common_denominator's output."""
+    return _reduced(reg, _p_sum(map(_p_scale, nums, ints)), den)
 
 
 def monomial_rows(scalars: Iterable[Scalar]):

@@ -13,9 +13,10 @@ divides in the field at every step and so runs on Scalars as well as
 Fractions, the A_I-based offset identity and Psi constants
 that the per-vertex slack table replaced, the intrinsic route to a
 link polytope (validation and a lattice closed from its own vertices)
-that the parent's interval [F, P] replaced, and vertex enumeration by
-solving every n-subset of constraints, which double description
-replaced.
+that the parent's interval [F, P] replaced, the fibration split by
+a rank over the flag chart's stabilizer rows, which the section's
+Y != 0 replaced, and vertex enumeration by solving every n-subset of
+constraints, which double description replaced.
 """
 
 import itertools
@@ -402,6 +403,24 @@ def intrinsic_polytope(poly):
     from polystrat.polytope import HPolytope
 
     return HPolytope(poly.registry, poly.normals, poly.offsets)
+
+
+def flag_chart_fibration(p, face, b):
+    """(split, rank) of the fibration at a singular face from its flag chart.
+
+    The stabilizer kernel rows of the flag-adapted chart, restricted to
+    I_F, with the row b below them; the split holds when b raises the
+    rank.  Building the chart runs its consistency checks: a flag I
+    exists and each stabilizer column of A_I is supported on I cap I_F.
+    """
+    from polystrat.charts import singular_chart
+    from polystrat.linalg import mat_rank
+
+    basis = singular_chart(p, face).basis
+    stab = basis.kernel[:basis.stabilizer_count]
+    rows = [[vec[j - 1] for j in face.index_set] for vec in stab]
+    rank = mat_rank(rows + [list(b)])
+    return rank == len(stab) + 1, rank
 
 
 # -- vertices by solving every n-subset of constraints -----------------------

@@ -7,13 +7,18 @@ built into link_polytope, and rebuild each link by the intrinsic route
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from families import family
 
 import polystrat.links as L
-from oracles import intrinsic_polytope
+from oracles import flag_chart_fibration, intrinsic_polytope
+from polystrat.cli import fixture_spec
 from polystrat.polytope import HPolytope, ValidationError
+from polystrat.report import parse_spec
+from polystrat.scalars import ParamRegistry
 
 
 def _recheck_transfer(parent_poly, face, lp):
@@ -94,21 +99,61 @@ def test_tent_edge_link(tent):
 def test_apex_fibration(pyramid):
     p, _, _ = pyramid
     apex = p.face_lattice.face((1, 2, 3, 4))
-    fib = L.fibration_data(p, apex, b={4: "p2"})
+    fib = L.fibration_data(L.cone_section(p, apex, b={4: "p2"}))
     assert not fib.closed
-    assert fib.split_ok and fib.augmented_rank == 2
+    assert fib.split_ok
+    assert flag_chart_fibration(p, apex, fib.y_tilde) == (True, 2)
     assert [str(s) for s in fib.y_tilde] == ["1", "1", "1", "p2"]
-    rational = L.fibration_data(p, apex)
+    rational = L.fibration_data(L.cone_section(p, apex))
     assert rational.closed and rational.split_ok
 
 
 def test_tent_edge_fibration(tent):
     p, _, _ = tent
     edge = p.face_lattice.face((1, 2, 3, 4))
-    fib = L.fibration_data(p, edge, b={2: "p1"})
+    fib = L.fibration_data(L.cone_section(p, edge, b={2: "p1"}))
     assert [str(s) for s in fib.y_tilde] == ["1", "p1", "1", "1"]
     assert not fib.closed
     assert fib.split_ok
+
+
+def _nodes(p, forest):
+    """(polytope holding the node's face, node) for every node of a forest."""
+    for node in forest:
+        yield p, node
+        yield from _nodes(node.link.polytope, node.children)
+
+
+def test_fibration_split_matches_flag_chart_oracle(
+        pyramid, tent, pyramid_unit, tent_unit, cube3, simplex3, cross3):
+    """At every node the split from Y agrees with the flag-chart rank,
+    and that rank is r_F - (n - dim F) + 1: b extends the stabilizer rows."""
+    polys = [fx[0] for fx in (pyramid, tent, pyramid_unit, tent_unit,
+                              cube3, simplex3, cross3)]
+    for kind in ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism"):
+        rng = random.Random(f"links-{kind}")
+        polys += [HPolytope(ParamRegistry([]), *family(rng, kind))
+                  for _ in range(3)]
+    for p in polys:
+        nodes = list(_nodes(p, L.link_tree(p)))
+        assert nodes or p.is_simple
+        for poly, node in nodes:
+            face = poly.face_lattice.face(node.face_index_set)
+            split, rank = flag_chart_fibration(poly, face,
+                                               node.fibration.y_tilde)
+            assert node.fibration.split_ok == split
+            assert rank == face.r - (poly.n - face.dim) + 1
+
+
+def test_link_tree_builds_no_chart():
+    """Only the report's top-level embedding constants read a flag chart."""
+    for name in ("tent", "pyramid"):
+        p, _, _ = parse_spec(fixture_spec(name))
+        polys = [p] + [node.link.polytope
+                       for _, node in _nodes(p, L.link_tree(p))]
+        for poly in polys:
+            assert not [k for k in poly.memo
+                        if k[0] in ("chart", "change_of_basis")]
 
 
 # -- recursion trees ------------------------------------------------------
@@ -224,7 +269,7 @@ def test_bad_coefficients_rejected(pyramid):
     with pytest.raises(ValueError, match=r"\[9\] outside the face"):
         L.cone_section(p, apex, b={9: 5})
     with pytest.raises(ValueError, match="b must list 4"):
-        L.fibration_data(p, apex, b=[1, 1])
+        L.cone_section(p, apex, b=[1, 1])
 
 
 def test_link_vertices_must_match_the_parent_lattice(tent):

@@ -237,14 +237,17 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     assert counts["_build_lattice"] == 0
     # at most one index family per polytope: the tent and each link
     assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
-    # one regular chart per admissible set, plus one flag chart per link
-    # node, shared by its fibration, embedding constants and samples
+    # one regular chart per admissible set, plus one flag chart per
+    # singular face of the tent, shared by its embedding constants and
+    # samples; the link nodes below build none
     assert len(report["charts"]) == 72
-    assert counts["Chart"] == 72 + nodes
+    assert len(report["links"]) == 15
+    assert counts["Chart"] == 72 + len(report["links"])
     # at most one slack table per (polytope, vertex), shared by the
-    # charts at that vertex and their Psi constants
+    # charts at that vertex and their Psi constants; every chart is on
+    # the tent, so only its six vertices have one
     assert set(slack_tables.values()) == {1}
-    assert len(slack_tables) == 24
+    assert len(slack_tables) == len(p.vertices) == 6
 
 
 # -- pinned content -------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 import polystrat
-from polystrat import cli
+from polystrat import cli, linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,6 +54,11 @@ def test_tracer_runs_a_fixture_and_restores_the_package(tmp_path, capsys):
     tr.install()
     try:
         traced = _report(tmp_path / "traced", capsys)
+        # linalg.rank counts linalg.mat_rank, which no module of the
+        # package calls: the report makes none, and one direct call shows
+        report_ranks = tr.call_count("linalg.mat_rank")
+        one = polystrat.ParamRegistry([]).one()
+        linalg.mat_rank([[one, one]])
     finally:
         tr.uninstall()
     assert _bindings(tracer) == before
@@ -63,6 +68,8 @@ def test_tracer_runs_a_fixture_and_restores_the_package(tmp_path, capsys):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert list(metrics) == [m["name"] for m in spec["per_layer"]]
     assert len(metrics) == 40
-    for name in ("linalg.rank", "linalg.solve", "polytope.builds",
-                 "polytope.contains", "links.nodes"):
+    for name in ("linalg.solve", "polytope.builds", "polytope.contains",
+                 "links.nodes"):
         assert metrics[name][0] > 0, name
+    assert report_ranks == 0
+    assert metrics["linalg.rank"][0] == 1
