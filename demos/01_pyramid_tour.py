@@ -9,8 +9,8 @@ group, lifts and slices, and the cone at the singular apex.
 
 from fractions import Fraction
 
-from polystrat.ambient import Quasilattice, admissible_index_sets, \
-    change_of_basis, classify_choice
+from polystrat.ambient import Quasilattice, adapted_kernel_basis, \
+    admissible_index_sets, change_of_basis, classify_choice
 from polystrat.charts import cone_neighborhood, lift_point, moment_values, \
     psi_equations, regular_chart, regular_slice, singular_chart
 from polystrat.groups import gamma_group
@@ -54,7 +54,7 @@ chart = regular_chart(p, i_set)
 print("slacks:", {r: str(s) for r, s in sorted(chart.slacks.items())})
 
 # the level-set equations sum coeff * |z_j|^2 + constant = 0
-for vec, const in psi_equations(p, chart.basis):
+for vec, const in psi_equations(p, adapted_kernel_basis(p, i_set)):
     print("level set:", [str(x) for x in vec], "+", str(const))
 
 gamma = gamma_group(p, q, i_set)
@@ -65,7 +65,7 @@ print("chart group structure:", gamma.structure().label)
 # lift an interior point and read the moment maps back
 mu = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
 z = lift_point(p, mu)
-ups, psi, phi = moment_values(p, z, chart.basis)
+ups, psi, phi = moment_values(p, z, chart)
 print("lift of", tuple(map(str, mu)), "-> |psi| =",
       max(abs(v) for v in psi), " phi =", [float(round(x, 12)) for x in phi])
 

@@ -6,15 +6,15 @@ basis matrix A_I, with X_j = sum_h a_hj X_h for every j.  Independence
 and basis tests are decided at the evaluation point, on the polytope's
 integer constraint rows.  The offset identity lambda_k = sum_h a_hk
 lambda_h on a vertex's active set is the polytope's symbolic vertex
-certificate, and the slacks off the vertex come from its per-vertex
-table (HPolytope.vertex_slacks), whatever the basis I.
+certificate.  The symbolic A_I is the reference for charts, which
+share its flag labels and kernel vectors (_flag_labels, _kernel_vector)
+but take their numbers from the integer rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .linalg import SingularMatrixError, int_rank, mat_solve
 from .polytope import Face, HPolytope, ValidationError, _memoized
@@ -159,17 +159,32 @@ class AdaptedBasisData:
     kernel_labels: tuple
     stabilizer_count: int = 0
 
-    @cached_property
-    def float_kernel(self):
-        """The kernel vectors at the evaluation point, as floats."""
-        return tuple(tuple(float(x.evaluate()) for x in vec)
-                     for vec in self.kernel)
+
+def _flag_labels(p: HPolytope, index_set, face: Face):
+    """(sorted I, vertex, I_mu, I cap I_F, kernel labels, stabilizer count)
+    for an admissible I at a face through its vertex; the stabilizer
+    labels of I_F come first, then those outside I union I_F."""
+    family = admissible_index_sets(p)
+    i_sorted = tuple(sorted(index_set))
+    if i_sorted not in family:
+        raise ValueError(f"{i_sorted} is not an admissible index set")
+    vid = family.vertex_of(i_sorted)
+    i_mu = p.vertices[vid].active
+    i_f = face.index_set
+    if not set(i_f) <= set(i_mu):
+        raise ValueError(f"face {i_f} does not contain the vertex of "
+                         f"{i_sorted}")
+    common = flag_intersection(p, face, i_sorted)
+    stab_labels = tuple(k for k in i_f if k not in common)
+    rest = tuple(j for j in range(1, p.d + 1)
+                 if j not in i_f and j not in i_sorted)
+    return i_sorted, vid, i_mu, common, stab_labels + rest, len(stab_labels)
 
 
-def _kernel_vector(p, a, i_sorted, j, support):
-    """e_j - sum_{h in support} a_hj e_h as a length-d Scalar vector."""
-    v = [p.registry.zero() for _ in range(p.d)]
-    v[j - 1] = p.registry.one()
+def _kernel_vector(a, i_sorted, j, support, zero, one):
+    """e_j - sum_{h in support} a_hj e_h over the d columns of A_I."""
+    v = [zero] * len(a[0])
+    v[j - 1] = one
     for h in support:
         v[h - 1] = -a[i_sorted.index(h)][j - 1]
     return tuple(v)
@@ -179,26 +194,13 @@ def adapted_kernel_basis(p: HPolytope, index_set,
                          face: Face | None = None) -> AdaptedBasisData:
     """A_I and the kernel basis of pi adapted to the flag of a face.
 
-    The face must contain the vertex of I; no face means the whole
-    polytope, whose I_F is empty.  The stabilizer labels of I_F come
-    first, then the labels outside I union I_F in sorted order.
+    No face means the whole polytope, whose I_F is empty.  Labels and
+    checks are those of _flag_labels.
     """
-    family = admissible_index_sets(p)
-    i_sorted = tuple(sorted(index_set))
-    if i_sorted not in family:
-        raise ValueError(f"{i_sorted} is not an admissible index set")
-    vid = family.vertex_of(i_sorted)
-    i_mu = p.vertices[vid].active
+    i_sorted, vid, i_mu, common, labels, stab = _flag_labels(
+        p, index_set, face or p.face_lattice.top)
     a = change_of_basis(p, i_sorted)
-    if face is None:
-        face = p.face_lattice.top
-    i_f = face.index_set
-    if not set(i_f) <= set(i_mu):
-        raise ValueError(f"face {i_f} does not contain the vertex of "
-                         f"{i_sorted}")
-    common = flag_intersection(p, face, i_sorted)
-    stab_labels = [k for k in i_f if k not in common]
-    for k in stab_labels:
+    for k in labels[:stab]:
         # X_k lies in the span of {X_h : h in I cap I_F}; the remaining
         # coefficients must vanish identically
         for h in i_sorted:
@@ -206,15 +208,13 @@ def adapted_kernel_basis(p: HPolytope, index_set,
                 raise ValueError(
                     f"column {k} of A_I has support outside I cap I_F; "
                     "flag data inconsistent")
-    rest = [j for j in range(1, p.d + 1)
-            if j not in i_f and j not in i_sorted]
-    kernel = [_kernel_vector(p, a, i_sorted, k, common) for k in stab_labels]
-    kernel += [_kernel_vector(p, a, i_sorted, j, i_sorted) for j in rest]
+    zero, one = p.registry.zero(), p.registry.one()
     return AdaptedBasisData(
         vertex_id=vid, vertex_index_set=i_mu, index_set=i_sorted,
-        a_matrix=a, kernel=tuple(kernel),
-        kernel_labels=tuple(stab_labels + rest),
-        stabilizer_count=len(stab_labels))
+        a_matrix=a, kernel=tuple(
+            _kernel_vector(a, i_sorted, j, common if k < stab else i_sorted,
+                           zero, one) for k, j in enumerate(labels)),
+        kernel_labels=labels, stabilizer_count=stab)
 
 
 def flag_intersection(p: HPolytope, face: Face, index_set):

@@ -1,7 +1,7 @@
 """Moment maps, chart domains, slices, and local cone embeddings.
 
-Coefficients (change-of-basis entries, slacks, kernel vectors) are
-exact; points are lists of d Python complex numbers.  A
+Coefficients (change-of-basis entries, slacks) are exact Fractions at
+the evaluation point; points are lists of d Python complex numbers.  A
 point z determines Upsilon_j = |z_j|^2 + lambda_j; the reduced moment
 map Psi pairs Upsilon with the kernel basis of pi, and Phi solves
 <Phi, X_h> = Upsilon_h over an admissible index block.
@@ -10,10 +10,9 @@ Domain checks mirror the defining inequalities of the chart sets: the
 regular slice needs sum_h a_hk |u_h|^2 > 0 for the extra active
 constraints and > -slack_r for the inactive ones; the singular slice
 is the same with the face block frozen to zero.  A chart is taken at a
-face; the regular chart is the chart at the whole polytope.  The
-slacks, and Psi's constants, are read from the polytope's per-vertex
-slack table (HPolytope.vertex_slacks), where the offset identity at
-the chart's vertex is decided once for every basis I there.
+face; the regular chart is the chart at the whole polytope.  Charts
+read A_I and the slacks from the integer rows and exact vertices; the
+symbolic Psi table (psi_equations) serves the report's charts section.
 """
 
 from __future__ import annotations
@@ -24,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .ambient import AdaptedBasisData, adapted_kernel_basis, \
-    find_flag_index_set, flag_intersection
+from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
+    find_flag_index_set
+from .linalg import int_solve
 from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
 
@@ -58,22 +58,22 @@ class Chart:
     """The flag-adapted chart at a face F over an admissible I.
 
     At the whole polytope I_F is empty, so common is empty, w_labels is
-    all of I and the chart is the regular chart.
+    all of I and the chart is the regular chart.  Its numbers are
+    adapted_kernel_basis's at the evaluation point, from the integer rows.
     """
 
     face_index_set: tuple  # () for the regular chart
     index_set: tuple
+    vertex_id: int
     common: tuple  # I cap I_F
     w_labels: tuple  # I minus common; the (C*)^p coordinates
     mid_labels: tuple  # I_mu minus (I union I_F)
     out_labels: tuple  # labels not in I_mu
-    basis: AdaptedBasisData  # flag-adapted
+    kernel_labels: tuple  # stabilizer labels first; see _flag_labels
+    stabilizer_count: int
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
-    slacks: dict  # r -> Fraction, positive; see HPolytope.vertex_slacks
-
-    @property
-    def vertex_id(self) -> int:
-        return self.basis.vertex_id
+    slacks: dict  # r -> Fraction, positive, for r in out_labels
+    float_kernel: tuple  # the kernel basis of pi, as floats
 
     @property
     def dim(self) -> int:
@@ -82,21 +82,26 @@ class Chart:
 
 def _chart(p: HPolytope, face: Face, index_set) -> Chart:
     def build():
-        basis = adapted_kernel_basis(p, index_set, face=face)
-        i_sorted = basis.index_set
-        common = flag_intersection(p, face, i_sorted)
-        union = set(face.index_set) | set(i_sorted)
-        i_mu = basis.vertex_index_set
-        out = tuple(r for r in range(1, p.d + 1) if r not in i_mu)
-        slacks = p.vertex_slacks(basis.vertex_id)
+        i_sorted, vid, i_mu, common, labels, stab = _flag_labels(
+            p, index_set, face)
+        # primitive row j is m_j X_j, so a_hj = b_hj m_h / m_j
+        m = p._int_scale
+        block = [[p._int_x[h - 1][i] for h in i_sorted] for i in range(p.n)]
+        cols = [int_solve(block, row) for row in p._int_x]
+        a_num = tuple(tuple(b[pos] * m[h - 1] / m[j] for j, b in
+                            enumerate(cols)) for pos, h in enumerate(i_sorted))
+        slacks = p.slacks(p.vertices[vid].coords)
+        out = tuple(r for r in labels[stab:] if r not in i_mu)
         return Chart(
             face_index_set=face.index_set, index_set=i_sorted, common=common,
             w_labels=tuple(h for h in i_sorted if h not in common),
-            mid_labels=tuple(k for k in i_mu if k not in union),
-            out_labels=out, basis=basis,
-            a_num=tuple(tuple(x.evaluate() for x in row)
-                        for row in basis.a_matrix),
-            slacks={r: slacks[r - 1].evaluate() for r in out})
+            mid_labels=tuple(k for k in labels[stab:] if k in i_mu),
+            out_labels=out, vertex_id=vid, kernel_labels=labels,
+            stabilizer_count=stab, a_num=a_num,
+            slacks={r: slacks[r - 1] for r in out},
+            float_kernel=tuple(tuple(map(float, _kernel_vector(
+                a_num, i_sorted, j, common if k < stab else i_sorted, 0, 1)))
+                for k, j in enumerate(labels)))
     return _memoized(p, ("chart", face.index_set, tuple(sorted(index_set))),
                      build)
 
@@ -184,13 +189,15 @@ def _solve_block(rows, rhs, i_sorted):
     return x
 
 
-def moment_values(p: HPolytope, z, basis: AdaptedBasisData):
+def moment_values(p: HPolytope, z, chart: Chart):
     """(Upsilon, Psi, Phi) of an ambient point as lists of floats."""
-    i_sorted = basis.index_set
+    i_sorted = chart.index_set
+    if len(z) != p.d:
+        raise ValueError(f"z must have {p.d} coordinates")
     rows, lam = _float_block(p, i_sorted)
     ups = [abs(v) ** 2 + l for v, l in zip(z, lam)]
     psi = [sum(vec[j] * ups[j] for j in range(p.d))
-           for vec in basis.float_kernel]
+           for vec in chart.float_kernel]
     phi = _solve_block(rows, [ups[h - 1] for h in i_sorted], i_sorted)
     return ups, psi, phi
 
@@ -237,6 +244,8 @@ def singular_slice(p: HPolytope, chart: Chart, w):
 def torus_action(p: HPolytope, index_set, x_vec, z):
     """Rotate z by the phases of exp applied to the I-block preimage of x."""
     i_sorted = tuple(sorted(index_set))
+    if len(x_vec) != p.n or len(z) != p.d:
+        raise ValueError(f"x must have {p.n} coordinates and z {p.d}")
     rows, _lam = _float_block(p, i_sorted)
     theta = _solve_block(zip(*rows), [float(v) for v in x_vec], i_sorted)
     z = [complex(v) for v in z]
@@ -259,7 +268,7 @@ def moment_map_cone(p: HPolytope, chart: Chart, z_f):
     if len(z_f) != len(i_f):
         raise ValueError(f"z_f must have {len(i_f)} coordinates on {i_f}")
     sq = {j: abs(complex(v)) ** 2 for j, v in zip(i_f, z_f)}
-    stab = chart.basis.float_kernel[:chart.basis.stabilizer_count]
+    stab = chart.float_kernel[:chart.stabilizer_count]
     psi = [sum(vec[j - 1] * sq[j] for j in i_f) for vec in stab]
     lam = p.numeric_offsets()
     phi = tuple(sq[h] + float(lam[h - 1]) for h in chart.common)

@@ -187,6 +187,8 @@ class HPolytope:
 
     def _scaled_slacks(self, point):
         """(D, D * m_j times every slack at point as integers), D > 0."""
+        if len(point) != self.n:
+            raise ValueError(f"point must have {self.n} coordinates")
         den, num = _clear_denominators(point)
         return den, [sum(a * k for a, k in zip(row, num)) - den * b
                      for row, b in zip(self._int_x, self._int_l)]

@@ -20,8 +20,8 @@ import random
 from fractions import Fraction
 
 from . import ALL_SECTIONS
-from .ambient import Quasilattice, admissible_index_sets, classify_choice, \
-    find_flag_index_set
+from .ambient import Quasilattice, adapted_kernel_basis, \
+    admissible_index_sets, classify_choice, find_flag_index_set
 from .charts import cone_embedding, cone_neighborhood, lift_point, \
     moment_values, psi_equations, regular_chart, regular_slice, \
     sample_cone_points, sample_polytope_points, sample_regular_domain, \
@@ -221,28 +221,24 @@ def _faces_section(p: HPolytope):
     }
 
 
-def _regular_charts(p: HPolytope):
-    return [regular_chart(p, i_set) for i_set in admissible_index_sets(p)]
-
-
 def _charts_section(p: HPolytope, q: Quasilattice):
     out = []
-    for chart in _regular_charts(p):
-        i_set = chart.index_set
+    for i_set in admissible_index_sets(p):
+        basis = adapted_kernel_basis(p, i_set)
         gamma = gamma_group(p, q, i_set)
         st = gamma.structure()
-        eqs = psi_equations(p, chart.basis)
-        slacks = p.vertex_slacks(chart.vertex_id)
+        eqs = psi_equations(p, basis)
+        slacks = p.vertex_slacks(basis.vertex_id)
         out.append({
             "index_set": list(i_set),
-            "vertex_index_set": list(chart.basis.vertex_index_set),
-            "a_matrix": [[str(x) for x in row]
-                         for row in chart.basis.a_matrix],
-            "kernel_labels": list(chart.basis.kernel_labels),
+            "vertex_index_set": list(basis.vertex_index_set),
+            "a_matrix": [[str(x) for x in row] for row in basis.a_matrix],
+            "kernel_labels": list(basis.kernel_labels),
             "kernel_vectors": [[str(x) for x in vec]
-                               for vec in chart.basis.kernel],
+                               for vec in basis.kernel],
             "psi_constants": [str(c) for _vec, c in eqs],
-            "slacks": {str(r): str(slacks[r - 1]) for r in chart.out_labels},
+            "slacks": {str(r): str(slacks[r - 1]) for r in range(1, p.d + 1)
+                       if r not in basis.vertex_index_set},
             # empty on a validated polytope; see regular_chart
             "pi1_rank": 0,
             "i_star": [],
@@ -345,13 +341,12 @@ def _residual(psi, phi=(), mu=()):
 
 def run_verification(p: HPolytope, options, rng):
     n_samples = options["samples"]
-    charts = _regular_charts(p)
-    base = charts[0].basis
+    charts = [regular_chart(p, i_set) for i_set in admissible_index_sets(p)]
 
     lift_res = 0.0
     for mu in sample_polytope_points(p, n_samples, rng, strict=False):
         z = lift_point(p, mu)
-        _ups, psi, phi = moment_values(p, z, base)
+        _ups, psi, phi = moment_values(p, z, charts[0])
         lift_res = max(lift_res, _residual(psi, phi, mu))
 
     reg_res = 0.0
@@ -359,7 +354,7 @@ def run_verification(p: HPolytope, options, rng):
     for chart in charts:
         for mu, u in sample_regular_domain(p, chart, per, rng):
             z = regular_slice(p, chart, u)
-            _ups, psi, phi = moment_values(p, z, chart.basis)
+            _ups, psi, phi = moment_values(p, z, chart)
             reg_res = max(reg_res, _residual(psi, phi, mu))
 
     tor_res = 0.0
@@ -370,8 +365,8 @@ def run_verification(p: HPolytope, options, rng):
             z = regular_slice(p, chart, u)
             x = [Fraction(rng.randrange(-64, 65), 16) for _ in range(p.n)]
             z2 = torus_action(p, chart.index_set, [float(v) for v in x], z)
-            _u1, psi1, phi1 = moment_values(p, z, chart.basis)
-            _u2, psi2, phi2 = moment_values(p, z2, chart.basis)
+            _u1, psi1, phi1 = moment_values(p, z, chart)
+            _u2, psi2, phi2 = moment_values(p, z2, chart)
             tor_res = max(tor_res,
                           max(abs(a - b) for a, b in zip(phi1, phi2)),
                           max((abs(a - b) for a, b in zip(psi1, psi2)),
@@ -388,7 +383,7 @@ def run_verification(p: HPolytope, options, rng):
             chart = singular_chart(p, face)
             for mu, w in sample_singular_domain(p, chart, per, rng):
                 z = singular_slice(p, chart, w)
-                _ups, psi, phi = moment_values(p, z, chart.basis)
+                _ups, psi, phi = moment_values(p, z, chart)
                 sing_res = max(sing_res, _residual(psi, phi, mu))
             nb = cone_neighborhood(p, chart,
                                    b=options["b"].get(face.index_set))
@@ -400,7 +395,7 @@ def run_verification(p: HPolytope, options, rng):
                     w.append(math.sqrt(float(t))
                              * cmath.exp(2j * math.pi * rng.random()))
                 z = cone_embedding(p, chart, nb, w, zf)
-                _ups, psi, _phi = moment_values(p, z, chart.basis)
+                _ups, psi, _phi = moment_values(p, z, chart)
                 emb_res = max(emb_res, _residual(psi))
 
     tol = options["tolerances"]

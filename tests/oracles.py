@@ -396,6 +396,32 @@ def psi_constant_sum(p, vec):
     return sum((vec[j] * p.offsets[j] for j in range(p.d)), p.registry.zero())
 
 
+def evaluated_chart(p, face, index_set):
+    """A chart's numbers from the symbolic flag-adapted basis, evaluated.
+
+    A_I and the kernel vectors of adapted_kernel_basis, and the vertex's
+    symbolic slacks off I_mu, evaluated Scalar by Scalar at the
+    evaluation point; keyed by the Chart fields they must equal.
+    Building the basis runs its symbolic check that each stabilizer
+    column of A_I is supported on I cap I_F.
+    """
+    from polystrat.ambient import adapted_kernel_basis
+
+    basis = adapted_kernel_basis(p, index_set, face)
+    slacks = p.vertex_slacks(basis.vertex_id)
+    return {
+        "vertex_id": basis.vertex_id,
+        "a_num": tuple(tuple(x.evaluate() for x in row)
+                       for row in basis.a_matrix),
+        "slacks": {r: slacks[r - 1].evaluate() for r in range(1, p.d + 1)
+                   if r not in basis.vertex_index_set},
+        "float_kernel": tuple(tuple(float(x.evaluate()) for x in vec)
+                              for vec in basis.kernel),
+        "kernel_labels": basis.kernel_labels,
+        "stabilizer_count": basis.stabilizer_count,
+    }
+
+
 # -- link polytopes by the intrinsic route -----------------------------------
 
 def intrinsic_polytope(poly):
@@ -408,15 +434,16 @@ def intrinsic_polytope(poly):
 def flag_chart_fibration(p, face, b):
     """(split, rank) of the fibration at a singular face from its flag chart.
 
-    The stabilizer kernel rows of the flag-adapted chart, restricted to
+    The stabilizer kernel rows of the flag-adapted basis, restricted to
     I_F, with the row b below them; the split holds when b raises the
-    rank.  Building the chart runs its consistency checks: a flag I
+    rank.  Building the basis runs its consistency checks: a flag I
     exists and each stabilizer column of A_I is supported on I cap I_F.
     """
-    from polystrat.charts import singular_chart
+    from polystrat.ambient import adapted_kernel_basis, find_flag_index_set
     from polystrat.linalg import mat_rank
 
-    basis = singular_chart(p, face).basis
+    i_set, _vid = find_flag_index_set(p, face)
+    basis = adapted_kernel_basis(p, i_set, face)
     stab = basis.kernel[:basis.stabilizer_count]
     rows = [[vec[j - 1] for j in face.index_set] for vec in stab]
     rank = mat_rank(rows + [list(b)])

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import check_vertex_lambda_identity, \
+from families import family
+from oracles import check_vertex_lambda_identity, evaluated_chart, \
     frac_sample_polytope_points, psi_constant_sum
 
 import polystrat.charts as C
@@ -64,7 +65,7 @@ def test_pyramid_chart_matrix(pyr):
 def test_psi_equations_symbolic(pyr):
     p, fam = pyr
     ch = C.regular_chart(p, (2, 3, 4))
-    table = C.psi_equations(p, ch.basis)
+    table = C.psi_equations(p, adapted_kernel_basis(p, (2, 3, 4)))
     assert len(table) == 2
     v1, c1 = table[0]
     v5, c5 = table[1]
@@ -125,6 +126,56 @@ def test_tent_chart_blocks(tnt):
     assert ch.slacks == {5: Fraction(3), 8: Fraction(5), 9: Fraction(1)}
 
 
+def _chart_pairs(p):
+    """(face, I): every admissible I at the whole polytope, and every I
+    meeting the flag condition at every singular face."""
+    fam = admissible_index_sets(p)
+    pairs = [(p.face_lattice.top, i_set) for i_set in fam]
+    for face in p.face_lattice.singular_faces():
+        pairs += [(face, i_set) for vid in face.vertex_ids
+                  for i_set in fam.for_vertex(vid)
+                  if len(set(face.index_set) & set(i_set))
+                  == p.n - face.dim]
+    return pairs
+
+
+def _check_against_evaluated_charts(polys):
+    """Each chart equals the evaluated symbolic chart, field for field;
+    returns the number of flag charts checked."""
+    flags = 0
+    for p in polys:
+        for face, i_set in _chart_pairs(p):
+            ref = evaluated_chart(p, face, i_set)
+            ch = C.singular_chart(p, face, i_set)
+            assert {k: getattr(ch, k) for k in ref} == ref, \
+                (face.index_set, i_set)
+            flags += bool(face.index_set)
+    return flags
+
+
+def _with_links(p, options=None):
+    return [p] + [node.link.polytope for root in link_tree(p, options)
+                  for node in root.walk()]
+
+
+@pytest.mark.parametrize("name", ["pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3", "cross3"])
+def test_charts_equal_the_evaluated_symbolic_charts(name, request):
+    p, _q, options = request.getfixturevalue(name)
+    flags = _check_against_evaluated_charts(_with_links(p, options))
+    assert flags or p.is_simple
+
+
+@pytest.mark.parametrize("kind", ["pyramid", "bipyramid", "polygon-prism",
+                                  "pyramid-prism"])
+def test_family_charts_equal_the_evaluated_symbolic_charts(kind):
+    rng = random.Random(f"charts-{kind}")
+    for _ in range(3):
+        p = HPolytope(ParamRegistry([]), *family(rng, kind))
+        flags = _check_against_evaluated_charts([p])
+        assert bool(flags) == (kind != "polygon-prism")
+
+
 def i_star_of_system(rows, bounds, positions):
     """Exact-LP oracle: the positions h whose hyperplane misses the cone.
 
@@ -171,7 +222,7 @@ def test_apex_lift_pinned(pyr):
     assert list(z[:4]) == [0, 0, 0, 0]
     assert z[4] == pytest.approx(math.sqrt(3), abs=1e-15)
     ch = C.regular_chart(p, (2, 3, 4))
-    _, psi, phi = C.moment_values(p, z, ch.basis)
+    _, psi, phi = C.moment_values(p, z, ch)
     assert max(abs(v) for v in psi) <= 1e-12
     assert np.allclose(phi, [0, 0, 1], atol=1e-12)
 
@@ -194,10 +245,32 @@ def test_lift_rejects_outside_point(pyr):
     assert 1 <= err.value.label <= p.d
 
 
+@pytest.mark.parametrize("cut", [-1, 1])
+def test_points_of_the_wrong_length_are_rejected(pyr, cut):
+    # short or long points used to end in a bare IndexError, or in a
+    # short point from torus_action
+    p, _ = pyr
+    ch = C.regular_chart(p, (2, 3, 4))
+    mu = p.interior_point()
+    z = C.lift_point(p, mu)
+    mu_bad = mu[:cut] if cut < 0 else mu + (Fraction(0),)
+    z_bad = z[:cut] if cut < 0 else z + [0j]
+    x = [0.5, 0.0, 0.25]
+    x_bad = x[:cut] if cut < 0 else x + [0.0]
+    with pytest.raises(ValueError, match="must have 3 coordinates"):
+        C.lift_point(p, mu_bad)
+    with pytest.raises(ValueError, match="must have 5 coordinates"):
+        C.moment_values(p, z_bad, ch)
+    for args in ((x_bad, z), (x, z_bad)):
+        with pytest.raises(ValueError, match="must have 3 coordinates "
+                                             "and z 5"):
+            C.torus_action(p, ch.index_set, *args)
+
+
 def test_upsilon_at_origin_equals_offsets(pyr, tnt):
     for p, fam in (pyr, tnt):
         ch = C.regular_chart(p, next(iter(fam)))
-        ups, _, _ = C.moment_values(p, np.zeros(p.d, dtype=complex), ch.basis)
+        ups, _, _ = C.moment_values(p, np.zeros(p.d, dtype=complex), ch)
         assert ups == [float(l) for l in p.numeric_offsets()]
 
 
@@ -207,7 +280,7 @@ def test_lift_phi_roundtrip_sampled(pyr, tnt):
         ch = C.regular_chart(p, next(iter(fam)))
         for mu in C.sample_polytope_points(p, 12, rng, strict=True):
             z = C.lift_point(p, mu)
-            _, psi, phi = C.moment_values(p, z, ch.basis)
+            _, psi, phi = C.moment_values(p, z, ch)
             assert max(abs(v) for v in psi) <= 1e-12
             assert max(abs(a - float(b)) for a, b in zip(phi, mu)) <= 1e-9
 
@@ -249,7 +322,7 @@ def test_slice_lands_on_zero_level_sampled(pyr, tnt):
             ch = C.regular_chart(p, i_set)
             for _mu, u in C.sample_regular_domain(p, ch, 8, rng):
                 z = C.regular_slice(p, ch, u)
-                ups, psi, phi = C.moment_values(p, z, ch.basis)
+                ups, psi, phi = C.moment_values(p, z, ch)
                 assert max(abs(v) for v in psi) <= 1e-9
                 # phi comes from a float solve; pairing it with every
                 # normal must reproduce Upsilon
@@ -291,11 +364,11 @@ def test_torus_preserves_moment_values_sampled(pyr, tnt):
     for p, fam in (pyr, tnt):
         ch = C.regular_chart(p, next(iter(fam)))
         z = C.lift_point(p, p.interior_point())
-        _, psi0, phi0 = C.moment_values(p, z, ch.basis)
+        _, psi0, phi0 = C.moment_values(p, z, ch)
         for _ in range(8):
             x = [rng.uniform(-2, 2) for _ in range(p.n)]
             z2 = C.torus_action(p, ch.index_set, x, z)
-            _, psi, phi = C.moment_values(p, z2, ch.basis)
+            _, psi, phi = C.moment_values(p, z2, ch)
             assert max(abs(a - b) for a, b in zip(phi, phi0)) <= 1e-9
             assert max(abs(a - b) for a, b in zip(psi, psi0)) <= 1e-9
 
@@ -348,11 +421,11 @@ def test_moment_values_and_torus_match_numpy(request, name):
         for _mu, u in C.sample_regular_domain(p, ch, 3, rng):
             z = C.regular_slice(p, ch, u)
             assert all(type(v) is complex for v in z)
-            ups, psi, phi = C.moment_values(p, z, ch.basis)
+            ups, psi, phi = C.moment_values(p, z, ch)
             ups_ref = np.abs(np.array(z)) ** 2 + lam
             assert _rel_err(ups, ups_ref) <= 1e-12
             # Psi cancels to about 0 on the slice: scale by its terms
-            kernel = np.array(ch.basis.float_kernel)
+            kernel = np.array(ch.float_kernel)
             assert _rel_err(psi, kernel @ ups_ref,
                             (np.abs(kernel) @ np.abs(ups_ref)).max()) <= 1e-12
             assert _rel_err(phi, np.linalg.solve(rows, ups_ref[pos])) <= 1e-12
@@ -394,7 +467,7 @@ def test_apex_singular_chart_blocks(pyr):
     assert sch.mid_labels == ()
     assert sch.out_labels == (5,)
     assert sch.dim == 0 == apex.dim
-    assert sch.basis.stabilizer_count == 1
+    assert sch.stabilizer_count == 1
 
 
 def test_tent_edge_singular_chart_blocks(tnt):
@@ -449,7 +522,7 @@ def test_singular_slice_lands_on_zero_level(tnt):
     sch = C.singular_chart(p, edge, (1, 2, 3, 6))
     for _mu, w in C.sample_singular_domain(p, sch, 8, rng):
         z = C.singular_slice(p, sch, w)
-        _, psi, _ = C.moment_values(p, z, sch.basis)
+        _, psi, _ = C.moment_values(p, z, sch)
         assert max(abs(v) for v in psi) <= 1e-9
 
 
@@ -522,7 +595,7 @@ def test_apex_cone_embedding_pinned(pyr):
     for j, v in zip((1, 2, 3, 4), zf):
         assert z[j - 1] == complex(v)
     assert abs(z[4]) == pytest.approx(math.sqrt(21 / 8), abs=1e-12)
-    _, psi, _ = C.moment_values(p, z, sch.basis)
+    _, psi, _ = C.moment_values(p, z, sch)
     assert max(abs(v) for v in psi) <= 1e-9
 
 
@@ -569,7 +642,7 @@ def test_sampled_cone_points_embed(pyr):
         psi, _ = C.moment_map_cone(p, sch, zf)
         assert max(abs(v) for v in psi) <= 1e-9
         z = C.cone_embedding(p, sch, nb, [], zf)
-        _, full_psi, _ = C.moment_values(p, z, sch.basis)
+        _, full_psi, _ = C.moment_values(p, z, sch)
         assert max(abs(v) for v in full_psi) <= 1e-9
 
 

@@ -48,6 +48,14 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports but never uses: {unused}"
 
 
+def test_charts_import_no_symbolic_change_of_basis():
+    # charts take A_I from the integer rows; the symbolic A_I is the
+    # charts section's, and the tests' reference
+    path = Path(polystrat.__file__).parent / "charts.py"
+    names = {name for name, _line in _imported(ast.parse(path.read_text()))}
+    assert not names & {"adapted_kernel_basis", "change_of_basis"}
+
+
 @pytest.mark.parametrize("path", MODULES + [Path(polystrat.__file__)],
                          ids=lambda p: p.name)
 def test_no_numeric_third_party_imports(path):

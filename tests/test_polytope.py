@@ -186,6 +186,17 @@ def test_contains_and_active_set_match_direct_evaluation(pyramid, tent):
                     j for j, s in enumerate(slacks, start=1) if s == 0)
 
 
+@pytest.mark.parametrize("point", [(Fraction(1, 2), Fraction(1, 2)),
+                                   (Fraction(1, 2),) * 4])
+def test_point_of_the_wrong_length_is_rejected(cube3, point):
+    # zipping the rows with a short point used to answer for a
+    # projection: contains((1/2, 1/2)) was True with active set (3,)
+    p = cube3[0]
+    for call in (p.contains, p.active_set, p.slacks):
+        with pytest.raises(ValueError, match="must have 3 coordinates"):
+            call(point)
+
+
 FIXTURE_NAMES = ("pyramid", "tent", "pyramid_unit", "tent_unit", "cube3",
                  "simplex3")
 

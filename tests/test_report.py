@@ -18,6 +18,7 @@ import polystrat.ambient as ambient
 import polystrat.charts as charts
 import polystrat.polytope as polytope
 from polystrat.cli import fixture_spec
+from polystrat.links import link_tree
 from polystrat.polytope import HPolytope
 from polystrat.report import SpecError, build_report, dot_export, fnum, \
     parse_spec, render_report
@@ -244,10 +245,25 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     assert len(report["links"]) == 15
     assert counts["Chart"] == 72 + len(report["links"])
     # at most one slack table per (polytope, vertex), shared by the
-    # charts at that vertex and their Psi constants; every chart is on
-    # the tent, so only its six vertices have one
+    # charts section's entries at that vertex and their Psi constants;
+    # charts read no table, so only the tent's six vertices have one
     assert set(slack_tables.values()) == {1}
     assert len(slack_tables) == len(p.vertices) == 6
+
+
+@pytest.mark.parametrize("section", ["verify", "links"])
+@pytest.mark.parametrize("name", ["tent", "pyramid"])
+def test_numeric_sections_solve_no_symbolic_chart(name, section):
+    # verification and the embedding constants read their charts from
+    # the integer rows: no symbolic A_I and no symbolic slack table
+    p, q, options = parse_spec(fixture_spec(name))
+    build_report(p, q, dict(options, samples=10), sections=(section,))
+    assert [k for k in p.memo if k[0] == "chart"]
+    polys = [p] + [node.link.polytope for root in link_tree(p, options)
+                   for node in root.walk()]
+    for poly in polys:
+        assert not [k for k in poly.memo
+                    if k[0] in ("change_of_basis", "vertex_slacks")]
 
 
 # -- pinned content -------------------------------------------------------
