@@ -13,6 +13,9 @@ is the same with the face block frozen to zero.  A chart is taken at a
 face; the regular chart is the chart at the whole polytope.  Charts
 read A_I and the slacks from the integer rows and exact vertices; the
 symbolic Psi table (psi_equations) serves the report's charts section.
+A chart's floats (kernel basis, domain rows, LU factors of the block
+of I) are built once; a sample's floats are integer numerators over
+their denominators, which true division rounds as float(Fraction) does.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import mul
 
 from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
     find_flag_index_set
-from .linalg import int_solve
+from .linalg import _int_solve_scaled
 from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
 
@@ -74,6 +77,7 @@ class Chart:
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
     slacks: dict  # r -> Fraction, positive, for r in out_labels
     float_kernel: tuple  # the kernel basis of pi, as floats
+    float_domain: tuple  # _domain's rows as (label, float, float column)
 
     @property
     def dim(self) -> int:
@@ -84,24 +88,30 @@ def _chart(p: HPolytope, face: Face, index_set) -> Chart:
     def build():
         i_sorted, vid, i_mu, common, labels, stab = _flag_labels(
             p, index_set, face)
-        # primitive row j is m_j X_j, so a_hj = b_hj m_h / m_j
+        # primitive row j is m_j X_j: a_hj = b_hj m_h / m_j, b = e_b / e
         m = p._int_scale
-        block = [[p._int_x[h - 1][i] for h in i_sorted] for i in range(p.n)]
-        cols = [int_solve(block, row) for row in p._int_x]
-        a_num = tuple(tuple(b[pos] * m[h - 1] / m[j] for j, b in
-                            enumerate(cols)) for pos, h in enumerate(i_sorted))
-        slacks = p.slacks(p.vertices[vid].coords)
+        e, e_b = _int_solve_scaled(
+            [*zip(*(p._int_x[h - 1] for h in i_sorted))], [*zip(*p._int_x)])
+        a_num = tuple(tuple(Fraction(v * m[h - 1].numerator * mj.denominator,
+                                     e * m[h - 1].denominator * mj.numerator)
+                            for v, mj in zip(e_b[pos], m))
+                      for pos, h in enumerate(i_sorted))
+        mid = tuple(k for k in labels[stab:] if k in i_mu)
         out = tuple(r for r in labels[stab:] if r not in i_mu)
+        slacks = p.slacks(p.vertices[vid].coords)
+        slacks = {r: slacks[r - 1] for r in out}
         return Chart(
             face_index_set=face.index_set, index_set=i_sorted, common=common,
             w_labels=tuple(h for h in i_sorted if h not in common),
-            mid_labels=tuple(k for k in labels[stab:] if k in i_mu),
-            out_labels=out, vertex_id=vid, kernel_labels=labels,
-            stabilizer_count=stab, a_num=a_num,
-            slacks={r: slacks[r - 1] for r in out},
+            mid_labels=mid, out_labels=out, vertex_id=vid,
+            kernel_labels=labels, stabilizer_count=stab, a_num=a_num,
+            slacks=slacks,
             float_kernel=tuple(tuple(map(float, _kernel_vector(
                 a_num, i_sorted, j, common if k < stab else i_sorted, 0, 1)))
-                for k, j in enumerate(labels)))
+                for k, j in enumerate(labels)),
+            float_domain=tuple((label, float(const), tuple(map(float, col)))
+                               for label, const, col in
+                               _domain(a_num, mid + out, slacks)))
     return _memoized(p, ("chart", face.index_set, tuple(sorted(index_set))),
                      build)
 
@@ -142,9 +152,8 @@ def _fill_radicals(chart, z, rho):
 
     rho lists the squared moduli on the positions of chart.index_set.
     """
-    for label, const, col in _domain(chart.a_num, chart.mid_labels
-                                     + chart.out_labels, chart.slacks):
-        rad = sum(float(a) * r for a, r in zip(col, rho)) + float(const)
+    for label, const, col in chart.float_domain:
+        rad = sum(a * r for a, r in zip(col, rho)) + const
         if rad <= 0:
             raise DomainError(label, f"domain inequality for constraint "
                                      f"{label} fails: {rad} <= 0")
@@ -154,38 +163,47 @@ def _fill_radicals(chart, z, rho):
 
 # -- moment maps and slices ----------------------------------------------
 
-def _float_block(p: HPolytope, i_sorted):
-    """The normals on I as float rows and all offsets as floats, once per I."""
-    return _memoized(p, ("float_block", i_sorted), lambda: (
-        tuple(tuple(float(x) for x in p._num_x[h - 1]) for h in i_sorted),
-        [float(l) for l in p._num_l]))
-
-
-def _solve_block(rows, rhs, i_sorted):
-    """x with rows x = rhs, by elimination with partial pivoting (LAPACK's gesv).
-
-    rows is the float block of the normals on I, or its transpose.  A
-    pivot below 1e-12 of the largest entry means those normals are not
-    a basis at the evaluation point: a ValueError names I.
-    """
-    n = len(rhs)
-    a = [[*row, b] for row, b in zip(rows, rhs)]
-    tiny = 1e-12 * max((abs(x) for row in a for x in row[:n]), default=0.0)
+def _lu_factor(rows, i_sorted):
+    """(steps, U) of the float normals on I, or their transpose, by partial
+    pivoting (LAPACK's gesv); step k is (pivot row, multipliers).  A pivot
+    below 1e-12 of the largest entry is a ValueError naming I."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    tiny = 1e-12 * max((abs(x) for row in a for x in row), default=0.0)
+    steps = []
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(a[i][k]))
         if not abs(a[piv][k]) > tiny:
             raise ValueError(f"normals of I={i_sorted} are not a basis")
         a[k], a[piv] = a[piv], a[k]
         top = a[k]
-        for row in a[k + 1:]:
-            f = row[k] / top[k]
-            for j in range(k + 1, n + 1):
+        fs = [row[k] / top[k] for row in a[k + 1:]]
+        for row, f in zip(a[k + 1:], fs):
+            for j in range(k + 1, n):
                 row[j] -= f * top[j]
-    x = [row[n] for row in a]
-    for k in reversed(range(n)):
-        x[k] /= a[k][k]
+        steps.append((piv, fs))
+    return steps, a
+
+
+def _float_block(p: HPolytope, i_sorted, transpose=False):
+    """_lu_factor of the float normals on I, or of their transpose, once."""
+    def build():
+        rows = [[float(x) for x in p._num_x[h - 1]] for h in i_sorted]
+        return _lu_factor(zip(*rows) if transpose else rows, i_sorted)
+    return _memoized(p, ("float_block", i_sorted, transpose), build)
+
+
+def _lu_solve(steps, u, rhs):
+    """x with block x = rhs: the elimination of [block | rhs], replayed."""
+    x = list(rhs)
+    for k, (piv, fs) in enumerate(steps):
+        x[k], x[piv] = x[piv], x[k]
+        for i, f in enumerate(fs, start=k + 1):
+            x[i] -= f * x[k]
+    for k in reversed(range(len(x))):
+        x[k] /= u[k][k]
         for i in range(k):
-            x[i] -= a[i][k] * x[k]
+            x[i] -= u[i][k] * x[k]
     return x
 
 
@@ -194,23 +212,21 @@ def moment_values(p: HPolytope, z, chart: Chart):
     i_sorted = chart.index_set
     if len(z) != p.d:
         raise ValueError(f"z must have {p.d} coordinates")
-    rows, lam = _float_block(p, i_sorted)
-    ups = [abs(v) ** 2 + l for v, l in zip(z, lam)]
+    ups = [abs(v) ** 2 + l for v, l in zip(z, p._float_l)]
     psi = [sum(vec[j] * ups[j] for j in range(p.d))
            for vec in chart.float_kernel]
-    phi = _solve_block(rows, [ups[h - 1] for h in i_sorted], i_sorted)
+    phi = _lu_solve(*_float_block(p, i_sorted), [ups[h - 1] for h in i_sorted])
     return ups, psi, phi
 
 
 def lift_point(p: HPolytope, mu):
     """Nonnegative real lift with |z_j|^2 = <mu, X_j> - lambda_j."""
-    z = []
-    for j, r in enumerate(p.slacks(mu), start=1):
-        if r < 0:
+    den, nums = p._scaled_slacks(mu)
+    for j, v in enumerate(nums, start=1):
+        if v < 0:
             raise DomainError(j, f"constraint {j} is violated: "
-                                 f"radicand {r} < 0")
-        z.append(complex(math.sqrt(float(r))))
-    return z
+                                 f"radicand {p.slacks(mu)[j - 1]} < 0")
+    return [complex(math.sqrt(r)) for r in _slack_floats(p, den, nums)]
 
 
 def regular_slice(p: HPolytope, chart: Chart, u):
@@ -246,8 +262,8 @@ def torus_action(p: HPolytope, index_set, x_vec, z):
     i_sorted = tuple(sorted(index_set))
     if len(x_vec) != p.n or len(z) != p.d:
         raise ValueError(f"x must have {p.n} coordinates and z {p.d}")
-    rows, _lam = _float_block(p, i_sorted)
-    theta = _solve_block(zip(*rows), [float(v) for v in x_vec], i_sorted)
+    theta = _lu_solve(*_float_block(p, i_sorted, transpose=True),
+                      [float(v) for v in x_vec])
     z = [complex(v) for v in z]
     for pos, h in enumerate(i_sorted):
         z[h - 1] *= cmath.exp(2j * math.pi * theta[pos])
@@ -270,8 +286,7 @@ def moment_map_cone(p: HPolytope, chart: Chart, z_f):
     sq = {j: abs(complex(v)) ** 2 for j, v in zip(i_f, z_f)}
     stab = chart.float_kernel[:chart.stabilizer_count]
     psi = [sum(vec[j - 1] * sq[j] for j in i_f) for vec in stab]
-    lam = p.numeric_offsets()
-    phi = tuple(sq[h] + float(lam[h - 1]) for h in chart.common)
+    phi = tuple(sq[h] + p._float_l[h - 1] for h in chart.common)
     return psi, phi
 
 
@@ -414,14 +429,14 @@ _GRID = 4096  # sample coordinates step by 1/_GRID of the bounding box
 _WEIGHTS = 1024  # face_interior_point weights: k/1024 with 0 < k < 1024
 
 
-def sample_polytope_points(p: HPolytope, count, rng, strict=True):
-    """Rational points of the polytope drawn by bounding-box rejection.
+def _grid_samples(p: HPolytope, count, rng, strict):
+    """(top, [(coords, slacks)]): count grid points drawn by rejection.
 
     With lo = s / D and hi - lo = t / D over one denominator D, the grid
-    point lo + (hi - lo) * k / _GRID is (_GRID * s + t * k) / (_GRID * D),
-    whose slack on constraint j is c_j + <w_j, k> over the positive
-    _GRID * D * m_j.  Candidates are rejected on those integers; a
-    Fraction point is built only for an accepted k.
+    point lo + (hi - lo) * k / _GRID is (_GRID * s + t * k) / top, top =
+    _GRID * D, whose slack on constraint j is c_j + <w_j, k> over the
+    positive top * m_j.  Candidates are rejected on those integers; an
+    accepted point keeps its slack numerators over top.
     """
     def setup():
         verts = [v.coords for v in p.vertices]
@@ -447,22 +462,41 @@ def sample_polytope_points(p: HPolytope, count, rng, strict=True):
             raise RuntimeError("rejection sampling stalled")
         k = [draw(_GRID + 1) for _ in range(p.n)]
         if all(sum(map(mul, w, k)) >= f for w, f in rows):
-            out.append(tuple(Fraction(s + t * x, top)
-                             for s, t, x in zip(start, width, k)))
-    return out
+            xs = tuple(s + t * x for s, t, x in zip(start, width, k))
+            out.append((xs, [sum(map(mul, row, xs)) - top * b
+                             for row, b in zip(p._int_x, p._int_l)]))
+    return top, out
 
 
-def _phased_roots(p: HPolytope, labels, mu, rng):
-    """Square roots of the labels' slacks at mu, each with a random phase."""
-    slacks = p.slacks(mu)
-    return [math.sqrt(float(slacks[h - 1]))
-            * cmath.exp(2j * math.pi * rng.random()) for h in labels]
+def _slack_floats(p: HPolytope, den, nums):
+    """float() of each slack that _scaled_slacks gives as (den, nums)."""
+    return [v * m.denominator / (den * m.numerator)
+            for v, m in zip(nums, p._int_scale)]
+
+
+def sample_polytope_points(p: HPolytope, count, rng, strict=True):
+    """Rational points of the polytope drawn by bounding-box rejection."""
+    top, pts = _grid_samples(p, count, rng, strict)
+    return [tuple(Fraction(x, top) for x in xs) for xs, _nums in pts]
+
+
+def _float_samples(p: HPolytope, count, rng, strict):
+    """sample_polytope_points' points and their slacks, as float lists."""
+    top, pts = _grid_samples(p, count, rng, strict)
+    return [([x / top for x in xs], _slack_floats(p, top, nums))
+            for xs, nums in pts]
+
+
+def _phased_roots(slacks, labels, rng):
+    """Square roots of the labels' float slacks, each with a random phase."""
+    return [math.sqrt(slacks[h - 1]) * cmath.exp(2j * math.pi * rng.random())
+            for h in labels]
 
 
 def sample_regular_domain(p: HPolytope, chart: Chart, count, rng):
-    """(mu, u) pairs: interior samples and chart domain points over them."""
-    return [(mu, _phased_roots(p, chart.index_set, mu, rng))
-            for mu in sample_polytope_points(p, count, rng, strict=True)]
+    """(mu, u) pairs: float interior samples and domain points over them."""
+    return [(mu, _phased_roots(slacks, chart.index_set, rng))
+            for mu, slacks in _float_samples(p, count, rng, strict=True)]
 
 
 def face_interior_point(p: HPolytope, face: Face, rng):
@@ -483,7 +517,8 @@ def sample_singular_domain(p: HPolytope, chart: Chart, count, rng):
     out = []
     for _ in range(count):
         mu = face_interior_point(p, face, rng)
-        out.append((mu, _phased_roots(p, chart.w_labels, mu, rng)))
+        out.append((mu, _phased_roots(_slack_floats(
+            p, *p._scaled_slacks(mu)), chart.w_labels, rng)))
     return out
 
 

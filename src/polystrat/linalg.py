@@ -108,22 +108,26 @@ def int_rank(rows) -> int:
     return len(_bareiss([list(row) for row in rows], _int_step, 1))
 
 
-def int_solve(a, b) -> list[Fraction]:
-    """Solve a @ x = b for a square invertible integer a and integer b.
-
-    Back substitution runs on d * x, which is integral for d the last
-    pivot (plus or minus det a), so each divide is exact.
-    """
+def _int_solve_scaled(a, bm):
+    """(d, d * x) with a @ x = bm, bm's rows holding any number of
+    right-hand sides, in one elimination.  Back substitution runs on d * x,
+    integral for d the last pivot (+-det a), so each divide is exact."""
     n = len(a)
-    m = [list(row) + [v] for row, v in zip(a, b)]
+    m = [[*row, *rhs] for row, rhs in zip(a, bm)]
     if _bareiss(m, _int_step, 1)[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     d = m[n - 1][n - 1]
-    dx = [0] * n
+    dx = [None] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
-        acc = d * row[n]
+        acc = [d * v for v in row[n:]]
         for j in range(i + 1, n):
-            acc -= row[j] * dx[j]
-        dx[i] = acc // row[i]
-    return [Fraction(v, d) for v in dx]
+            acc = [s - row[j] * v for s, v in zip(acc, dx[j])]
+        dx[i] = [s // row[i] for s in acc]
+    return d, dx
+
+
+def int_solve(a, b) -> list[Fraction]:
+    """Solve a @ x = b for a square invertible integer a and integer b."""
+    d, dx = _int_solve_scaled(a, [[v] for v in b])
+    return [Fraction(row[0], d) for row in dx]

@@ -163,6 +163,7 @@ class HPolytope:
                                     f"{len(self.offsets)} offsets")])
         self._num_x = [[x.evaluate() for x in row] for row in self.normals]
         self._num_l = [l.evaluate() for l in self.offsets]
+        self._float_l = [float(l) for l in self._num_l]
         rows = [_primitive_row(x + [l])
                 for x, l in zip(self._num_x, self._num_l)]
         self._int_x = tuple(tuple(r[:-1]) for r, _m in rows)

@@ -22,10 +22,10 @@ from fractions import Fraction
 from . import ALL_SECTIONS
 from .ambient import Quasilattice, adapted_kernel_basis, \
     admissible_index_sets, classify_choice, find_flag_index_set
-from .charts import cone_embedding, cone_neighborhood, lift_point, \
+from .charts import _float_samples, cone_embedding, cone_neighborhood, \
     moment_values, psi_equations, regular_chart, regular_slice, \
-    sample_cone_points, sample_polytope_points, sample_regular_domain, \
-    sample_singular_domain, singular_chart, singular_slice, torus_action
+    sample_cone_points, sample_regular_domain, sample_singular_domain, \
+    singular_chart, singular_slice, torus_action
 from .groups import gamma_group, gamma_face_group, split_gamma, \
     stabilizer_dim
 from .links import link_tree
@@ -344,8 +344,8 @@ def run_verification(p: HPolytope, options, rng):
     charts = [regular_chart(p, i_set) for i_set in admissible_index_sets(p)]
 
     lift_res = 0.0
-    for mu in sample_polytope_points(p, n_samples, rng, strict=False):
-        z = lift_point(p, mu)
+    for mu, slacks in _float_samples(p, n_samples, rng, strict=False):
+        z = [complex(math.sqrt(r)) for r in slacks]
         _ups, psi, phi = moment_values(p, z, charts[0])
         lift_res = max(lift_res, _residual(psi, phi, mu))
 
@@ -359,12 +359,11 @@ def run_verification(p: HPolytope, options, rng):
 
     tor_res = 0.0
     for chart in charts:
-        for mu in sample_polytope_points(p, per, rng, strict=True):
-            slacks = p.slacks(mu)
-            u = [math.sqrt(float(slacks[h - 1])) for h in chart.index_set]
+        for _mu, slacks in _float_samples(p, per, rng, strict=True):
+            u = [math.sqrt(slacks[h - 1]) for h in chart.index_set]
             z = regular_slice(p, chart, u)
-            x = [Fraction(rng.randrange(-64, 65), 16) for _ in range(p.n)]
-            z2 = torus_action(p, chart.index_set, [float(v) for v in x], z)
+            x = [rng.randrange(-64, 65) / 16 for _ in range(p.n)]
+            z2 = torus_action(p, chart.index_set, x, z)
             _u1, psi1, phi1 = moment_values(p, z, chart)
             _u2, psi2, phi2 = moment_values(p, z2, chart)
             tor_res = max(tor_res,

@@ -16,7 +16,9 @@ link polytope (validation and a lattice closed from its own vertices)
 that the parent's interval [F, P] replaced, the fibration split by
 a rank over the flag chart's stabilizer rows, which the section's
 Y != 0 replaced, and vertex enumeration by solving every n-subset of
-constraints, which double description replaced.
+constraints, which double description replaced, and the float solve
+that eliminated [block | rhs] afresh for every right-hand side, which
+the per-block LU factors replaced.
 """
 
 import itertools
@@ -197,6 +199,34 @@ def gj_solve(a, b):
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     sol = [row[n:] for row in m]
     return [row[0] for row in sol] if vector else sol
+
+
+def gesv_solve(rows, rhs, i_sorted):
+    """x with rows x = rhs, by elimination with partial pivoting (LAPACK's gesv).
+
+    rows is the float block of the normals on I, or its transpose.  A
+    pivot below 1e-12 of the largest entry means those normals are not
+    a basis at the evaluation point: a ValueError names I.
+    """
+    n = len(rhs)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    tiny = 1e-12 * max((abs(x) for row in a for x in row[:n]), default=0.0)
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if not abs(a[piv][k]) > tiny:
+            raise ValueError(f"normals of I={i_sorted} are not a basis")
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [row[n] for row in a]
+    for k in reversed(range(n)):
+        x[k] /= a[k][k]
+        for i in range(k):
+            x[i] -= a[i][k] * x[k]
+    return x
 
 
 def qz_subgroup(generators, cap=5000):

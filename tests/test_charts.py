@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from families import family
 from oracles import check_vertex_lambda_identity, evaluated_chart, \
-    frac_sample_polytope_points, psi_constant_sum
+    frac_sample_polytope_points, gesv_solve, psi_constant_sum
 
 import polystrat.charts as C
 from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
@@ -373,7 +373,7 @@ def test_torus_preserves_moment_values_sampled(pyr, tnt):
             assert max(abs(a - b) for a, b in zip(psi, psi0)) <= 1e-9
 
 
-# -- the float solve against numpy ----------------------------------------
+# -- the float solve against numpy and the elimination it replays ---------
 
 
 def _rel_err(got, want, scale=None):
@@ -400,10 +400,25 @@ def test_solve_block_matches_numpy_solve():
                 break
         swaps += a[0][0] == 0.0
         b = [rng.randint(1, 64) / 16 * rng.choice((-1, 1)) for _ in range(n)]
-        got = C._solve_block(a, b, tuple(range(1, n + 1)))
+        i_set = tuple(range(1, n + 1))
+        lu = C._lu_factor(a, i_set)
+        got = C._lu_solve(*lu, b)
         assert all(type(x) is float for x in got)
         assert _rel_err(got, np.linalg.solve(a, b)) <= 1e-12, (a, b)
+        # the factors replay the elimination on [block | rhs] bit for
+        # bit, for the block and its transpose, on every right-hand side
+        assert got == gesv_solve(a, b, i_set)
+        lu_t = C._lu_factor(zip(*a), i_set)
+        for rhs in (b, b[::-1]):
+            assert _bits(C._lu_solve(*lu, rhs)) == _bits(
+                gesv_solve(a, rhs, i_set)), (a, rhs)
+            assert _bits(C._lu_solve(*lu_t, rhs)) == _bits(
+                gesv_solve(zip(*a), rhs, i_set)), (a, rhs)
     assert swaps >= 80
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
 
 
 @pytest.mark.parametrize("name", ["pyramid", "tent"])
@@ -447,12 +462,15 @@ def test_torus_action_rejects_a_rank_deficient_block(pyr, tnt):
     with pytest.raises(ValueError, match=r"I=\(3, 5, 7, 9\)"):
         C.torus_action(t, (3, 5, 7, 9), [1, 0, 0, 0], [1j] * t.d)
     # singular in exact arithmetic but not after rounding: LAPACK gives
-    # a finite answer here, the float solve still refuses it
+    # a finite answer here, the float factors still refuse it, as the
+    # elimination they replaced did
     block = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
     with pytest.raises(ValueError, match="not a basis"):
-        C._solve_block(block, [1.0, 2.0, 3.0], (1, 2, 3))
+        C._lu_factor(block, (1, 2, 3))
     with pytest.raises(ValueError, match="not a basis"):
-        C._solve_block([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], (1, 2))
+        gesv_solve(block, [1.0, 2.0, 3.0], (1, 2, 3))
+    with pytest.raises(ValueError, match="not a basis"):
+        C._lu_factor([[0.0, 0.0], [0.0, 0.0]], (1, 2))
 
 
 # -- singular charts and slices -------------------------------------------
@@ -668,6 +686,30 @@ def test_sampler_matches_fraction_oracle(name, request):
         assert pts == frac_sample_polytope_points(p, 40, ref, strict=strict,
                                                   grid=C._GRID)
         assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3", "thirds"))
+def test_grid_samples_give_the_floats_of_the_exact_points(name, request):
+    # verification reads each sample's floats from its integers by
+    # integer true division, which rounds correctly as float() of the
+    # Fraction does: the same points, bit for bit.  The fixtures' grids
+    # are dyadic; the triangle's box, [1/3, 6/7] x [1/7, 2/3], is not,
+    # so its coordinates round too
+    if name == "thirds":
+        p = HPolytope(ParamRegistry([]), [[1, 0], [0, 1], [-1, -1]],
+                      [Fraction(1, 3), Fraction(1, 7), -1])
+    else:
+        p = request.getfixturevalue(name)[0]
+    for seed, strict in ((71, True), (72, False)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = C._float_samples(p, 40, rng, strict)
+        want = C.sample_polytope_points(p, 40, ref, strict=strict)
+        assert rng.getstate() == ref.getstate()
+        assert len(got) == len(want) == 40
+        for (mu, slacks), exact in zip(got, want):
+            assert _bits(mu) == _bits(map(float, exact))
+            assert _bits(slacks) == _bits(map(float, p.slacks(exact)))
 
 
 def test_sampler_setup_is_kept_per_strictness():

@@ -9,7 +9,9 @@ full report is checked within this process instead.
 
 import copy
 import json
+import math
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -249,6 +251,51 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     # charts read no table, so only the tent's six vertices have one
     assert set(slack_tables.values()) == {1}
     assert len(slack_tables) == len(p.vertices) == 6
+
+
+@pytest.mark.parametrize("name", ["tent", "pyramid"])
+def test_verification_samples_read_no_exact_slacks(name, monkeypatch):
+    # each sample's floats come from its grid integers: HPolytope.slacks
+    # serves only the exact cone samples and the per-chart constants,
+    # and each float block of I is factored at most once per orientation
+    p, q, options = parse_spec(fixture_spec(name))
+    chart_build = next(c for c in charts._chart.__code__.co_consts
+                       if getattr(c, "co_name", "") == "build")
+    where = {charts.sample_cone_points.__code__: "sample_cone_points",
+             charts.cone_neighborhood.__code__: "cone_neighborhood",
+             chart_build: "chart"}
+    callers = Counter()
+    slacks = HPolytope.slacks
+
+    def counting_slacks(self, point):
+        code = sys._getframe(1).f_code
+        callers[where.get(code, code.co_name)] += 1
+        return slacks(self, point)
+
+    builds = Counter()
+    memoized = charts._memoized
+
+    def counting_memoized(poly, key, build):
+        if key[0] in ("chart", "float_block"):
+            build = _counting(builds, (id(poly), key), build)
+        return memoized(poly, key, build)
+
+    monkeypatch.setattr(HPolytope, "slacks", counting_slacks)
+    monkeypatch.setattr(charts, "_memoized", counting_memoized)
+    samples = 40
+    _report, ok = build_report(p, q, dict(options, samples=samples),
+                               sections=("verify",))
+    assert ok
+    assert set(builds.values()) == {1}
+    blocks = [key for _id, key in builds if key[0] == "float_block"]
+    assert {transpose for _tag, _i, transpose in blocks} == {False, True}
+    sing = p.face_lattice.singular_faces()
+    assert sing
+    assert set(callers) <= {"sample_cone_points", "chart", "cone_neighborhood"}
+    assert callers["sample_cone_points"] == \
+        len(sing) * math.ceil(samples / len(sing))
+    assert callers["chart"] == sum(key[0] == "chart" for _id, key in builds)
+    assert callers["cone_neighborhood"] <= len(sing)
 
 
 @pytest.mark.parametrize("section", ["verify", "links"])
