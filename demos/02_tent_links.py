@@ -34,8 +34,8 @@ print("edge quotient group on", split.complement_part.support, ":",
 # link of the first vertex: a 3-polytope with three singular vertices
 nu1 = lat.face((1, 2, 3, 4, 6, 7))
 sec = cone_section(p, nu1)
-print("section normal Y:", [str(s) for s in sec.y],
-      "level", str(sec.level))
+print("section normal Y:", [str(x) for x in sec.y_num],
+      "nearest point of the slice plane", [str(x) for x in sec.xi0])
 lp = link_polytope(p, sec)
 print("nu1 link: dim", lp.polytope.n,
       "f-vector", lp.polytope.face_lattice.f_vector())

@@ -260,6 +260,8 @@ def singular_slice(p: HPolytope, chart: Chart, w):
 def torus_action(p: HPolytope, index_set, x_vec, z):
     """Rotate z by the phases of exp applied to the I-block preimage of x."""
     i_sorted = tuple(sorted(index_set))
+    if len(i_sorted) != p.n:
+        raise ValueError(f"I={i_sorted} must have {p.n} labels")
     if len(x_vec) != p.n or len(z) != p.d:
         raise ValueError(f"x must have {p.n} coordinates and z {p.d}")
     theta = _lu_solve(*_float_block(p, i_sorted, transpose=True),

@@ -108,6 +108,12 @@ def int_rank(rows) -> int:
     return len(_bareiss([list(row) for row in rows], _int_step, 1))
 
 
+def _independent_rows(rows):
+    """Positions of the rows independent of the rows before them: the
+    pivot columns of one elimination of the transpose."""
+    return _bareiss([list(col) for col in zip(*rows)], _int_step, 1)
+
+
 def _int_solve_scaled(a, bm):
     """(d, d * x) with a @ x = bm, bm's rows holding any number of
     right-hand sides, in one elimination.  Back substitution runs on d * x,

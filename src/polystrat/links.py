@@ -7,9 +7,9 @@ along Y = sum b_j X_j yields an (n-p-1)-polytope whose faces are in
 order-preserving bijection with the faces of the original polytope
 strictly containing F.  The intrinsic presentation lives in an exact
 orthogonal basis of the Y-annihilator, so its coordinates stay
-rational at the evaluation point.  Y and the level are Scalar sums,
-each normalized once (scalars.dot); the Gram-Schmidt step runs on
-their Fraction values (_dot).
+rational at the evaluation point.  Y and the level are read only there,
+so they are Fraction sums of the evaluated b_j (evaluation is a ring
+map), as is the Gram-Schmidt step (_dot).
 
 The link's face lattice is the parent's interval [F, P], relabelled
 inside I_F; the slice itself is not validated.  Its own vertices are
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .charts import _coerce_b
 from .polytope import Face, FaceLattice, HPolytope, _memoized
-from .scalars import ParamRegistry, Scalar, dot
+from .scalars import ParamRegistry
 
 
 def _dot(u, v):
@@ -46,9 +46,7 @@ class ConeSection:
     face_index_set: tuple
     b: tuple  # Scalars over sorted(I_F)
     epsilon: Fraction
-    y: tuple  # Scalars, length n
-    level: Scalar
-    y_num: tuple  # Fractions
+    y_num: tuple  # Y = sum b_j X_j at the evaluation point, Fractions
     xi0: tuple  # minimum-norm point of the slice plane, Fractions
     ann_basis: tuple  # orthogonal rational basis of ann(Y) in the span
     polytope: HPolytope = field(compare=False, repr=False)
@@ -63,14 +61,13 @@ def cone_section(p: HPolytope, face: Face, b=None,
         raise ValueError("epsilon must be positive")
     labels = face.index_set
     b = _coerce_b(p, labels, b)
-    y = [dot(b, [p.normals[j - 1][i] for j in labels]) for i in range(p.n)]
-    level = dot((*b, p.registry.scalar(epsilon)),
-                [*(p.offsets[j - 1] for j in labels), 1])
-    y_num = tuple(s.evaluate() for s in y)
+    b_num = [s.evaluate() for s in b]
+    y_num = tuple(_dot(b_num, [p._num_x[j - 1][i] for j in labels])
+                  for i in range(p.n))
     yy = _dot(y_num, y_num)
     if yy == 0:
         raise ValueError("Y vanishes at the evaluation point")
-    lvl = level.evaluate()
+    lvl = _dot(b_num, [p._num_l[j - 1] for j in labels]) + epsilon
     xi0 = tuple(lvl * c / yy for c in y_num)
 
     # orthogonal basis of the Y-annihilator inside span{X_j : j in I_F},
@@ -98,7 +95,7 @@ def cone_section(p: HPolytope, face: Face, b=None,
     # valid since p is, b > 0 and epsilon > 0; link_polytope checks it
     poly = HPolytope(ParamRegistry([]), normals, offsets, validate=False)
     return ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
-                       y=tuple(y), level=level, y_num=y_num, xi0=xi0,
+                       y_num=y_num, xi0=xi0,
                        ann_basis=tuple(tuple(u) for u in basis),
                        polytope=poly)
 
@@ -159,7 +156,9 @@ class FibrationData:
     fiber subgroup closes up iff all coefficient ratios are rational
     constants.  split_ok says y_tilde extends the stabilizer kernel block
     to a direct sum: a flag chart writes each stabilizer X_k through the
-    independent X_h, h in I cap I_F, so that holds exactly when Y != 0.
+    independent X_h, h in I cap I_F, so that holds exactly when Y != 0:
+    always, as the normal cone of a face is pointed and b > 0 (and
+    cone_section refuses a Y that vanishes at the evaluation point).
     """
 
     face_index_set: tuple
@@ -173,7 +172,7 @@ def fibration_data(section: ConeSection) -> FibrationData:
     return FibrationData(
         face_index_set=section.face_index_set, y_tilde=b,
         closed=all((v / b[0]).is_rational_constant() for v in b),
-        split_ok=any(section.y))
+        split_ok=True)
 
 
 @dataclass(frozen=True)

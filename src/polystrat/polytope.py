@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _bareiss, _int_step, int_rank, int_solve, mat_solve
+from .linalg import _bareiss, _independent_rows, _int_step, int_rank, \
+    int_solve, mat_solve
 from .scalars import _clear_denominators, dot
 
 
@@ -316,13 +317,8 @@ class HPolytope:
             rows = [(0,) * m + (1,)] + [
                 tuple(x[c] for c in cols) + (-b,)
                 for x, b in zip(self._int_x, self._int_l)]
-            block = []
-            for i, row in enumerate(rows):
-                if int_rank([rows[k] for k in block] + [row]) > len(block):
-                    block.append(i)
-                    if len(block) == m + 1:
-                        break
-            else:
+            block = _independent_rows(rows)
+            if len(block) < m + 1:
                 raise RuntimeError(f"the homogenized rows have rank "
                                    f"{len(block)} < {m + 1}: the system is "
                                    "unbounded")
@@ -413,11 +409,8 @@ class HPolytope:
             # nothing symbolic can differ from the exact vertex
             return tuple(self.registry.scalar(x) for x in v.coords)
         # lexicographically first independent n-subset at the eval point
-        chosen = []
-        for j in v.active:
-            if len(chosen) < self.n and int_rank(
-                    [self._int_x[h - 1] for h in chosen + [j]]) > len(chosen):
-                chosen.append(j)
+        chosen = [v.active[i] for i in _independent_rows(
+            [self._int_x[j - 1] for j in v.active])]
         a = [list(self.normals[j - 1]) for j in chosen]
         b = [self.offsets[j - 1] for j in chosen]
         pt = tuple(mat_solve(a, b))

@@ -296,9 +296,9 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
         "chain": [list(c) for c in node.chain],
         "dimension": lp.polytope.n,
         "h_rep": {
-            "normals": [[str(x.evaluate()) for x in row]
-                        for row in lp.polytope.normals],
-            "offsets": [str(x.evaluate()) for x in lp.polytope.offsets],
+            "normals": [[str(x) for x in row]
+                        for row in lp.polytope.numeric_normals()],
+            "offsets": [str(x) for x in lp.polytope.numeric_offsets()],
         },
         "f_vector": list(lat.f_vector()),
         "transfer": transfer,

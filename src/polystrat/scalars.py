@@ -22,8 +22,8 @@ registered parameter) to nonzero ints, so sums, products, exact
 divisions and gcds run on ints; only the content is a Fraction.  A gcd
 with a single term is the monomial of common exponents (a term's
 divisors are terms), so a one-term denominator c * m normalizes by
-division term by term.  Every sum of products goes through dot, which
-adds the products of numerators over one common denominator and
+division term by term.  Every sum goes through dot, + and - included:
+it adds the products of numerators over one common denominator and
 normalizes once; the canonical form makes that the same Scalar as a sum
 normalized after every term.
 """
@@ -71,17 +71,6 @@ def _mono_key(m: tuple[int, ...]) -> tuple:
 
 def _p_lead(a: dict) -> tuple[int, ...]:
     return max(a, key=_mono_key)
-
-
-def _p_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def _p_sub(a: dict, b: dict) -> dict:
@@ -514,18 +503,7 @@ class Scalar:
             return self
         if not self._num:
             return o
-        a, b = self._c, o._c
-        lcd = _int_lcm(a.denominator, b.denominator)
-        ka = a.numerator * (lcd // a.denominator)
-        kb = b.numerator * (lcd // b.denominator)
-        if self._den == o._den:
-            num = _p_add(_p_scale(self._num, ka), _p_scale(o._num, kb))
-            den = self._den
-        else:
-            num = _p_add(_p_scale(_p_mul(self._num, o._den), ka),
-                         _p_scale(_p_mul(o._num, self._den), kb))
-            den = _p_mul(self._den, o._den)
-        return _reduced(self.registry, num, den, Fraction(1, lcd))
+        return dot((self, o), (1, 1))
 
     __radd__ = __add__
 

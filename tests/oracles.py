@@ -16,9 +16,13 @@ link polytope (validation and a lattice closed from its own vertices)
 that the parent's interval [F, P] replaced, the fibration split by
 a rank over the flag chart's stabilizer rows, which the section's
 Y != 0 replaced, and vertex enumeration by solving every n-subset of
-constraints, which double description replaced, and the float solve
+constraints, which double description replaced, the float solve
 that eliminated [block | rhs] afresh for every right-hand side, which
-the per-block LU factors replaced.
+the per-block LU factors replaced, the pairwise Scalar sum that + ran
+before it went through scalars.dot, the symbolic Y and level of a cone
+section, which the sums of evaluated b_j replaced, and the greedy choice
+of independent rows by one rank per row, which one elimination of the
+transpose replaced.
 """
 
 import itertools
@@ -305,6 +309,57 @@ def int_det(rows) -> Fraction:
     return det
 
 
+def greedy_independent_rows(rows):
+    """Positions of the rows that raise the rank of the rows kept before
+    them, one int_rank per row."""
+    from polystrat.linalg import int_rank
+
+    block = []
+    for i, row in enumerate(rows):
+        if int_rank([rows[k] for k in block] + [row]) > len(block):
+            block.append(i)
+    return block
+
+
+# -- the pairwise Scalar sum -------------------------------------------------
+
+def _p_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def pair_add(x, other):
+    """x + other for a Scalar x, over the product of the two primitive
+    denominators (one, if they are equal) and normalized once."""
+    from polystrat.scalars import _p_mul, _p_scale, _reduced
+
+    o = x._coerce(other)
+    if o is None:
+        return NotImplemented
+    if not o._num:
+        return x
+    if not x._num:
+        return o
+    a, b = x._c, o._c
+    lcd = lcm(a.denominator, b.denominator)
+    ka = a.numerator * (lcd // a.denominator)
+    kb = b.numerator * (lcd // b.denominator)
+    if x._den == o._den:
+        num = _p_add(_p_scale(x._num, ka), _p_scale(o._num, kb))
+        den = x._den
+    else:
+        num = _p_add(_p_scale(_p_mul(x._num, o._den), ka),
+                     _p_scale(_p_mul(o._num, x._den), kb))
+        den = _p_mul(x._den, o._den)
+    return _reduced(x.registry, num, den, Fraction(1, lcd))
+
+
 # -- polytope predicates and sampling on Fractions ---------------------------
 
 def frac_constraint_value(p, j, point):
@@ -478,6 +533,18 @@ def flag_chart_fibration(p, face, b):
     rows = [[vec[j - 1] for j in face.index_set] for vec in stab]
     rank = mat_rank(rows + [list(b)])
     return rank == len(stab) + 1, rank
+
+
+def symbolic_section(p, face, b, epsilon):
+    """(Y, level) of the cone section at face as Scalars: Y = sum b_j X_j
+    and sum b_j lambda_j + epsilon over I_F, for Scalars b on I_F."""
+    from polystrat.scalars import dot
+
+    labels = face.index_set
+    y = [dot(b, [p.normals[j - 1][i] for j in labels]) for i in range(p.n)]
+    level = dot((*b, p.registry.scalar(epsilon)),
+                [*(p.offsets[j - 1] for j in labels), 1])
+    return y, level
 
 
 # -- vertices by solving every n-subset of constraints -----------------------

@@ -458,6 +458,12 @@ def test_torus_action_rejects_a_rank_deficient_block(pyr, tnt):
     z = C.lift_point(p, p.interior_point())
     with pytest.raises(ValueError, match=r"I=\(1, 3, 5\)"):
         C.torus_action(p, (5, 3, 1), [0.5, 0, 0], z)
+    # an I with fewer or more than n labels is refused before factoring
+    with pytest.raises(ValueError, match=r"I=\(1, 2\) must have 3 labels"):
+        C.torus_action(p, (1, 2), [0.5, 0, 0], z)
+    with pytest.raises(ValueError,
+                       match=r"I=\(1, 2, 3, 4\) must have 3 labels"):
+        C.torus_action(p, (1, 2, 3, 4), [0.5, 0, 0], z)
     t, _ = tnt
     with pytest.raises(ValueError, match=r"I=\(3, 5, 7, 9\)"):
         C.torus_action(t, (3, 5, 7, 9), [1, 0, 0, 0], [1j] * t.d)

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gj_rank, gj_solve, sym_element, sym_rank, sym_solve
+from oracles import gj_rank, gj_solve, greedy_independent_rows, \
+    sym_element, sym_rank, sym_solve
 
-from polystrat.linalg import SingularMatrixError, int_rank, int_solve, \
-    mat_rank, mat_solve
+from polystrat.linalg import SingularMatrixError, _independent_rows, \
+    int_rank, int_solve, mat_rank, mat_solve
 from polystrat.scalars import ParamRegistry
 
 
@@ -52,6 +53,28 @@ def test_int_rank_and_int_solve_match_fraction_elimination():
                        for row, v in zip(a, b))
     # the seeded draws cover rank-deficient and singular inputs
     assert deficient > 100 and singular > 50
+
+
+def test_independent_rows_match_the_greedy_choice():
+    """One elimination of the transpose picks the rows that one rank per
+    row picks, repeated and zero rows included."""
+    rng = random.Random(22)
+    deficient = repeated = 0
+    for _ in range(500):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            i = rng.randrange(rows)
+            m.insert(rng.randint(0, len(m)),
+                     list(m[i]) if rng.random() < 0.5 else [0] * cols)
+            repeated += 1
+        m = m[:8]
+        want = greedy_independent_rows(m)
+        deficient += len(want) < min(len(m), cols)
+        assert _independent_rows(m) == want, m
+        assert len(want) == gj_rank(m)
+    assert deficient > 100 and repeated > 100
+    assert _independent_rows([]) == greedy_independent_rows([]) == []
 
 
 def test_int_rank_of_no_rows_and_zero_rows():

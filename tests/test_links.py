@@ -14,7 +14,8 @@ import pytest
 from families import family
 
 import polystrat.links as L
-from oracles import flag_chart_fibration, intrinsic_polytope
+from oracles import flag_chart_fibration, intrinsic_polytope, \
+    symbolic_section
 from polystrat.cli import fixture_spec
 from polystrat.polytope import HPolytope, ValidationError
 from polystrat.report import parse_spec
@@ -53,8 +54,6 @@ def test_apex_section_pinned(pyramid):
     p, _, _ = pyramid
     apex = p.face_lattice.face((1, 2, 3, 4))
     sec = L.cone_section(p, apex, b={4: "p2"})
-    assert [str(s) for s in sec.y] == ["0", "0", "-p2 - 1"]
-    assert str(sec.level) == "-p2"
     assert sec.epsilon == Fraction(1)
     assert sec.y_num == (0, 0, -3)
     assert sec.xi0 == (0, 0, Fraction(2, 3))
@@ -126,8 +125,9 @@ def _nodes(p, forest):
 
 def test_fibration_split_matches_flag_chart_oracle(
         pyramid, tent, pyramid_unit, tent_unit, cube3, simplex3, cross3):
-    """At every node the split from Y agrees with the flag-chart rank,
-    and that rank is r_F - (n - dim F) + 1: b extends the stabilizer rows."""
+    """At every node Y and xi0 are the evaluated symbolic Y and level, the
+    split holds and agrees with the flag-chart rank, and that rank is
+    r_F - (n - dim F) + 1: b extends the stabilizer rows."""
     polys = [fx[0] for fx in (pyramid, tent, pyramid_unit, tent_unit,
                               cube3, simplex3, cross3)]
     for kind in ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism"):
@@ -139,8 +139,17 @@ def test_fibration_split_matches_flag_chart_oracle(
         assert nodes or p.is_simple
         for poly, node in nodes:
             face = poly.face_lattice.face(node.face_index_set)
+            section = node.link.section
+            y, level = symbolic_section(poly, face, section.b,
+                                        section.epsilon)
+            y_num = tuple(s.evaluate() for s in y)
+            yy = sum(c * c for c in y_num)
+            assert section.y_num == y_num
+            assert section.xi0 == tuple(level.evaluate() * c / yy
+                                        for c in y_num)
             split, rank = flag_chart_fibration(poly, face,
                                                node.fibration.y_tilde)
+            assert node.fibration.split_ok is True
             assert node.fibration.split_ok == split
             assert rank == face.r - (poly.n - face.dim) + 1
 

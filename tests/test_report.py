@@ -24,6 +24,7 @@ from polystrat.links import link_tree
 from polystrat.polytope import HPolytope
 from polystrat.report import SpecError, build_report, dot_export, fnum, \
     parse_spec, render_report
+from polystrat.scalars import Scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -251,6 +252,22 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     # charts read no table, so only the tent's six vertices have one
     assert set(slack_tables.values()) == {1}
     assert len(slack_tables) == len(p.vertices) == 6
+
+
+@pytest.mark.parametrize("name", ["tent", "pyramid"])
+def test_report_and_dot_run_no_scalar_sum_or_product(name, monkeypatch):
+    # every exact sum on a report path goes through scalars.dot or runs
+    # on Fractions and ints; Scalar +, - and * serve library callers only
+    p, q, options = parse_spec(fixture_spec(name))
+    counts = Counter()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__"):
+        monkeypatch.setattr(Scalar, op,
+                            _counting(counts, op, getattr(Scalar, op)))
+    report, ok = build_report(p, q, dict(options, samples=10))
+    dot_export(p, options)
+    assert ok and report["links"]
+    assert not counts, counts
 
 
 @pytest.mark.parametrize("name", ["tent", "pyramid"])

@@ -10,11 +10,12 @@ under one Fraction content.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
 
-from oracles import sym_element, sym_equal, sym_eval, sym_gcd
+from oracles import pair_add, sym_element, sym_equal, sym_eval, sym_gcd
 from polystrat.ambient import admissible_index_sets, change_of_basis
 from polystrat.linalg import SingularMatrixError, mat_solve
 from polystrat.report import parse_spec
@@ -242,10 +243,61 @@ def test_dot_matches_term_by_term_sum_and_sympy():
         else:
             v = [_random_dot_operand(rng, reg, dens) for _ in range(k)]
         got = dot(u, v)
-        assert str(got) == str(sum((a * b for a, b in zip(u, v)),
-                                   reg.zero())), (u, v)
+        assert str(got) == str(reduce(pair_add, (a * b for a, b in zip(u, v)),
+                                      reg.zero())), (u, v)
         text = " + ".join(f"({a})*({b})" for a, b in zip(u, v))
         assert sym_element(reg, str(got)) == sym_element(reg, text), (u, v)
+
+
+def _random_pair_operand(rng, reg, kind, shared):
+    """A Scalar of the given kind: zero, a rational constant, a numerator
+    over the pair's shared denominator, or over a denominator of its own."""
+    if kind == "zero":
+        return reg.zero()
+    if kind == "constant":
+        return reg.scalar(Fraction(rng.choice([-5, -2, -1, 1, 3, 4]),
+                                   rng.randint(1, 4)))
+    num = _random_term_poly(rng, reg.arity, rng.randint(1, 3), 2)
+    den = shared if kind == "shared" else _random_term_poly(
+        rng, reg.arity, rng.randint(1, 2), 1)
+    one = {(0,) * reg.arity: 1}
+    return Scalar(reg, num or one, den or one)
+
+
+def test_add_and_sub_match_the_pairwise_sum_and_sympy():
+    """+ and - go through dot; the canonical form makes them equal, field
+    for field, to the pairwise sum over the product of the denominators."""
+    rng = random.Random(22)
+    kinds = [("shared", "shared")] * 4 + [("own", "own")] * 2 + [
+        ("zero", "shared"), ("own", "zero"), ("constant", "own"),
+        ("shared", "constant"), ("constant", "constant")]
+    seen = {"zero": 0, "constant": 0, "one-term": 0, "multi-term": 0,
+            "coprime": 0}
+    for _ in range(300):
+        reg = ParamRegistry(["p1", "p2", "p3"][:rng.randint(1, 3)])
+        shared = _random_term_poly(rng, reg.arity, rng.randint(1, 3), 1)
+        ka, kb = rng.choice(kinds)
+        a = _random_pair_operand(rng, reg, ka, shared)
+        b = _random_pair_operand(rng, reg, kb, shared)
+        for k in (ka, kb):
+            if k in ("zero", "constant"):
+                seen[k] += 1
+        unit = reg._unit
+        if a._den == b._den != unit:
+            seen["one-term" if len(a._den) == 1 else "multi-term"] += 1
+        elif unit not in (a._den, b._den) and _p_gcd(a._den,
+                                                     b._den) == unit:
+            seen["coprime"] += 1
+        for got, want, text in (
+                (a + b, pair_add(a, b), f"({a}) + ({b})"),
+                (a - b, pair_add(a, -b), f"({a}) - ({b})"),
+                (b - a, pair_add(b, -a), f"({b}) - ({a})")):
+            assert (got._c, got._num, got._den) == (
+                want._c, want._num, want._den), (a, b)
+            assert str(got) == str(want), (a, b)
+            assert hash(got) == hash(want), (a, b)
+            assert sym_element(reg, str(got)) == sym_element(reg, text), (a, b)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_over_common_denominator(reg):
