@@ -9,13 +9,13 @@ group, lifts and slices, and the cone at the singular apex.
 
 from fractions import Fraction
 
-from polystrat.ambient import Quasilattice, adapted_kernel_basis, \
-    admissible_index_sets, change_of_basis, classify_choice
+from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
+    change_of_basis, classify_choice
 from polystrat.charts import cone_neighborhood, lift_point, moment_values, \
     psi_equations, regular_chart, regular_slice, singular_chart
 from polystrat.groups import gamma_group
 from polystrat.links import cone_section, link_polytope
-from polystrat.polytope import HPolytope
+from polystrat.polytope import HPolytope, Quasilattice
 from polystrat.scalars import ParamRegistry
 
 # two free parameters; unset values default to distinct primes (2, 3)

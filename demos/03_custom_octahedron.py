@@ -10,11 +10,10 @@ the eight facets.
 
 import json
 
-from polystrat.ambient import Quasilattice, admissible_index_sets, \
-    classify_choice
+from polystrat.ambient import admissible_index_sets, classify_choice
 from polystrat.groups import gamma_group
 from polystrat.links import link_tree
-from polystrat.polytope import HPolytope
+from polystrat.polytope import HPolytope, Quasilattice
 from polystrat.report import build_report, parse_spec
 from polystrat.scalars import ParamRegistry
 

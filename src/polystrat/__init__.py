@@ -17,13 +17,13 @@ ALL_SECTIONS = ("faces", "charts", "groups", "links", "verify")
 _EXPORTS = {
     **dict.fromkeys(("ParamRegistry", "Scalar", "ScalarError",
                      "parse_scalar"), "scalars"),
-    **dict.fromkeys(("Face", "FaceLattice", "HPolytope", "ValidationError",
-                     "Vertex", "classify_face"), "polytope"),
+    **dict.fromkeys(("Face", "FaceLattice", "HPolytope", "Quasilattice",
+                     "ValidationError", "Vertex", "classify_face"),
+                    "polytope"),
     **dict.fromkeys(("AdaptedBasisData", "IndexFamily", "ProjectionMap",
-                     "Quasilattice", "adapted_kernel_basis",
-                     "admissible_index_sets", "change_of_basis",
-                     "classify_choice", "find_flag_index_set",
-                     "projection_matrix"), "ambient"),
+                     "adapted_kernel_basis", "admissible_index_sets",
+                     "change_of_basis", "classify_choice",
+                     "find_flag_index_set", "projection_matrix"), "ambient"),
     **dict.fromkeys(("GroupDescriptor", "GroupStructure", "gamma_group",
                      "gamma_face_group", "group_structure", "split_gamma",
                      "stabilizer_dim", "stabilizer_report"), "groups"),

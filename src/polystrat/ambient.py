@@ -14,42 +14,15 @@ but take their numbers from the integer rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import SingularMatrixError, int_rank, mat_solve
-from .polytope import Face, HPolytope, ValidationError, _memoized
-from .scalars import _clear_denominators, monomial_rows
+from .polytope import Face, HPolytope, Quasilattice, ValidationError, \
+    _memoized
+from .scalars import monomial_rows
 
 
-class Quasilattice:
-    """Z-span of a spanning set of vectors, kept as symbolic generators."""
-
-    def __init__(self, registry, generators):
-        self.registry = registry
-        self.source_polytope = None  # set when built from a polytope's normals
-        self.generators = tuple(
-            tuple(registry.scalar(g) for g in row)
-            for row in generators)
-        if not self.generators:
-            raise ValueError("a quasilattice needs at least one generator")
-        self.n = len(self.generators[0])
-        if any(len(g) != self.n for g in self.generators):
-            raise ValueError("generators must share one length")
-        num = [_clear_denominators([x.evaluate() for x in g])[1]
-               for g in self.generators]
-        if int_rank(num) != self.n:
-            raise ValueError("generators do not span the ambient space "
-                             "at the evaluation point")
-
-    @classmethod
-    def from_normals(cls, p: HPolytope) -> "Quasilattice":
-        q = cls(p.registry, p.normals)
-        q.source_polytope = p
-        return q
-
-
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(NamedTuple):
     """Matrix of pi: R^d -> R^n with column j equal to X_j."""
 
     matrix: tuple  # n rows of d Scalars
@@ -142,8 +115,7 @@ def change_of_basis(p: HPolytope, index_set):
     return _memoized(p, ("change_of_basis", i_sorted), build)
 
 
-@dataclass(frozen=True)
-class AdaptedBasisData:
+class AdaptedBasisData(NamedTuple):
     """A_I together with the kernel basis of pi it induces.
 
     kernel[i] is supported on kernel_labels[i] (unit entry) and I; the
@@ -244,8 +216,7 @@ def find_flag_index_set(p: HPolytope, face: Face):
                      f"for face {face.index_set}")
 
 
-@dataclass(frozen=True)
-class ChoiceClassification:
+class ChoiceClassification(NamedTuple):
     rational: bool
     delzant_like: bool
 

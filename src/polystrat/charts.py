@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
     find_flag_index_set
@@ -56,8 +56,7 @@ def psi_equations(p: HPolytope, basis: AdaptedBasisData):
 
 # -- charts --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """The flag-adapted chart at a face F over an admissible I.
 
     At the whole polytope I_F is empty, so common is empty, w_labels is
@@ -314,8 +313,7 @@ def _coerce_b(p: HPolytope, labels, b):
     return b
 
 
-@dataclass(frozen=True)
-class ConeNeighborhood:
+class ConeNeighborhood(NamedTuple):
     """Constants making the local cone embedding well defined.
 
     box_lo/box_hi bound the squared moduli of the w block; every slice

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import ALL_SECTIONS
@@ -52,6 +51,7 @@ def _load_spec_file(path: str) -> dict:
 
 
 def fixture_spec(name: str) -> dict:
+    from importlib import resources
     from .report import SpecError
     if name not in FIXTURES:
         raise SpecError(f"unknown fixture {name!r}; try 'fixtures list'")
@@ -81,7 +81,7 @@ def _analyze(data: dict, only: str | None, seed: int | None,
         _diag("validation", str(e))
         return EXIT_VALIDATION
     except RuntimeError as e:
-        # cross-check failures (link vertices, recursion bound)
+        # cross-check failures (link vertices, recursion bound, float blocks)
         _diag("verification", str(e))
         return EXIT_VERIFY
     text = render_report(report)

@@ -9,17 +9,16 @@ identity of rational functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ambient import Quasilattice, admissible_index_sets, \
-    basis_coordinates, find_flag_index_set, flag_intersection
+from .ambient import admissible_index_sets, basis_coordinates, \
+    find_flag_index_set, flag_intersection
 from .intlattice import integer_kernel, quotient_structure, solve_integer
-from .polytope import Face, HPolytope
+from .polytope import Face, HPolytope, Quasilattice
 from .scalars import _int_dot, monomial_rows, over_common_denominator
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     free_rank: int
     torsion: tuple  # invariant factors > 1, each dividing the next
 
@@ -188,8 +187,7 @@ def gamma_face_group(p: HPolytope, q: Quasilattice, face: Face,
     return GroupDescriptor(p.registry, common, gens)
 
 
-@dataclass(frozen=True)
-class SplitGamma:
+class SplitGamma(NamedTuple):
     """Gamma_I split along a face into its two coordinate projections.
 
     pairs tracks, per original generator of Gamma_I, the (face part,
@@ -224,8 +222,7 @@ def stabilizer_dim(face: Face, n: int) -> int:
     return face.r - n + face.dim
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     face_index_set: tuple
     dim: int
     index_set: tuple  # the I realizing the flag condition

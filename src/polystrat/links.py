@@ -23,8 +23,8 @@ relations among the X_j of I_F, so b is in their span iff Y = sum b_j X_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charts import _coerce_b
 from .polytope import Face, FaceLattice, HPolytope, _memoized
@@ -35,8 +35,7 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class ConeSection:
+class ConeSection(NamedTuple):
     """Transversal slice data of the cone at a singular face.
 
     polytope is the unvalidated intrinsic presentation of the slice: one
@@ -49,7 +48,7 @@ class ConeSection:
     y_num: tuple  # Y = sum b_j X_j at the evaluation point, Fractions
     xi0: tuple  # minimum-norm point of the slice plane, Fractions
     ann_basis: tuple  # orthogonal rational basis of ann(Y) in the span
-    polytope: HPolytope = field(compare=False, repr=False)
+    polytope: HPolytope
 
 
 def cone_section(p: HPolytope, face: Face, b=None,
@@ -100,8 +99,7 @@ def cone_section(p: HPolytope, face: Face, b=None,
                        polytope=poly)
 
 
-@dataclass(frozen=True)
-class LinkPolytope:
+class LinkPolytope(NamedTuple):
     """Intrinsic presentation of the cross-section with face transfer.
 
     Constraint t of the polytope corresponds to the parent constraint
@@ -148,8 +146,7 @@ def link_polytope(p: HPolytope, section: ConeSection) -> LinkPolytope:
         t: g.index_set for t, g in above.items()})
 
 
-@dataclass(frozen=True)
-class FibrationData:
+class FibrationData(NamedTuple):
     """The distinguished circle direction over the section.
 
     y_tilde lists the coefficients of sum b_j e_j on sorted(I_F).  The
@@ -175,8 +172,7 @@ def fibration_data(section: ConeSection) -> FibrationData:
         split_ok=True)
 
 
-@dataclass(frozen=True)
-class LinkNode:
+class LinkNode(NamedTuple):
     """A singular face with its link and the links below it."""
 
     chain: tuple  # face index sets, each in the labeling one level up

@@ -10,12 +10,11 @@ Variables are free; the conversion to standard form happens internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str  # "optimal" | "unbounded" | "infeasible"
     value: Fraction | None
     x: list | None

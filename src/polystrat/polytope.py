@@ -25,13 +25,16 @@ active set symbolically, for generic values.
 
 Constraint labels are 1-based everywhere in the public API, matching
 the usual indexing of the defining inequalities.
+
+Quasilattice lives here since every spec builds one.  The records are
+NamedTuples, as everywhere in the package: dataclasses import inspect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import _bareiss, _independent_rows, _int_step, int_rank, \
     int_solve, mat_solve
@@ -55,14 +58,12 @@ class ValidationError(Exception):
         return [c for c, _ in self.issues]
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     coords: tuple  # Fractions, at the evaluation point
     active: tuple  # 1-based labels of tight constraints, sorted
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     index_set: tuple  # 1-based labels, sorted; empty for the whole polytope
     dim: int
     r: int  # card(index_set)
@@ -440,3 +441,30 @@ class HPolytope:
                          else self._symbolic_slack(pt, j)
                          for j in range(1, self.d + 1))
         return _memoized(self, ("vertex_slacks", vid), build)
+
+
+class Quasilattice:
+    """Z-span of a spanning set of vectors, kept as symbolic generators."""
+
+    def __init__(self, registry, generators):
+        self.registry = registry
+        self.source_polytope = None  # set when built from a polytope's normals
+        self.generators = tuple(
+            tuple(registry.scalar(g) for g in row)
+            for row in generators)
+        if not self.generators:
+            raise ValueError("a quasilattice needs at least one generator")
+        self.n = len(self.generators[0])
+        if any(len(g) != self.n for g in self.generators):
+            raise ValueError("generators must share one length")
+        num = [_clear_denominators([x.evaluate() for x in g])[1]
+               for g in self.generators]
+        if int_rank(num) != self.n:
+            raise ValueError("generators do not span the ambient space "
+                             "at the evaluation point")
+
+    @classmethod
+    def from_normals(cls, p: HPolytope) -> "Quasilattice":
+        q = cls(p.registry, p.normals)
+        q.source_polytope = p
+        return q

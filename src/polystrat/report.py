@@ -9,6 +9,10 @@ tolerances, sample counts, seed).
 The report is JSON with sorted keys; exact values are canonical
 scalar strings, floating residuals are fixed 12-significant-digit
 strings, so identical spec and seed give byte-identical output.
+
+Each section imports its modules (ambient, charts, groups, links) in
+the function that builds it, so a command loads only the code of the
+sections it runs: ``--only faces`` loads none of them.
 """
 
 from __future__ import annotations
@@ -20,16 +24,7 @@ import random
 from fractions import Fraction
 
 from . import ALL_SECTIONS
-from .ambient import Quasilattice, adapted_kernel_basis, \
-    admissible_index_sets, classify_choice, find_flag_index_set
-from .charts import _float_samples, cone_embedding, cone_neighborhood, \
-    moment_values, psi_equations, regular_chart, regular_slice, \
-    sample_cone_points, sample_regular_domain, sample_singular_domain, \
-    singular_chart, singular_slice, torus_action
-from .groups import gamma_group, gamma_face_group, split_gamma, \
-    stabilizer_dim
-from .links import link_tree
-from .polytope import HPolytope
+from .polytope import HPolytope, Quasilattice
 from .scalars import ParamRegistry, ScalarError
 
 DEFAULT_SAMPLES = 100
@@ -222,6 +217,9 @@ def _faces_section(p: HPolytope):
 
 
 def _charts_section(p: HPolytope, q: Quasilattice):
+    from .ambient import adapted_kernel_basis, admissible_index_sets
+    from .charts import psi_equations
+    from .groups import gamma_group
     out = []
     for i_set in admissible_index_sets(p):
         basis = adapted_kernel_basis(p, i_set)
@@ -260,6 +258,8 @@ def _group_json(g):
 
 
 def _groups_section(p: HPolytope, q: Quasilattice):
+    from .ambient import classify_choice, find_flag_index_set
+    from .groups import gamma_face_group, split_gamma, stabilizer_dim
     choice = classify_choice(p, q)
     per_face = []
     for face in p.face_lattice.singular_faces():
@@ -312,6 +312,7 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
                      for c in node.children],
     }
     if with_constants:
+        from .charts import cone_neighborhood, singular_chart
         face = p.face_lattice.face(node.face_index_set)
         chart = singular_chart(p, face)
         nb = cone_neighborhood(p, chart, b=options["b"].get(face.index_set))
@@ -327,6 +328,7 @@ def _link_node_json(p: HPolytope, node, options, with_constants=True):
 
 
 def _links_section(p: HPolytope, options):
+    from .links import link_tree
     return [_link_node_json(p, node, options)
             for node in link_tree(p, options)]
 
@@ -340,6 +342,11 @@ def _residual(psi, phi=(), mu=()):
 
 
 def run_verification(p: HPolytope, options, rng):
+    from .ambient import admissible_index_sets
+    from .charts import _float_samples, cone_embedding, cone_neighborhood, \
+        moment_values, regular_chart, regular_slice, sample_cone_points, \
+        sample_regular_domain, sample_singular_domain, singular_chart, \
+        singular_slice, torus_action
     n_samples = options["samples"]
     charts = [regular_chart(p, i_set) for i_set in admissible_index_sets(p)]
 
@@ -443,7 +450,10 @@ def build_report(p: HPolytope, q: Quasilattice | None = None,
         report["links"] = _links_section(p, options)
     if "verify" in sections:
         rng = random.Random(options["seed"])
-        block, ok = run_verification(p, options, rng)
+        try:
+            block, ok = run_verification(p, options, rng)
+        except ValueError as e:  # a float block rounding left singular
+            raise RuntimeError(f"float verification failed: {e}") from e
         report["verification"] = block
     return report, ok
 
@@ -475,6 +485,7 @@ def dot_export(p: HPolytope, options=None) -> str:
                 lines.append(f"    {fid(f)} -> {fid(g)};")
     lines.append("  }")
 
+    from .links import link_tree
     forest = link_tree(p, options)
     if forest:
         lines.append("  subgraph cluster_links {")

@@ -6,7 +6,6 @@ import pytest
 
 from oracles import check_vertex_lambda_identity, gj_rank
 from polystrat.ambient import (
-    Quasilattice,
     adapted_kernel_basis,
     admissible_index_sets,
     basis_coordinates,
@@ -16,7 +15,7 @@ from polystrat.ambient import (
     projection_matrix,
 )
 from polystrat.groups import gamma_group
-from polystrat.polytope import HPolytope
+from polystrat.polytope import HPolytope, Quasilattice
 from polystrat.scalars import ParamRegistry
 
 

@@ -7,7 +7,6 @@ script when one is on PATH.
 """
 
 import copy
-import dataclasses
 import json
 import os
 import pathlib
@@ -195,6 +194,28 @@ def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
     assert _diags(captured.err)[0]["error"] == "verification"
 
 
+def test_badly_scaled_floats_are_verify_failure(tmp_path, capsys):
+    # at p2 = p5 = 10^13 the float block of I = (1, 2, 3) has a pivot
+    # below 1e-12 of its largest entry, although it is a basis exactly
+    data = fixture_spec("pyramid")
+    for entry in data["parameters"]:
+        entry["value"] = "10000000000000"
+    path = _write_spec(tmp_path, data)
+    out = tmp_path / "report.json"
+    for only in (["--only", "verify"], []):
+        assert main(["analyze", path, "--out", str(out), *only]) \
+            == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (diag,) = _diags(captured.err)
+        assert diag["error"] == "verification"
+        assert "I=(1, 2, 3)" in diag["detail"]
+        assert not out.exists()
+    for only in ("faces", "charts", "groups", "links"):
+        assert main(["analyze", path, "--only", only]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_link_vertex_mismatch_is_verify_failure(tmp_path, capsys,
                                                 monkeypatch):
     """A link whose own vertices disagree with the parent's lattice exits 4.
@@ -211,7 +232,7 @@ def test_link_vertex_mismatch_is_verify_failure(tmp_path, capsys,
         poly = sec.polytope
         offsets = [x.evaluate() - (1 if t == 3 else 0)
                    for t, x in enumerate(poly.offsets, start=1)]
-        return dataclasses.replace(sec, polytope=HPolytope(
+        return sec._replace(polytope=HPolytope(
             poly.registry, poly.normals, offsets, validate=False))
 
     monkeypatch.setattr(links, "cone_section", pushed)

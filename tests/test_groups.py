@@ -12,8 +12,8 @@ import pytest
 
 from oracles import int_det, order_multiset, orders_of_abelian_type, \
     qz_subgroup
-from polystrat.ambient import Quasilattice, adapted_kernel_basis, \
-    admissible_index_sets, find_flag_index_set
+from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
+    find_flag_index_set
 from polystrat.groups import (
     GroupDescriptor,
     gamma_face_group,
@@ -23,7 +23,7 @@ from polystrat.groups import (
     stabilizer_dim,
     stabilizer_report,
 )
-from polystrat.polytope import HPolytope
+from polystrat.polytope import HPolytope, Quasilattice
 from polystrat.scalars import ParamRegistry, ScalarError
 
 

@@ -7,9 +7,11 @@ check, since it imports names to re-export them, and so is
 ``from __future__ import annotations``.  One subprocess test runs the
 command line and checks that neither numpy nor scipy was loaded, nor
 polystrat.lp: the exact simplex is the tests' reference solver, and
-validation decides from the double description alone.  Another checks
+validation decides from the double description alone.  Others check
 that ``fixtures list`` loads no module beyond the package and its
-command line: the package resolves its public names on first access.
+command line, since the package resolves its public names on first
+access, and that ``analyze --only SECTION`` loads only the modules
+that section runs.
 """
 
 import ast
@@ -99,27 +101,59 @@ def test_cli_runs_without_loading_numpy(tmp_path):
     assert (tmp_path / "pyramid.report.json").exists()
 
 
-LIST_CHILD = """
+LOADED_CHILD = """
 import json, sys
+before = set(sys.modules)
 from polystrat.cli import main
-code = main(["fixtures", "list"])
+code = main(sys.argv[1:])
 print(json.dumps({"code": code,
                   "loaded": sorted(m for m in sys.modules
-                                   if m.split(".")[0] == "polystrat")}))
+                                   if m.split(".")[0] == "polystrat"),
+                  "added": sorted(m for m in ("dataclasses", "inspect")
+                                  if m in sys.modules and m not in before)}))
 """
+
+
+def _loaded(args):
+    """The polystrat modules one command loads in a fresh process, and
+    which of dataclasses and inspect it adds to those loaded before."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", LOADED_CHILD, *args],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["added"] == []
+    return {m.removeprefix("polystrat.") for m in result["loaded"]}
 
 
 def test_fixtures_list_loads_no_math_module():
     # the benchmark's setup_s times this command in a fresh process
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run([sys.executable, "-c", LIST_CHILD], cwd=root,
-                          env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
-    assert result["loaded"] == ["polystrat", "polystrat.cli"]
+    assert _loaded(["fixtures", "list"]) == {"polystrat", "cli"}
+
+
+FACES_MODULES = {"polystrat", "cli", "report", "polytope", "linalg",
+                 "scalars"}
+
+
+@pytest.mark.parametrize("section, extra", [
+    ("faces", set()),
+    ("verify", {"ambient", "charts"}),
+    ("groups", {"ambient", "groups", "intlattice"}),
+    ("charts", {"ambient", "groups", "intlattice", "charts"}),
+    ("links", {"ambient", "charts", "links"}),
+])
+def test_each_section_loads_only_its_modules(tmp_path, section, extra):
+    # report imports a section's modules where the section runs, and no
+    # record type pulls in dataclasses (and with it inspect)
+    spec = Path(polystrat.__file__).parent / "fixtures" / "pyramid.json"
+    out = tmp_path / "report.json"
+    loaded = _loaded(["analyze", str(spec), "--only", section,
+                      "--out", str(out)])
+    assert loaded == FACES_MODULES | extra
+    assert out.exists()
 
 
 def test_public_names_resolve():

@@ -6,7 +6,6 @@ built into link_polytope, and rebuild each link by the intrinsic route
 (validation, and a lattice closed from the slice's own vertices).
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -292,7 +291,7 @@ def test_link_vertices_must_match_the_parent_lattice(tent):
     with pytest.raises(ValidationError) as err:
         HPolytope(poly.registry, poly.normals, offsets)
     assert err.value.codes == ["redundant-constraint"]
-    pushed = dataclasses.replace(section, polytope=HPolytope(
+    pushed = section._replace(polytope=HPolytope(
         poly.registry, poly.normals, offsets, validate=False))
     with pytest.raises(RuntimeError, match=r"\(1, 2, 3, 4, 6, 7\)"):
         L.link_polytope(p, pushed)
