@@ -426,7 +426,7 @@ def cone_embedding(p: HPolytope, chart: Chart, nb: ConeNeighborhood, w, z_f):
 # -- sampling helpers (rejection against exact inequalities) --------------
 
 _GRID = 4096  # sample coordinates step by 1/_GRID of the bounding box
-_WEIGHTS = 1024  # face_interior_point weights: k/1024 with 0 < k < 1024
+_WEIGHTS = 1024  # face point weights: k/1024 with 0 < k < 1024
 
 
 def _grid_samples(p: HPolytope, count, rng, strict):
@@ -436,7 +436,9 @@ def _grid_samples(p: HPolytope, count, rng, strict):
     point lo + (hi - lo) * k / _GRID is (_GRID * s + t * k) / top, top =
     _GRID * D, whose slack on constraint j is c_j + <w_j, k> over the
     positive top * m_j.  Candidates are rejected on those integers; an
-    accepted point keeps its slack numerators over top.
+    accepted point keeps its slack numerators over top.  Each k_i is
+    rng.randrange(_GRID + 1) inlined: getrandbits of its bit length,
+    redrawn above _GRID, so the random stream is randrange's.
     """
     def setup():
         verts = [v.coords for v in p.vertices]
@@ -447,24 +449,35 @@ def _grid_samples(p: HPolytope, count, rng, strict):
         width = [h - s for s, h in zip(ints[:p.n], ints[p.n:])]
         top = _GRID * den
         # (w_j, f_j) with f_j = [strict] - c_j: k is accepted when
-        # <w_j, k> >= f_j for every j
+        # <w_j, k> >= f_j for every j.  The rows cutting the largest
+        # share of <w_j, k>'s range over the box are tried first
         rows = [(tuple(map(mul, row, width)),
                  (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
                 for row, b in zip(p._int_x, p._int_l)]
+        rows.sort(key=lambda r: Fraction(
+            _GRID * sum(min(w, 0) for w in r[0]) - r[1],
+            _GRID * sum(map(abs, r[0]))))
         return start, width, top, rows
     start, width, top, rows = _memoized(p, ("sampler", strict), setup)
-    draw = rng.randrange
+    bits, draw = (_GRID + 1).bit_length(), rng.getrandbits
     out = []
     guard = 0
     while len(out) < count:
         guard += 1
         if guard > 10000 * count:
             raise RuntimeError("rejection sampling stalled")
-        k = [draw(_GRID + 1) for _ in range(p.n)]
-        if all(sum(map(mul, w, k)) >= f for w, f in rows):
+        k = []
+        for _ in start:
+            x = draw(bits)
+            while x > _GRID:
+                x = draw(bits)
+            k.append(x)
+        for w, f in rows:
+            if sum(map(mul, w, k)) < f:
+                break
+        else:
             xs = tuple(s + t * x for s, t, x in zip(start, width, k))
-            out.append((xs, [sum(map(mul, row, xs)) - top * b
-                             for row, b in zip(p._int_x, p._int_l)]))
+            out.append((xs, p._int_slacks(top, xs)))
     return top, out
 
 
@@ -499,43 +512,56 @@ def sample_regular_domain(p: HPolytope, chart: Chart, count, rng):
             for mu, slacks in _float_samples(p, count, rng, strict=True)]
 
 
-def face_interior_point(p: HPolytope, face: Face, rng):
-    vs = [p.vertices[i].coords for i in face.vertex_ids]
-    weights = [Fraction(rng.randrange(1, _WEIGHTS), _WEIGHTS) for _ in vs]
-    total = sum(weights)
-    return tuple(sum(w * v[i] for w, v in zip(weights, vs)) / total
-                 for i in range(p.n))
+def _face_point(p: HPolytope, face: Face, rng):
+    """(top, xs): the face point sum k_v V_v / (D sum k_v), 0 < k_v <
+    _WEIGHTS random, for the face's vertices V_v / D over one D."""
+    def vertices():
+        den, ints = _clear_denominators([x for v in face.vertex_ids
+                                         for x in p.vertices[v].coords])
+        return den, [ints[i:i + p.n] for i in range(0, len(ints), p.n)]
+    den, verts = _memoized(p, ("face_vertices", face.index_set), vertices)
+    weights = [rng.randrange(1, _WEIGHTS) for _ in verts]
+    return den * sum(weights), [sum(map(mul, weights, col))
+                                for col in zip(*verts)]
 
 
 def sample_singular_domain(p: HPolytope, chart: Chart, count, rng):
     """(mu, w) pairs: relative interior points of the face, w vectors over them.
 
-    The weights of face_interior_point are positive, so every w label,
-    being off I_F, has a positive slack at mu.
+    The weights of _face_point are positive, so every w label, being off
+    I_F, has a positive slack at mu.
     """
     face = p.face_lattice.face(chart.face_index_set)
     out = []
     for _ in range(count):
-        mu = face_interior_point(p, face, rng)
-        out.append((mu, _phased_roots(_slack_floats(
-            p, *p._scaled_slacks(mu)), chart.w_labels, rng)))
+        top, xs = _face_point(p, face, rng)
+        out.append(([x / top for x in xs], _phased_roots(_slack_floats(
+            p, top, p._int_slacks(top, xs)), chart.w_labels, rng)))
     return out
 
 
 def sample_cone_points(p: HPolytope, chart: Chart,
                        nb: ConeNeighborhood, count, rng):
-    """Points of the face cone inside the epsilon ball, with phases."""
+    """Points of the face cone inside the epsilon ball, with phases.
+
+    The face slacks are t_j = nums_j / (top m_j).  With b_j / m_j = e_j /
+    E and epsilon = en / ed, the ball is s / (E top), s = sum e_j nums_j;
+    a ball on or past epsilon scales each t_j by E en top / (2 s ed).
+    """
     i_f = chart.face_index_set
-    pts = sample_polytope_points(p, count, rng, strict=True)
+    m = [p._int_scale[j - 1] for j in i_f]
+    big_e, e = _clear_denominators([bj / mj for bj, mj in zip(nb.b, m)])
+    eps = nb.epsilon
+    top, pts = _grid_samples(p, count, rng, strict=True)
     out = []
-    for mu in pts:
-        slacks = p.slacks(mu)
-        t = [slacks[j - 1] for j in i_f]
-        ball = sum(bj * tj for bj, tj in zip(nb.b, t))
-        scale = Fraction(1)
-        if ball >= nb.epsilon:
-            scale = nb.epsilon / (2 * ball)
-        zf = [math.sqrt(float(tj * scale))
-              * cmath.exp(2j * math.pi * rng.random()) for tj in t]
-        out.append(zf)
+    for _xs, nums in pts:
+        t = [nums[j - 1] for j in i_f]
+        s = sum(map(mul, e, t))
+        num, den = 1, top
+        if s * eps.denominator >= eps.numerator * big_e * top:
+            num, den = big_e * eps.numerator, 2 * s * eps.denominator
+        out.append([math.sqrt(tj * num * mj.denominator
+                              / (den * mj.numerator))
+                    * cmath.exp(2j * math.pi * rng.random())
+                    for tj, mj in zip(t, m)])
     return out

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import _bareiss, _independent_rows, _int_step, int_rank, \
@@ -165,7 +166,6 @@ class HPolytope:
                                     f"{len(self.offsets)} offsets")])
         self._num_x = [[x.evaluate() for x in row] for row in self.normals]
         self._num_l = [l.evaluate() for l in self.offsets]
-        self._float_l = [float(l) for l in self._num_l]
         rows = [_primitive_row(x + [l])
                 for x, l in zip(self._num_x, self._num_l)]
         self._int_x = tuple(tuple(r[:-1]) for r, _m in rows)
@@ -188,13 +188,23 @@ class HPolytope:
     def numeric_offsets(self):
         return self._num_l[:]
 
+    @property
+    def _float_l(self):
+        """Float offsets, on first read: exact sections never need them."""
+        return _memoized(self, ("float_l",),
+                         lambda: [float(l) for l in self._num_l])
+
+    def _int_slacks(self, den, num):
+        """D * m_j times every slack at the point num / D, as integers."""
+        return [sum(map(mul, row, num)) - den * b
+                for row, b in zip(self._int_x, self._int_l)]
+
     def _scaled_slacks(self, point):
         """(D, D * m_j times every slack at point as integers), D > 0."""
         if len(point) != self.n:
             raise ValueError(f"point must have {self.n} coordinates")
         den, num = _clear_denominators(point)
-        return den, [sum(a * k for a, k in zip(row, num)) - den * b
-                     for row, b in zip(self._int_x, self._int_l)]
+        return den, self._int_slacks(den, num)
 
     def slacks(self, point):
         """Exact slacks <point, X_j> - lambda_j; constraint j's is at j - 1."""

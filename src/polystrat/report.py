@@ -452,7 +452,8 @@ def build_report(p: HPolytope, q: Quasilattice | None = None,
         rng = random.Random(options["seed"])
         try:
             block, ok = run_verification(p, options, rng)
-        except ValueError as e:  # a float block rounding left singular
+        except (ValueError, OverflowError) as e:
+            # a float block rounding left singular, or a number past floats
             raise RuntimeError(f"float verification failed: {e}") from e
         report["verification"] = block
     return report, ok

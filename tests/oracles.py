@@ -22,10 +22,14 @@ the per-block LU factors replaced, the pairwise Scalar sum that + ran
 before it went through scalars.dot, the symbolic Y and level of a cone
 section, which the sums of evaluated b_j replaced, and the greedy choice
 of independent rows by one rank per row, which one elimination of the
-transpose replaced.
+transpose replaced, and the face and cone samples on Fraction points,
+slacks and balls, which integer numerators over one denominator
+replaced.
 """
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -383,7 +387,13 @@ def frac_active_set(p, point):
 
 
 def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
-    """Bounding-box rejection sampling with a Fraction point per candidate."""
+    """Bounding-box rejection sampling with a Fraction point per candidate.
+
+    The constraints are evaluated as Fractions once, and each candidate's
+    slacks are Fraction sums, tried in label order.
+    """
+    rows = [([x.evaluate() for x in row], l.evaluate())
+            for row, l in zip(p.normals, p.offsets)]
     verts = [v.coords for v in p.vertices]
     lo = [min(v[i] for v in verts) for i in range(p.n)]
     hi = [max(v[i] for v in verts) for i in range(p.n)]
@@ -395,8 +405,55 @@ def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
             raise RuntimeError("rejection sampling stalled")
         pt = tuple(l + (h - l) * Fraction(rng.randrange(grid + 1), grid)
                    for l, h in zip(lo, hi))
-        if frac_contains(p, pt, strict=strict):
+        slacks = (sum(c * a for c, a in zip(pt, row)) - b for row, b in rows)
+        if all(v > 0 if strict else v >= 0 for v in slacks):
             out.append(pt)
+    return out
+
+
+# -- face and cone samples on Fractions --------------------------------------
+
+def face_interior_point(p, face, rng, den=1024):
+    """The weighted vertex average with weights k / den, 0 < k < den."""
+    vs = [p.vertices[i].coords for i in face.vertex_ids]
+    weights = [Fraction(rng.randrange(1, den), den) for _ in vs]
+    total = sum(weights)
+    return tuple(sum(w * v[i] for w, v in zip(weights, vs)) / total
+                 for i in range(p.n))
+
+
+def _phased_roots(slacks, labels, rng):
+    return [math.sqrt(slacks[h - 1]) * cmath.exp(2j * math.pi * rng.random())
+            for h in labels]
+
+
+def frac_sample_singular_domain(p, chart, count, rng):
+    """(mu, w) pairs as sample_singular_domain drew them from a Fraction
+    face point and float() of its exact slacks."""
+    face = p.face_lattice.face(chart.face_index_set)
+    out = []
+    for _ in range(count):
+        mu = face_interior_point(p, face, rng)
+        out.append((mu, _phased_roots([float(v) for v in p.slacks(mu)],
+                                      chart.w_labels, rng)))
+    return out
+
+
+def frac_sample_cone_points(p, chart, nb, count, rng):
+    """sample_cone_points on Fraction points, slacks and ball."""
+    i_f = chart.face_index_set
+    pts = frac_sample_polytope_points(p, count, rng, strict=True)
+    out = []
+    for mu in pts:
+        slacks = p.slacks(mu)
+        t = [slacks[j - 1] for j in i_f]
+        ball = sum(bj * tj for bj, tj in zip(nb.b, t))
+        scale = Fraction(1)
+        if ball >= nb.epsilon:
+            scale = nb.epsilon / (2 * ball)
+        zf = [math.sqrt(float(tj * scale))
+              * cmath.exp(2j * math.pi * rng.random()) for tj in t]
+        out.append(zf)
     return out
 
 

@@ -9,13 +9,16 @@ the float solve and moment maps against numpy at the same points.
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from families import family
 from oracles import check_vertex_lambda_identity, evaluated_chart, \
-    frac_sample_polytope_points, gesv_solve, psi_constant_sum
+    face_interior_point, frac_sample_cone_points, \
+    frac_sample_polytope_points, frac_sample_singular_domain, gesv_solve, \
+    psi_constant_sum
 
 import polystrat.charts as C
 from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
@@ -685,12 +688,15 @@ def test_sample_polytope_points_inside(pyr):
 @pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
                                   "tent_unit", "cube3", "simplex3"))
 def test_sampler_matches_fraction_oracle(name, request):
+    # tent accepts about 3 % of its strict candidates, so 3,000 samples
+    # draw about 100 k: the inlined draws must stay randrange's stream
     p = request.getfixturevalue(name)[0]
+    count = 3000 if name == "tent" else 40
     for seed, strict in ((71, True), (72, False)):
         rng, ref = random.Random(seed), random.Random(seed)
-        pts = C.sample_polytope_points(p, 40, rng, strict=strict)
-        assert pts == frac_sample_polytope_points(p, 40, ref, strict=strict,
-                                                  grid=C._GRID)
+        pts = C.sample_polytope_points(p, count, rng, strict=strict)
+        assert pts == frac_sample_polytope_points(p, count, ref,
+                                                  strict=strict, grid=C._GRID)
         assert rng.getstate() == ref.getstate()
 
 
@@ -738,5 +744,59 @@ def test_face_interior_point_active_set(pyr, tnt):
     for poly, key in ((p, (1, 2, 3, 4)), (p, (1,)),
                       (t, (1, 2, 3, 4)), (t, (1, 2, 3, 4, 6, 7))):
         face = poly.face_lattice.face(key)
-        mu = C.face_interior_point(poly, face, rng)
+        mu = face_interior_point(poly, face, rng, C._WEIGHTS)
         assert poly.active_set(mu) == key
+        # the integer face point is the same exact point from the same draws
+        state = rng.getstate()
+        top, xs = C._face_point(poly, face, rng)
+        exact = tuple(Fraction(x, top) for x in xs)
+        assert poly.active_set(exact) == key
+        rng.setstate(state)
+        assert exact == face_interior_point(poly, face, rng, C._WEIGHTS)
+
+
+def _singular_cases(p):
+    """(face, chart, neighborhood) over every singular face with b
+    defaulted and random, each with epsilon 1, 1/7 and 1/1000."""
+    rng = random.Random(79)
+    for face in p.face_lattice.singular_faces():
+        chart = C.singular_chart(p, face)
+        rand_b = {j: Fraction(rng.randrange(1, 30), rng.randrange(1, 30))
+                  for j in face.index_set}
+        for b in (None, rand_b):
+            nb = C.cone_neighborhood(p, chart, b=b)
+            for eps in (Fraction(1), Fraction(1, 7), Fraction(1, 1000)):
+                yield face, chart, nb._replace(epsilon=eps)
+
+
+def _complex_bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+@pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3"))
+def test_face_and_cone_samples_match_fraction_oracles(name, request):
+    # the integer samples are the Fraction samples' floats bit for bit,
+    # drawn by the same calls: on every singular face, with epsilon small
+    # enough that the ball scale runs
+    p = request.getfixturevalue(name)[0]
+    scaled = Counter()
+    for seed, (face, chart, nb) in enumerate(_singular_cases(p)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = C.sample_singular_domain(p, chart, 4, rng)
+        want = frac_sample_singular_domain(p, chart, 4, ref)
+        assert rng.getstate() == ref.getstate()
+        for (mu, w), (exact, w_ref) in zip(got, want, strict=True):
+            assert _bits(mu) == _bits(map(float, exact))
+            assert _complex_bits(w) == _complex_bits(w_ref)
+        got = C.sample_cone_points(p, chart, nb, 4, rng)
+        want = frac_sample_cone_points(p, chart, nb, 4, ref)
+        assert rng.getstate() == ref.getstate()
+        assert [_complex_bits(z) for z in got] == \
+            [_complex_bits(z) for z in want]
+        # a scaled sample lands on the ball of radius epsilon / 2
+        for z in got:
+            ball = sum(float(b) * abs(v) ** 2 for b, v in zip(nb.b, z))
+            scaled[math.isclose(ball, nb.epsilon / 2, rel_tol=1e-9)] += 1
+    if p.face_lattice.singular_faces():
+        assert scaled[True] and scaled[False]

@@ -216,6 +216,34 @@ def test_badly_scaled_floats_are_verify_failure(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def test_offset_past_the_float_range_fails_only_verification(tmp_path,
+                                                             capsys):
+    # at p2 = 1e400 the offset -p2 has no float; the exact sections
+    # never need one, and verification fails with one diagnostic line
+    data = fixture_spec("pyramid")
+    data["parameters"][0]["value"] = "1e400"
+    path = _write_spec(tmp_path, data)
+    for only in ("faces", "charts", "groups", "links"):
+        assert main(["analyze", path, "--only", only]) == 0
+        assert capsys.readouterr().err == ""
+    assert main(["analyze", path, "--only", "verify"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (diag,) = _diags(captured.err)
+    assert diag["error"] == "verification"
+    assert "too large for a float" in diag["detail"]
+
+
+def test_epsilon_past_the_float_range_builds_links(tmp_path, capsys):
+    # epsilon = 1e400 enters the link polytopes' offsets, which the
+    # links section reads exactly
+    path = _write_spec(tmp_path, _pyramid_spec(epsilon="1e400"))
+    assert main(["analyze", path, "--only", "links"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["links"]
+
+
 def test_link_vertex_mismatch_is_verify_failure(tmp_path, capsys,
                                                 monkeypatch):
     """A link whose own vertices disagree with the parent's lattice exits 4.

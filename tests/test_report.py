@@ -9,7 +9,6 @@ full report is checked within this process instead.
 
 import copy
 import json
-import math
 import pathlib
 import sys
 from collections import Counter
@@ -272,22 +271,23 @@ def test_report_and_dot_run_no_scalar_sum_or_product(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tent", "pyramid"])
 def test_verification_samples_read_no_exact_slacks(name, monkeypatch):
-    # each sample's floats come from its grid integers: HPolytope.slacks
-    # serves only the exact cone samples and the per-chart constants,
-    # and each float block of I is factored at most once per orientation
+    # each sample's floats come from its integers: HPolytope.slacks, and
+    # under it _scaled_slacks, serve only the per-chart constants, and
+    # each float block of I is factored at most once per orientation
     p, q, options = parse_spec(fixture_spec(name))
     chart_build = next(c for c in charts._chart.__code__.co_consts
                        if getattr(c, "co_name", "") == "build")
-    where = {charts.sample_cone_points.__code__: "sample_cone_points",
-             charts.cone_neighborhood.__code__: "cone_neighborhood",
-             chart_build: "chart"}
+    where = {charts.cone_neighborhood.__code__: "cone_neighborhood",
+             chart_build: "chart", HPolytope.slacks.__code__: "slacks"}
     callers = Counter()
-    slacks = HPolytope.slacks
+    scaled_callers = Counter()
 
-    def counting_slacks(self, point):
-        code = sys._getframe(1).f_code
-        callers[where.get(code, code.co_name)] += 1
-        return slacks(self, point)
+    def counting(counts, method):
+        def wrapper(self, point):
+            code = sys._getframe(1).f_code
+            counts[where.get(code, code.co_name)] += 1
+            return method(self, point)
+        return wrapper
 
     builds = Counter()
     memoized = charts._memoized
@@ -297,7 +297,10 @@ def test_verification_samples_read_no_exact_slacks(name, monkeypatch):
             build = _counting(builds, (id(poly), key), build)
         return memoized(poly, key, build)
 
-    monkeypatch.setattr(HPolytope, "slacks", counting_slacks)
+    monkeypatch.setattr(HPolytope, "slacks",
+                        counting(callers, HPolytope.slacks))
+    monkeypatch.setattr(HPolytope, "_scaled_slacks",
+                        counting(scaled_callers, HPolytope._scaled_slacks))
     monkeypatch.setattr(charts, "_memoized", counting_memoized)
     samples = 40
     _report, ok = build_report(p, q, dict(options, samples=samples),
@@ -308,9 +311,9 @@ def test_verification_samples_read_no_exact_slacks(name, monkeypatch):
     assert {transpose for _tag, _i, transpose in blocks} == {False, True}
     sing = p.face_lattice.singular_faces()
     assert sing
-    assert set(callers) <= {"sample_cone_points", "chart", "cone_neighborhood"}
-    assert callers["sample_cone_points"] == \
-        len(sing) * math.ceil(samples / len(sing))
+    assert set(callers) <= {"chart", "cone_neighborhood"}
+    assert set(scaled_callers) <= {"slacks"}
+    assert scaled_callers["slacks"] == sum(callers.values())
     assert callers["chart"] == sum(key[0] == "chart" for _id, key in builds)
     assert callers["cone_neighborhood"] <= len(sing)
 
