@@ -4,11 +4,13 @@ Everything here is symbolic.  The projection pi sends e_j to the normal
 X_j; its kernel is spanned by explicit vectors read off the change-of-
 basis matrix A_I, with X_j = sum_h a_hj X_h for every j.  Independence
 and basis tests are decided at the evaluation point, on the polytope's
-integer constraint rows.  The offset identity lambda_k = sum_h a_hk
-lambda_h on a vertex's active set is the polytope's symbolic vertex
-certificate.  The symbolic A_I is the reference for charts, which
-share its flag labels and kernel vectors (_flag_labels, _kernel_vector)
-but take their numbers from the integer rows.
+integer constraint rows, and Delzant-likeness on the integer monomial
+rows of the normals and generators, without A_I.  The offset identity
+lambda_k = sum_h a_hk lambda_h on a vertex's active set is the
+polytope's symbolic vertex certificate.  The symbolic A_I is the
+reference for charts, which share its flag labels and kernel vectors
+(_flag_labels, _kernel_vector) but take their numbers from the integer
+rows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .linalg import SingularMatrixError, int_rank, mat_solve
+from .linalg import SingularMatrixError, _independent_rows, \
+    _int_solve_scaled, int_rank, mat_solve
 from .polytope import Face, HPolytope, Quasilattice, ValidationError, \
     _memoized
 from .scalars import monomial_rows
@@ -232,31 +235,64 @@ def _check_dimension(p: HPolytope, q: Quasilattice):
 
 
 def basis_coordinates(p: HPolytope, q: Quasilattice, index_set):
-    """Each quasilattice generator expressed in the basis {X_h : h in I}."""
+    """Each quasilattice generator expressed in the basis {X_h : h in I}.
+
+    Memoized on the polytope: through change_of_basis for the normals'
+    quasilattice, under the generators and I otherwise.
+    """
     _check_dimension(p, q)
     i_sorted = tuple(sorted(index_set))
     if q.source_polytope is p:
         a = change_of_basis(p, i_sorted)
-        return [tuple(a[h][j] for h in range(p.n)) for j in range(p.d)]
-    cols = _solve_in_basis(i_sorted, zip(*p.normals),
-                           [list(c) for c in zip(*q.generators)])
-    return [tuple(cols[h][g] for h in range(p.n))
-            for g in range(len(q.generators))]
+        return tuple(tuple(a[h][j] for h in range(p.n)) for j in range(p.d))
+
+    def build():
+        cols = _solve_in_basis(i_sorted, zip(*p.normals),
+                               [list(c) for c in zip(*q.generators)])
+        return tuple(tuple(cols[h][g] for h in range(p.n))
+                     for g in range(len(q.generators)))
+    return _memoized(p, ("basis_coordinates", q.generators, i_sorted), build)
 
 
 def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     """Rationality and Delzant-likeness of the chosen normals and lattice.
 
-    The Z-span of the generators is an honest lattice exactly when their
-    Q-span has dimension n; with generic parameter values this is the
-    rank of the generator coordinates flattened over the monomials
-    appearing after clearing one common denominator per coordinate.
+    Both are decided on one integer matrix F, whose columns are X_1..X_d
+    and Q_1..Q_g (only the Q_g when they are the normals) flattened per
+    coordinate by monomial_rows over one common denominator.  Flattening
+    is Z-linear and injective, so F's columns have the Q-linear
+    relations of the vectors.
+
+    The Z-span of the generators is an honest lattice (rational) exactly
+    when their Q-span has dimension n: the rank of F_Q, which is at
+    least n since the generators span.  Delzant-like means rational with
+    every generator's coordinates in every admissible basis
+    {X_h : h in I} integers.  An admissible X_I is independent over
+    Q(p), so F_I has rank n.  If F has rank n (which makes the choice
+    rational), each column of F is a unique rational combination of F_I,
+    and restricting to n independent rows R keeps it, so R_I^-1 R_Q are
+    exactly those coordinates.  If F has rank above n, some X_j lies
+    outside the Q-span of the generators; X_j lies in some admissible
+    I, since no constraint is redundant, and the generators do not all
+    lie in the Q-span of that X_I, so some coordinate is not a constant.
+    One integer solve per I decides; no A_I is built.
     """
     _check_dimension(p, q)
-    rows = [row for c in range(q.n)
-            for row in monomial_rows([g[c] for g in q.generators])]
-    rational = int_rank(rows) == q.n
-    delzant = rational and all(
-        c.is_integer() for i_set in admissible_index_sets(p)
-        for coords in basis_coordinates(p, q, i_set) for c in coords)
-    return ChoiceClassification(rational=rational, delzant_like=delzant)
+    gens = q.generators if q.source_polytope is p \
+        else p.normals + q.generators
+    first = len(gens) - len(q.generators)
+    f = [row for c in range(q.n)
+         for row in monomial_rows([g[c] for g in gens])]
+    rational = int_rank([row[first:] for row in f]) == q.n
+    basis = _independent_rows(f)
+    if len(basis) != p.n:
+        return ChoiceClassification(rational=rational, delzant_like=False)
+    r = [f[i] for i in basis]
+    r_q = [row[first:] for row in r]
+
+    def integral(i_set):
+        d, dx = _int_solve_scaled([[row[h - 1] for h in i_set] for row in r],
+                                  r_q)
+        return all(v % d == 0 for x in dx for v in x)
+    return ChoiceClassification(rational=rational, delzant_like=all(
+        map(integral, admissible_index_sets(p))))

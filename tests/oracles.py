@@ -24,7 +24,9 @@ section, which the sums of evaluated b_j replaced, and the greedy choice
 of independent rows by one rank per row, which one elimination of the
 transpose replaced, and the face and cone samples on Fraction points,
 slacks and balls, which integer numerators over one denominator
-replaced.
+replaced, and the Delzant-likeness scan over the symbolic coordinates
+of the generators in every admissible basis, which one integer solve
+per I on the flattened monomial rows replaced.
 """
 
 import cmath
@@ -626,3 +628,20 @@ def brute_force_vertices(p):
     verts = [Vertex(coords=c, active=a) for c, a in seen.items()]
     verts.sort(key=lambda v: v.coords)
     return tuple(verts)
+
+
+# -- Delzant-likeness by symbolic coordinates ---------------------------------
+
+def symbolic_delzant_like(p, q) -> bool:
+    """Rational, and every generator's coordinates in every admissible
+    basis {X_h : h in I} are integers, read off basis_coordinates."""
+    from polystrat.ambient import admissible_index_sets, basis_coordinates
+    from polystrat.linalg import int_rank
+    from polystrat.scalars import monomial_rows
+
+    rows = [row for c in range(q.n)
+            for row in monomial_rows([g[c] for g in q.generators])]
+    rational = int_rank(rows) == q.n
+    return rational and all(
+        c.is_integer() for i_set in admissible_index_sets(p)
+        for coords in basis_coordinates(p, q, i_set) for c in coords)

@@ -1,10 +1,14 @@
 """Projection, admissible index sets, change of basis, adapted kernels."""
 
 import itertools
+import random
 
 import pytest
 
-from oracles import check_vertex_lambda_identity, gj_rank
+from families import family
+from oracles import check_vertex_lambda_identity, gj_rank, \
+    symbolic_delzant_like
+from polystrat import ambient, linalg, polytope
 from polystrat.ambient import (
     adapted_kernel_basis,
     admissible_index_sets,
@@ -14,8 +18,10 @@ from polystrat.ambient import (
     find_flag_index_set,
     projection_matrix,
 )
+from polystrat.cli import FIXTURES, fixture_spec
 from polystrat.groups import gamma_group
 from polystrat.polytope import HPolytope, Quasilattice
+from polystrat.report import build_report, parse_spec
 from polystrat.scalars import ParamRegistry
 
 
@@ -334,6 +340,95 @@ def test_explicit_generator_quasilattice(pyramid):
     q = Quasilattice(p.registry, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     res = classify_choice(p, q)
     assert res.rational
+    assert res.delzant_like is False
+
+
+def _square(generators):
+    """The square with normals (p,0), (0,1), (-p,0), (0,-1) at p = 3, and
+    a quasilattice on the given generator strings."""
+    reg = ParamRegistry(["p"], {"p": 3})
+    p = HPolytope(reg, [["p", 0], [0, 1], ["-p", 0], [0, -1]],
+                  [0, 0, "-p", -1])
+    return p, Quasilattice(reg, generators)
+
+
+def _choice_cases(bench_inputs):
+    """(name, polytope, quasilattice) for the oracle comparison: every
+    fixture, seeded families, seeded parametric cross-polytopes, and
+    explicit quasilattices that are and are not Delzant-like."""
+    cases = [(name, *parse_spec(fixture_spec(name))[:2])
+             for name in sorted(FIXTURES)]
+    for kind in ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism"):
+        rng = random.Random(f"choice-{kind}")
+        for k in range(3):
+            p = HPolytope(ParamRegistry([]), *family(rng, kind))
+            cases.append((f"{kind}-{k}", p, Quasilattice.from_normals(p)))
+    for n in (2, 3, 4):
+        for seed in (1, 2):
+            p, q, _ = parse_spec(bench_inputs.cross_polytope(
+                n, random.Random(seed)))
+            cases.append((f"cross{n}-{seed}", p, q))
+    reg = ParamRegistry([])
+    rect = HPolytope(reg, [[2, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, -1, -1])
+    cases.append(("doubled-normal", rect, Quasilattice.from_normals(rect)))
+    cases.append(("square", *_square([["p", 0], [0, 1]])))
+    cases.append(("square-twin", *_square([["p/2", 0], [0, 1]])))
+    # explicit generators: the normals themselves, and the standard basis
+    for name, p, _q in list(cases):
+        e = [[int(i == j) for j in range(p.n)] for i in range(p.n)]
+        cases.append((f"{name}/normals", p, Quasilattice(p.registry,
+                                                         p.normals)))
+        cases.append((f"{name}/identity", p, Quasilattice(p.registry, e)))
+    return cases
+
+
+def test_classify_choice_matches_symbolic_scan(bench_inputs):
+    results = {}
+    for name, p, q in _choice_cases(bench_inputs):
+        res = results[name] = classify_choice(p, q)
+        assert res.delzant_like == symbolic_delzant_like(p, q), name
+    assert results["square"] == (True, True)
+    assert results["square-twin"] == (True, False)
+    # every outcome occurs, so no branch is vacuous
+    assert set(results.values()) == {(False, False), (True, False),
+                                     (True, True)}
+
+
+def test_classify_choice_takes_no_symbolic_solve(bench_inputs, monkeypatch):
+    # Delzant-likeness is decided on integer rows: no A_I is built and no
+    # Scalar system is solved
+    built = [parse_spec(spec)[:2] for spec in (
+        bench_inputs.cross_polytope(4, random.Random(1)),
+        fixture_spec("tent_unit"))]
+    solves = []
+    for module in (linalg, ambient, polytope):
+        monkeypatch.setattr(module, "mat_solve",
+                            lambda *args: solves.append(args))
+    for p, q in built:
+        assert classify_choice(p, q).rational
+        assert not [k for k in p.memo if k[0] == "change_of_basis"]
+    assert solves == []
+
+
+def test_explicit_basis_coordinates_solved_once_per_index_set(monkeypatch):
+    # split_gamma and gamma_face_group read the same I; with explicit
+    # generators as with the normals, each flag I is solved once
+    identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    for quasilattice in ("normals", identity):
+        spec = fixture_spec("tent")
+        spec["quasilattice"] = quasilattice
+        p, q, options = parse_spec(spec)
+        flags = {find_flag_index_set(p, face)[0]
+                 for face in p.face_lattice.singular_faces()}
+        assert len(flags) == 8
+        solves = []
+        inner = ambient._solve_in_basis
+        monkeypatch.setattr(ambient, "_solve_in_basis", lambda *args: (
+            solves.append(args) or inner(*args)))
+        build_report(p, q, options, sections=("groups",))
+        monkeypatch.undo()
+        assert len(p.face_lattice.singular_faces()) == 15
+        assert sorted(args[0] for args in solves) == sorted(flags)
 
 
 def test_quasilattice_of_the_wrong_dimension_is_rejected():

@@ -70,6 +70,26 @@ def test_analyze_writes_report_to_stdout(tmp_path, capsys):
     assert report["verification"]["pass"] is True
 
 
+E2, E3 = ["0", "1", "0"], ["0", "0", "1"]
+
+
+@pytest.mark.parametrize("fixture, generators, delzant", [
+    ("pyramid_unit", [["1/2", "0", "0"], E2, E3], False),
+    ("pyramid_unit", [["2", "0", "0"], E2, E3], True),
+    ("cube3", [["1", "1", "0"], E2, E3], True),
+    ("cube3", [["1", "0", "0"], E2, E3, ["1/3", "0", "0"]], False),
+])
+def test_explicit_quasilattice_choice(tmp_path, capsys, fixture, generators,
+                                      delzant):
+    data = fixture_spec(fixture)
+    data["quasilattice"] = generators
+    path = _write_spec(tmp_path, data)
+    assert main(["analyze", path, "--only", "groups"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["choice"] == {"rational": True, "delzant_like": delzant,
+                                "label": "rational"}
+
+
 def test_analyze_only_section(tmp_path, capsys):
     path = _write_spec(tmp_path, _pyramid_spec())
     assert main(["analyze", path, "--only", "faces"]) == 0
