@@ -16,19 +16,22 @@ symbolic Psi table (psi_equations) serves the report's charts section.
 A chart's floats (kernel basis, domain rows, LU factors of the block
 of I) are built once; a sample's floats are integer numerators over
 their denominators, which true division rounds as float(Fraction) does.
+Interior samples come from a pulling triangulation of the polytope, so
+no draw is rejected.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
     find_flag_index_set
-from .linalg import _int_solve_scaled
+from .linalg import _bareiss, _int_solve_scaled, _int_step
 from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
 
@@ -75,7 +78,8 @@ class Chart(NamedTuple):
     stabilizer_count: int
     a_num: tuple  # A_I at the evaluation point, rows ordered by sorted I
     slacks: dict  # r -> Fraction, positive, for r in out_labels
-    float_kernel: tuple  # the kernel basis of pi, as floats
+    float_kernel: tuple  # the kernel basis of pi: (position, float) pairs
+    # of each vector's nonzero entries, in label order
     float_domain: tuple  # _domain's rows as (label, float, float column)
 
     @property
@@ -105,8 +109,9 @@ def _chart(p: HPolytope, face: Face, index_set) -> Chart:
             mid_labels=mid, out_labels=out, vertex_id=vid,
             kernel_labels=labels, stabilizer_count=stab, a_num=a_num,
             slacks=slacks,
-            float_kernel=tuple(tuple(map(float, _kernel_vector(
-                a_num, i_sorted, j, common if k < stab else i_sorted, 0, 1)))
+            float_kernel=tuple(tuple((pos, float(x)) for pos, x in enumerate(
+                _kernel_vector(a_num, i_sorted, j,
+                               common if k < stab else i_sorted, 0, 1)) if x)
                 for k, j in enumerate(labels)),
             float_domain=tuple((label, float(const), tuple(map(float, col)))
                                for label, const, col in
@@ -212,8 +217,7 @@ def moment_values(p: HPolytope, z, chart: Chart):
     if len(z) != p.d:
         raise ValueError(f"z must have {p.d} coordinates")
     ups = [abs(v) ** 2 + l for v, l in zip(z, p._float_l)]
-    psi = [sum(vec[j] * ups[j] for j in range(p.d))
-           for vec in chart.float_kernel]
+    psi = [sum(x * ups[pos] for pos, x in vec) for vec in chart.float_kernel]
     phi = _lu_solve(*_float_block(p, i_sorted), [ups[h - 1] for h in i_sorted])
     return ups, psi, phi
 
@@ -285,8 +289,10 @@ def moment_map_cone(p: HPolytope, chart: Chart, z_f):
     if len(z_f) != len(i_f):
         raise ValueError(f"z_f must have {len(i_f)} coordinates on {i_f}")
     sq = {j: abs(complex(v)) ** 2 for j, v in zip(i_f, z_f)}
+    # a stabilizer vector is e_j - sum_{h in common} a_hj e_h: its nonzero
+    # entries all lie on I_F
     stab = chart.float_kernel[:chart.stabilizer_count]
-    psi = [sum(vec[j - 1] * sq[j] for j in i_f) for vec in stab]
+    psi = [sum(x * sq[pos + 1] for pos, x in vec) for vec in stab]
     phi = tuple(sq[h] + p._float_l[h - 1] for h in chart.common)
     return psi, phi
 
@@ -423,61 +429,101 @@ def cone_embedding(p: HPolytope, chart: Chart, nb: ConeNeighborhood, w, z_f):
                                      for h in chart.index_set])
 
 
-# -- sampling helpers (rejection against exact inequalities) --------------
+# -- sampling helpers (a pulling triangulation on integers) ---------------
 
-_GRID = 4096  # sample coordinates step by 1/_GRID of the bounding box
+_GRID = 4096  # barycentric weights of a sample step by 1/_GRID
 _WEIGHTS = 1024  # face point weights: k/1024 with 0 < k < 1024
 
 
-def _grid_samples(p: HPolytope, count, rng, strict):
-    """(top, [(coords, slacks)]): count grid points drawn by rejection.
+def _pulling_simplices(p: HPolytope):
+    """The simplices of the pulling triangulation: tuples of increasing
+    vertex ids, in lexicographic order.
 
-    With lo = s / D and hi - lo = t / D over one denominator D, the grid
-    point lo + (hi - lo) * k / _GRID is (_GRID * s + t * k) / top, top =
-    _GRID * D, whose slack on constraint j is c_j + <w_j, k> over the
-    positive top * m_j.  Candidates are rejected on those integers; an
-    accepted point keeps its slack numerators over top.  Each k_i is
-    rng.randrange(_GRID + 1) inlined: getrandbits of its bit length,
-    redrawn above _GRID, so the random stream is randrange's.
+    A face of dimension k > 0 is the cone from its first vertex v over
+    the triangulations of its facets that miss v (De Loera, Rambau and
+    Santos, Triangulations, 2010, 4.3); a vertex is its own simplex.  v
+    is the face's smallest vertex id, so each cone keeps the ids sorted.
     """
-    def setup():
-        verts = [v.coords for v in p.vertices]
-        lo = [min(v[i] for v in verts) for i in range(p.n)]
-        hi = [max(v[i] for v in verts) for i in range(p.n)]
-        den, ints = _clear_denominators(lo + hi)
-        start = [_GRID * s for s in ints[:p.n]]
-        width = [h - s for s, h in zip(ints[:p.n], ints[p.n:])]
-        top = _GRID * den
-        # (w_j, f_j) with f_j = [strict] - c_j: k is accepted when
-        # <w_j, k> >= f_j for every j.  The rows cutting the largest
-        # share of <w_j, k>'s range over the box are tried first
-        rows = [(tuple(map(mul, row, width)),
-                 (1 if strict else 0) - sum(map(mul, row, start)) + top * b)
-                for row, b in zip(p._int_x, p._int_l)]
-        rows.sort(key=lambda r: Fraction(
-            _GRID * sum(min(w, 0) for w in r[0]) - r[1],
-            _GRID * sum(map(abs, r[0]))))
-        return start, width, top, rows
-    start, width, top, rows = _memoized(p, ("sampler", strict), setup)
-    bits, draw = (_GRID + 1).bit_length(), rng.getrandbits
+    by_dim = {}
+    for f in p.face_lattice.faces:
+        by_dim.setdefault(f.dim, []).append(f)
+    done = {}
+
+    def pull(face):
+        if face.index_set not in done:
+            v = face.vertex_ids[0]
+            labels = set(face.index_set)
+            done[face.index_set] = [(v, *s) for g in by_dim[face.dim - 1]
+                                    if labels.issubset(g.index_set)
+                                    and v not in g.vertex_ids
+                                    for s in pull(g)] if face.dim else [(v,)]
+        return done[face.index_set]
+    return sorted(pull(p.face_lattice.top))
+
+
+def _triangulation(p: HPolytope):
+    """(D, columns, cumulative volumes) of the pulling triangulation, once.
+
+    With the vertices V / D over one denominator D, simplex i is the n
+    coordinate columns of its n + 1 vertex numerators.  Its volume times
+    n! D^n is the integer |det| of the edges from its first vertex.
+    """
+    def build():
+        den, ints = _clear_denominators([x for v in p.vertices
+                                         for x in v.coords])
+        verts = [ints[i:i + p.n] for i in range(0, len(ints), p.n)]
+        columns, cumulative, total = [], [], 0
+        for ids in _pulling_simplices(p):
+            v0 = verts[ids[0]]
+            edges = [list(map(sub, verts[i], v0)) for i in ids[1:]]
+            _bareiss(edges, _int_step, 1)
+            total += abs(edges[-1][-1])
+            columns.append(tuple(zip(*(verts[i] for i in ids))))
+            cumulative.append(total)
+        return den, columns, cumulative
+    return _memoized(p, ("triangulation",), build)
+
+
+def _grid_samples(p: HPolytope, count, rng, strict):
+    """(top, [(coords, slacks)]): count points drawn from the pulling
+    triangulation, with no rejection.
+
+    A simplex is picked with probability its share of the volume, by
+    rng.randrange(total) inlined as getrandbits of total's bit length
+    redrawn at or above total; one simplex needs no pick.  Its barycentric
+    weights g are the n + 1 gaps of n sorted draws from [0, _GRID], each
+    rng.randrange(_GRID + 1) inlined the same way: uniform spacings, so
+    the points are close to uniform in the simplex (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. V).  A strict sample redraws the
+    n draws while a gap is 0.  The point sum g_i V_i / (_GRID D) keeps its
+    numerators over top = _GRID * D, and its slack numerators over the
+    positive top * m_j.
+    """
+    den, columns, cumulative = _triangulation(p)
+    top, total = _GRID * den, cumulative[-1]
+    pick = total.bit_length() if len(columns) > 1 else 0
+    bits, draw, n = (_GRID + 1).bit_length(), rng.getrandbits, p.n
     out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 10000 * count:
-            raise RuntimeError("rejection sampling stalled")
-        k = []
-        for _ in start:
-            x = draw(bits)
-            while x > _GRID:
+    for _ in range(count):
+        cols = columns[0]
+        if pick:
+            r = draw(pick)
+            while r >= total:
+                r = draw(pick)
+            cols = columns[bisect_right(cumulative, r)]
+        while True:
+            k = []
+            for _ in range(n):
                 x = draw(bits)
-            k.append(x)
-        for w, f in rows:
-            if sum(map(mul, w, k)) < f:
+                while x > _GRID:
+                    x = draw(bits)
+                k.append(x)
+            k.sort()
+            gaps = list(map(sub, k + [_GRID], [0] + k))
+            if not strict or all(gaps):
                 break
-        else:
-            xs = tuple(s + t * x for s, t, x in zip(start, width, k))
-            out.append((xs, p._int_slacks(top, xs)))
+        xs = tuple(sum(map(mul, gaps, col)) for col in cols)
+        out.append((xs, p._int_slacks(top, xs)))
     return top, out
 
 
@@ -488,7 +534,7 @@ def _slack_floats(p: HPolytope, den, nums):
 
 
 def sample_polytope_points(p: HPolytope, count, rng, strict=True):
-    """Rational points of the polytope drawn by bounding-box rejection."""
+    """Rational points of the polytope drawn from its pulling triangulation."""
     top, pts = _grid_samples(p, count, rng, strict)
     return [tuple(Fraction(x, top) for x in xs) for xs, _nums in pts]
 

@@ -174,8 +174,9 @@ class HPolytope:
         self._vertices = None
         # objects derived from this polytope (face lattice, symbolic
         # vertices and slacks, index family, A_I, charts, link forest,
-        # sampler), keyed by (function, args); see _memoized.  A link
-        # polytope's face lattice is put here by links.link_polytope
+        # sampling triangulation), keyed by (function, args); see
+        # _memoized.  A link polytope's face lattice is put here by
+        # links.link_polytope
         self.memo = {}
         if validate:
             self._validate()

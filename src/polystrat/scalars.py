@@ -602,9 +602,16 @@ class Scalar:
         return "".join(parts)
 
     def __str__(self):
+        unit = self.registry._unit
+        if self._den == unit:
+            # rational constants, most of a report's strings, print
+            # as their Fraction
+            if not self._num:
+                return "0"
+            if self._num == unit:
+                return str(self._c)
+            return self._poly_str(self._num, self._c)
         ns = self._poly_str(self._num, self._c)
-        if self._den == self.registry._unit:
-            return ns
         if len(self._num) > 1:
             ns = f"({ns})"
         ds = self._poly_str(self._den)

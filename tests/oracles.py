@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms:
 sympy for field operations and ranks, breadth-first closure for finite
-subgroups of (Q/Z)^n, and Fraction slacks for the polytope predicates
-and the rejection sampler that the library decides on integer rows.
+subgroups of (Q/Z)^n, Fraction slacks for the polytope predicates, and
+a pulling triangulation found on Fraction slacks and sympy
+determinants, without the face lattice, for the sampler that the
+library draws on integers.
 Earlier library algorithms are kept as oracles for the ones that
 replaced them: the polytope validation by coordinate extremization,
 which solves one LP per coordinate and sign with polystrat.lp (the
@@ -24,11 +26,14 @@ section, which the sums of evaluated b_j replaced, and the greedy choice
 of independent rows by one rank per row, which one elimination of the
 transpose replaced, and the face and cone samples on Fraction points,
 slacks and balls, which integer numerators over one denominator
-replaced, and the Delzant-likeness scan over the symbolic coordinates
+replaced, the Delzant-likeness scan over the symbolic coordinates
 of the generators in every admissible basis, which one integer solve
-per I on the flattened monomial rows replaced.
+per I on the flattened monomial rows replaced, and bounding-box
+rejection sampling, which the draw from a pulling triangulation
+replaced and which stays as a distribution oracle.
 """
 
+import bisect
 import cmath
 import itertools
 import math
@@ -388,11 +393,12 @@ def frac_active_set(p, point):
                  if frac_constraint_value(p, j, point) == 0)
 
 
-def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
+def box_sample_polytope_points(p, count, rng, strict=True, grid=4096):
     """Bounding-box rejection sampling with a Fraction point per candidate.
 
-    The constraints are evaluated as Fractions once, and each candidate's
-    slacks are Fraction sums, tried in label order.
+    The sampler the library ran before the pulling triangulation, kept
+    as a distribution oracle: grid points of the vertex bounding box,
+    rejected on Fraction slacks tried in label order.
     """
     rows = [([x.evaluate() for x in row], l.evaluate())
             for row, l in zip(p.normals, p.offsets)]
@@ -410,6 +416,76 @@ def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
         slacks = (sum(c * a for c, a in zip(pt, row)) - b for row, b in rows)
         if all(v > 0 if strict else v >= 0 for v in slacks):
             out.append(pt)
+    return out
+
+
+def _affine_rank(points):
+    return sympy.Matrix([[x - y for x, y in zip(q, points[0])]
+                         for q in points[1:]] or [[0]]).rank()
+
+
+def _affine_det(points):
+    return sympy.Matrix([[x - y for x, y in zip(q, points[0])]
+                         for q in points[1:]]).det()
+
+
+def pulling_triangulation(p):
+    """(simplices, volumes): the pulling triangulation found on Fraction
+    slacks, without the face lattice.
+
+    The facets of a k-face are its vertex sets on one constraint's
+    hyperplane whose affine hull has dimension k - 1; the face is the
+    cone from its smallest vertex id over the facets that miss it.  The
+    simplices are sorted tuples of vertex ids, sorted, and each volume is
+    sympy's |det| of the edges from the first vertex, with the vertices
+    scaled by the lcm D of their denominators: n! D^n times the volume.
+    """
+    verts = [v.coords for v in p.vertices]
+    on = [[i for i, v in enumerate(verts)
+           if frac_constraint_value(p, j, v) == 0]
+          for j in range(1, p.d + 1)]
+
+    def pull(ids, k):
+        if k == 0:
+            return [ids]
+        facets = {tuple(i for i in ids if i in plane) for plane in on}
+        return [(ids[0], *s) for g in facets
+                if g and ids[0] not in g
+                and _affine_rank([verts[i] for i in g]) == k - 1
+                for s in pull(g, k - 1)]
+
+    simplices = sorted(pull(tuple(range(len(verts))), p.n))
+    den = lcm(*(x.denominator for v in verts for x in v))
+    volumes = [abs(int(_affine_det([[x * den for x in verts[i]]
+                                    for i in ids])))
+               for ids in simplices]
+    return simplices, volumes
+
+
+def frac_sample_polytope_points(p, count, rng, strict=True, grid=4096):
+    """The triangulation draw on Fractions, by rng.randrange.
+
+    A simplex is picked by randrange(total volume) against the
+    cumulative volumes when there are several; its barycentric weights
+    are the gaps of n sorted randrange(grid + 1) draws over grid, all
+    drawn again while a strict sample has a zero weight.
+    """
+    simplices, volumes = pulling_triangulation(p)
+    cumulative = list(itertools.accumulate(volumes))
+    verts = [v.coords for v in p.vertices]
+    out = []
+    for _ in range(count):
+        ids = simplices[0]
+        if len(simplices) > 1:
+            ids = simplices[bisect.bisect_right(
+                cumulative, rng.randrange(cumulative[-1]))]
+        while True:
+            k = sorted(rng.randrange(grid + 1) for _ in range(p.n))
+            w = [Fraction(b - a, grid) for a, b in zip([0] + k, k + [grid])]
+            if not strict or all(w):
+                break
+        out.append(tuple(sum(wi * verts[i][c] for wi, i in zip(w, ids))
+                         for c in range(p.n)))
     return out
 
 
@@ -559,8 +635,8 @@ def evaluated_chart(p, face, index_set):
                        for row in basis.a_matrix),
         "slacks": {r: slacks[r - 1].evaluate() for r in range(1, p.d + 1)
                    if r not in basis.vertex_index_set},
-        "float_kernel": tuple(tuple(float(x.evaluate()) for x in vec)
-                              for vec in basis.kernel),
+        "float_kernel": tuple(tuple((pos, float(v)) for pos, v in enumerate(
+            x.evaluate() for x in vec) if v) for vec in basis.kernel),
         "kernel_labels": basis.kernel_labels,
         "stabilizer_count": basis.stabilizer_count,
     }

@@ -387,6 +387,14 @@ def _rel_err(got, want, scale=None):
     return np.abs(np.asarray(got) - want).max() / scale
 
 
+def _dense(vec, d):
+    """A chart's float kernel vector with its zero entries put back."""
+    out = [0.0] * d
+    for pos, x in vec:
+        out[pos] = x
+    return out
+
+
 def test_solve_block_matches_numpy_solve():
     # entries are multiples of 1/8 in [-4, 4], as rational normals are;
     # every third system has a zero leading pivot, forcing a row swap
@@ -443,7 +451,7 @@ def test_moment_values_and_torus_match_numpy(request, name):
             ups_ref = np.abs(np.array(z)) ** 2 + lam
             assert _rel_err(ups, ups_ref) <= 1e-12
             # Psi cancels to about 0 on the slice: scale by its terms
-            kernel = np.array(ch.float_kernel)
+            kernel = np.array([_dense(vec, p.d) for vec in ch.float_kernel])
             assert _rel_err(psi, kernel @ ups_ref,
                             (np.abs(kernel) @ np.abs(ups_ref)).max()) <= 1e-12
             assert _rel_err(phi, np.linalg.solve(rows, ups_ref[pos])) <= 1e-12
@@ -452,6 +460,43 @@ def test_moment_values_and_torus_match_numpy(request, name):
             want = np.array(z)
             want[pos] *= np.exp(2j * np.pi * np.linalg.solve(rows.T, x))
             assert _rel_err(z2, want) <= 1e-12
+
+
+def _sum_hex(values):
+    # only the sign of a zero sum may differ when zero products are skipped
+    return [float.hex(abs(x) if x == 0 else x) for x in values]
+
+
+@pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
+                                  "tent_unit", "cube3", "simplex3"))
+def test_sparse_psi_sums_match_the_dense_sums(name, request):
+    # Psi and Psi_F sum the at most n + 1 nonzero entries of each kernel
+    # vector; the dense sums over all d labels, in label order, add only
+    # exact-zero products more, so every sum is the same float.  Slice
+    # points, where Psi cancels, and random points, on every chart
+    p = request.getfixturevalue(name)[0]
+    rng = random.Random(103)
+    for face, i_set in _chart_pairs(p):
+        ch = C.singular_chart(p, face, i_set)
+        assert all(len(vec) <= p.n + 1 for vec in ch.float_kernel)
+        dense = [_dense(vec, p.d) for vec in ch.float_kernel]
+        points = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                   for _ in range(p.d)] for _ in range(3)]
+        if not face.index_set:
+            points += [C.regular_slice(p, ch, u)
+                       for _mu, u in C.sample_regular_domain(p, ch, 3, rng)]
+        for z in points:
+            ups, psi, _phi = C.moment_values(p, z, ch)
+            assert _sum_hex(psi) == _sum_hex(
+                sum(vec[j] * ups[j] for j in range(p.d)) for vec in dense)
+        i_f = face.index_set
+        for _ in range(3):
+            z_f = [rng.uniform(0, 2) for _ in i_f]
+            psi_f, _phi_f = C.moment_map_cone(p, ch, z_f)
+            sq = {j: abs(complex(v)) ** 2 for j, v in zip(i_f, z_f)}
+            assert _sum_hex(psi_f) == _sum_hex(
+                sum(vec[j - 1] * sq[j] for j in i_f)
+                for vec in dense[:ch.stabilizer_count])
 
 
 def test_torus_action_rejects_a_rank_deficient_block(pyr, tnt):
@@ -688,8 +733,10 @@ def test_sample_polytope_points_inside(pyr):
 @pytest.mark.parametrize("name", ("pyramid", "tent", "pyramid_unit",
                                   "tent_unit", "cube3", "simplex3"))
 def test_sampler_matches_fraction_oracle(name, request):
-    # tent accepts about 3 % of its strict candidates, so 3,000 samples
-    # draw about 100 k: the inlined draws must stay randrange's stream
+    # the same points from the same draws as the triangulation draw on
+    # Fractions: tent's 3,000 strict samples pick among three simplices
+    # and draw again on a zero weight a few times, and the inlined draws
+    # must stay randrange's stream through both
     p = request.getfixturevalue(name)[0]
     count = 3000 if name == "tent" else 40
     for seed, strict in ((71, True), (72, False)):
@@ -706,8 +753,8 @@ def test_grid_samples_give_the_floats_of_the_exact_points(name, request):
     # verification reads each sample's floats from its integers by
     # integer true division, which rounds correctly as float() of the
     # Fraction does: the same points, bit for bit.  The fixtures' grids
-    # are dyadic; the triangle's box, [1/3, 6/7] x [1/7, 2/3], is not,
-    # so its coordinates round too
+    # are dyadic; the triangle's vertices have denominators 3 and 7, so
+    # its coordinates round too
     if name == "thirds":
         p = HPolytope(ParamRegistry([]), [[1, 0], [0, 1], [-1, -1]],
                       [Fraction(1, 3), Fraction(1, 7), -1])
@@ -725,13 +772,20 @@ def test_grid_samples_give_the_floats_of_the_exact_points(name, request):
 
 
 def test_sampler_setup_is_kept_per_strictness():
-    """Closed sampling after open sampling still accepts boundary points."""
+    """The memoized triangulation serves open and closed sampling alike:
+    strict samples of the unit square have no coordinate at 0 or 1, and
+    closed samples after them still reach the boundary.
+
+    A closed sample lies on the square's boundary when its smaller draw
+    is 0 or its larger is _GRID, about 4 in 4,097 samples, so 10,000
+    samples expect about 10 there.
+    """
     sq = HPolytope(ParamRegistry([]), [[1, 0], [0, 1], [-1, 0], [0, -1]],
                    [0, 0, -1, -1])
     for strict in (True, False, True):
         rng, ref = random.Random(73), random.Random(73)
-        pts = C.sample_polytope_points(sq, 3000, rng, strict=strict)
-        assert pts == frac_sample_polytope_points(sq, 3000, ref,
+        pts = C.sample_polytope_points(sq, 10000, rng, strict=strict)
+        assert pts == frac_sample_polytope_points(sq, 10000, ref,
                                                   strict=strict, grid=C._GRID)
         on_boundary = sum(0 in pt or 1 in pt for pt in pts)
         assert on_boundary == 0 if strict else on_boundary > 0

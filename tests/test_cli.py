@@ -45,6 +45,16 @@ def _diags(err):
     return [json.loads(line) for line in err.splitlines() if line]
 
 
+def _simplex_spec(n):
+    """The standard n-simplex, x_i >= 0 and sum x_i <= 1, with the
+    options of the simplex3 fixture."""
+    return {"dimension": n, "parameters": [],
+            "normals": [[str(int(i == j)) for j in range(n)]
+                        for i in range(n)] + [["-1"] * n],
+            "offsets": ["0"] * n + ["-1"], "quasilattice": "normals",
+            "options": {"epsilon": "1", "samples": 100, "seed": 0}}
+
+
 def _cube_cut_spec(q="2"):
     """The unit cube cut by -x - y - z >= -q.
 
@@ -203,6 +213,18 @@ def test_two_term_denominators_reach_the_general_gcd(tmp_path, capsys,
             want = sym_solve(reg, m_i, x_j)
             assert [sym_element(reg, row[j])
                     for row in chart["a_matrix"]] == want, (chart, j)
+
+
+@pytest.mark.parametrize("n", (8, 10))
+def test_high_dimensional_simplex_verifies(tmp_path, capsys, n):
+    # a bounding box accepts about 1/n! of its points here: sampling
+    # must not depend on it
+    path = _write_spec(tmp_path, _simplex_spec(n))
+    assert main(["analyze", path, "--only", "verify"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    block = json.loads(out.out)["verification"]
+    assert block["pass"] is True and block["samples"] == 100
 
 
 def test_impossible_tolerance_is_verify_failure(tmp_path, capsys):
@@ -477,10 +499,13 @@ FUZZ_SECTIONS = ALL_SECTIONS + (None,)
 
 
 def _fuzzed_spec(rng):
-    """A spec with one entry dropped, replaced or resized, or one
-    parameter given another value."""
-    name = rng.choice(("pyramid", "cube3", "simplex3", "cube_cut"))
-    data = _cube_cut_spec() if name == "cube_cut" else fixture_spec(name)
+    """The pyramid, cube3, cube cut or an n-simplex (n = 2..10) with one
+    entry dropped, replaced or resized, or one parameter given another
+    value."""
+    name = rng.choice(("pyramid", "cube3", "simplex", "cube_cut"))
+    data = (_cube_cut_spec() if name == "cube_cut"
+            else _simplex_spec(rng.randrange(2, 11)) if name == "simplex"
+            else fixture_spec(name))
     if data["parameters"] and rng.random() < 0.5:
         entry = rng.choice(data["parameters"])
         entry["value"] = rng.choice(FUZZ_PARAMETER_VALUES)
@@ -504,6 +529,8 @@ def _fuzzed_spec(rng):
 
 
 def test_fuzzed_specs_exit_cleanly(tmp_path, capsys):
+    # the n-simplices, n = 2..10, include the simplex3 fixture
+    assert _simplex_spec(3) == fixture_spec("simplex3")
     rng = random.Random(20261018)
     codes = set()
     issues = set()

@@ -105,6 +105,22 @@ def test_no_power_operator_in_canonical_strings(reg):
     assert reg.parse(text) == s
 
 
+def test_constant_strings_match_the_polynomial_route(reg):
+    # str of a rational constant takes a short route; it must print what
+    # the general numerator route prints, and parse back
+    for c in (0, 1, -1, Fraction(7, 3), Fraction(-7, 3), 10 ** 30,
+              -(10 ** 30) - 1, Fraction(2 ** 70, 3 ** 41)):
+        s = reg.scalar(c)
+        text = str(s)
+        assert text == s._poly_str(s._num, s._c)
+        assert text == str(Fraction(c))
+        assert reg.parse(text) == s
+    # sums and products that cancel to constants take the same route
+    assert str(reg.parse("p1 - p1")) == "0"
+    assert str(reg.parse("p1/p1")) == "1"
+    assert str(reg.parse("(2 - 2*p2)/(3*p2 - 3)")) == "-2/3"
+
+
 def test_substitute(reg):
     s = reg.parse("p5/p2 - p1")
     t = s.substitute({"p2": 1, "p5": 1})
