@@ -11,11 +11,10 @@ rational at the evaluation point.  Y and the level are read only there,
 so they are Fraction sums of the evaluated b_j (evaluation is a ring
 map), as is the Gram-Schmidt step (_dot).
 
-The link's face lattice is the parent's interval [F, P], relabelled
-inside I_F; the slice itself is not validated.  Its own vertices are
-the one cross-check: their active sets must be the relabelled faces
-covering F.  Face index sets are the meets of vertex active sets, so
-this makes the intrinsic lattice the interval; a mismatch is an error.
+The slice itself is not validated.  Its face lattice is built from its
+own vertices, as every polytope's is, and the one cross-check is that
+it is the parent's interval [F, P], relabelled inside I_F, with the
+same index sets and dimensions; a mismatch is an error.
 
 The fibration split needs no chart: a flag chart's stabilizer rows span the
 relations among the X_j of I_F, so b is in their span iff Y = sum b_j X_j = 0.
@@ -27,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .charts import _coerce_b
-from .polytope import Face, FaceLattice, HPolytope, _memoized
+from .polytope import Face, HPolytope, _memoized
 from .scalars import ParamRegistry
 
 
@@ -113,11 +112,11 @@ class LinkPolytope(NamedTuple):
 
 
 def link_polytope(p: HPolytope, section: ConeSection) -> LinkPolytope:
-    """The slice, its face lattice installed from the interval [F, P].
+    """The slice, with its faces named by the parent faces they come from.
 
     A face G above F becomes T_G, the positions of I_G in I_F, of
     dimension dim G - dim F - 1 with G's singularity.  RuntimeError if
-    the slice's vertex active sets are not the T_E of the E covering F.
+    the slice's own lattice is not this relabelled interval [F, P].
     """
     poly = section.polytope
     labels = section.face_index_set
@@ -126,22 +125,11 @@ def link_polytope(p: HPolytope, section: ConeSection) -> LinkPolytope:
     pos = {j: t for t, j in enumerate(labels, start=1)}
     above = {tuple(pos[j] for j in g.index_set): g
              for g in parent.superfaces(face)}
-    verts = poly.vertices
-    atoms = sorted(t for t, g in above.items() if g.dim == face.dim + 1)
-    if sorted(v.active for v in verts) != atoms:
+    if {f.index_set: f.dim for f in poly.face_lattice.faces} != {
+            t: g.dim - face.dim - 1 for t, g in above.items()}:
         raise RuntimeError(
-            f"the vertices of the link at face {labels} do not match the "
-            "faces above it")
-
-    def lattice():
-        return FaceLattice(poly.n, [
-            Face(index_set=t, dim=g.dim - face.dim - 1, r=g.r,
-                 singular=g.singular,
-                 vertex_ids=tuple(i for i, v in enumerate(verts)
-                                  if set(t) <= set(v.active)))
-            for t, g in above.items()])
-
-    _memoized(poly, ("face_lattice",), lattice)
+            f"the face lattice of the link at face {labels} is not the "
+            "interval above it")
     return LinkPolytope(section=section, polytope=poly, to_parent={
         t: g.index_set for t, g in above.items()})
 

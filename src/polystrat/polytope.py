@@ -6,17 +6,18 @@ constraint is evaluated at the registry's evaluation point and stored
 once as a primitive integer row (a_j, b_j) = m_j (X_j, lambda_j), with
 m_j > 0 the lcm of its denominators over the gcd of the scaled
 entries, so every slack keeps its sign.  All sign and rank decisions
-(feasibility, active sets, vertices, face dimensions) are made on
-these rows in integer arithmetic.  The vertices come from a double
-description of the homogenized rows, whose work grows with the
-vertices of the partial systems rather than with the C(d, n) subsets
-of constraints, and each one is certified inside with active rows of
-rank n.  Symbolic vertex coordinates are recovered on demand and, with
-parameters, cross-checked against every active constraint.  The
-slacks <v, X_j> - lambda_j of a symbolic vertex v form one table per
-vertex, which the charts read for their domain inequalities and the
-constants of Psi; on the active set the table is zero, since the
-certificate made those slacks vanish as Scalars.
+(feasibility, active sets, vertices) are made on these rows in integer
+arithmetic.  The vertices come from a double description of the
+homogenized rows, whose work grows with the vertices of the partial
+systems rather than with the C(d, n) subsets of constraints, and each
+one is certified inside with active rows of rank n.  The face lattice
+is graded up from their active sets alone: a face's dimension is its
+height above the vertices.  Symbolic vertex coordinates are recovered
+on demand and, with parameters, cross-checked against every active
+constraint.  The slacks <v, X_j> - lambda_j of a symbolic vertex v form
+one table per vertex, which the charts read for their domain
+inequalities and the constants of Psi; on the active set the table is
+zero, since the certificate made those slacks vanish as Scalars.
 
 Validation reads the rays of the same double description: no ray with
 t > 0 means empty, one with t = 0 unbounded, and rays of rank at most n
@@ -175,8 +176,7 @@ class HPolytope:
         # objects derived from this polytope (face lattice, symbolic
         # vertices and slacks, index family, A_I, charts, link forest,
         # sampling triangulation), keyed by (function, args); see
-        # _memoized.  A link polytope's face lattice is put here by
-        # links.link_polytope
+        # _memoized
         self.memo = {}
         if validate:
             self._validate()
@@ -372,25 +372,30 @@ class HPolytope:
         return _memoized(self, ("face_lattice",), self._build_lattice)
 
     def _build_lattice(self):
-        verts = self.vertices
-        sets = {frozenset(v.active) for v in verts}
-        work = list(sets)
-        while work:
-            cur = work.pop()
-            for other in list(sets):
-                meet = cur & other
-                if meet not in sets:
-                    sets.add(meet)
-                    work.append(meet)
-        faces = []
-        for js in sets:
-            index_set = tuple(sorted(js))
-            p = self.n - int_rank([self._int_x[j - 1] for j in index_set])
-            r = len(index_set)
-            vids = tuple(i for i, v in enumerate(verts)
-                         if js <= set(v.active))
-            faces.append(Face(index_set=index_set, dim=p, r=r,
-                              singular=r > self.n - p, vertex_ids=vids))
+        """The faces graded up from the vertices (Kaibel and Pfetsch 2002):
+        a face is the bitmask of its index set, bit j for label j, the
+        vertices' active sets have dimension 0, and the faces covering h
+        are the maximal distinct meets h & a over the vertex masks a that
+        do not contain h; h's vertices are those whose masks contain h."""
+        masks = [sum(1 << j for j in v.active) for v in self.vertices]
+        faces, level, p = [], set(masks), 0
+        while level:
+            covers = set()
+            for h in level:
+                index_set = tuple(j for j in range(1, self.d + 1)
+                                  if h >> j & 1)
+                faces.append(Face(
+                    index_set=index_set, dim=p, r=len(index_set),
+                    singular=len(index_set) > self.n - p,
+                    vertex_ids=tuple(i for i, a in enumerate(masks)
+                                     if a & h == h)))
+                up = []
+                for m in sorted({h & a for a in masks if a & h != h},
+                                key=int.bit_count, reverse=True):
+                    if all(m & u != m for u in up):
+                        up.append(m)
+                covers.update(up)
+            level, p = covers, p + 1
         return FaceLattice(self.n, faces)
 
     @property

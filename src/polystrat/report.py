@@ -166,9 +166,13 @@ def parse_spec(data: dict):
         raise SpecError("options.b must be an object")
     for key, vals in b_raw.items():
         try:
-            face = tuple(sorted(int(t) for t in key.split(",")))
+            face = tuple(int(t) for t in key.split(","))
         except ValueError as e:
             raise SpecError(f"bad face key {key!r} in options.b") from e
+        # the coefficients follow the labels in order
+        if list(face) != sorted(set(face)):
+            raise SpecError(f"options.b key {key!r} must list its labels "
+                            "in strictly increasing order")
         if not isinstance(vals, list):
             raise SpecError(f"options.b entry for {key!r} must be a list")
         b = tuple(_scalar(reg, v, f"options.b[{key!r}]") for v in vals)

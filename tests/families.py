@@ -18,6 +18,8 @@ point.
 
 import math
 
+KINDS = ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism")
+
 
 def _hull(points):
     """Corners of the convex hull, counterclockwise, collinear ones dropped

@@ -13,9 +13,9 @@ exact simplex that no module of the package runs any more), and
 Gauss-Jordan reduction for solves, ranks and kernel vectors, which
 divides in the field at every step and so runs on Scalars as well as
 Fractions, the A_I-based offset identity and Psi constants
-that the per-vertex slack table replaced, the intrinsic route to a
-link polytope (validation and a lattice closed from its own vertices)
-that the parent's interval [F, P] replaced, the fibration split by
+that the per-vertex slack table replaced, the validation of a link
+polytope, which the check of its lattice against the parent's
+interval [F, P] replaced, the fibration split by
 a rank over the flag chart's stabilizer rows, which the section's
 Y != 0 replaced, and vertex enumeration by solving every n-subset of
 constraints, which double description replaced, the float solve
@@ -30,7 +30,10 @@ replaced, the Delzant-likeness scan over the symbolic coordinates
 of the generators in every admissible basis, which one integer solve
 per I on the flattened monomial rows replaced, and bounding-box
 rejection sampling, which the draw from a pulling triangulation
-replaced and which stays as a distribution oracle.
+replaced and which stays as a distribution oracle, and the face
+lattice closed under meets of the vertex active sets, with one rank
+per face for its dimension, which the pass graded up from the vertex
+incidences replaced.
 """
 
 import bisect
@@ -645,7 +648,7 @@ def evaluated_chart(p, face, index_set):
 # -- link polytopes by the intrinsic route -----------------------------------
 
 def intrinsic_polytope(poly):
-    """poly rebuilt with validation, its lattice closed from its vertices."""
+    """poly rebuilt with validation, which builds its own lattice."""
     from polystrat.polytope import HPolytope
 
     return HPolytope(poly.registry, poly.normals, poly.offsets)
@@ -721,3 +724,34 @@ def symbolic_delzant_like(p, q) -> bool:
     return rational and all(
         c.is_integer() for i_set in admissible_index_sets(p)
         for coords in basis_coordinates(p, q, i_set) for c in coords)
+
+
+# -- the face lattice by meet closure ----------------------------------------
+
+def closure_face_lattice(p):
+    """The meets of the vertex active sets, closed, with one int_rank
+    per face for its dimension and one scan of the vertices for its
+    vertex_ids."""
+    from polystrat.linalg import int_rank
+    from polystrat.polytope import Face, FaceLattice
+
+    verts = p.vertices
+    sets = {frozenset(v.active) for v in verts}
+    work = list(sets)
+    while work:
+        cur = work.pop()
+        for other in list(sets):
+            meet = cur & other
+            if meet not in sets:
+                sets.add(meet)
+                work.append(meet)
+    faces = []
+    for js in sets:
+        index_set = tuple(sorted(js))
+        dim = p.n - int_rank([p._int_x[j - 1] for j in index_set])
+        r = len(index_set)
+        vids = tuple(i for i, v in enumerate(verts)
+                     if js <= set(v.active))
+        faces.append(Face(index_set=index_set, dim=dim, r=r,
+                          singular=r > p.n - dim, vertex_ids=vids))
+    return FaceLattice(p.n, faces)

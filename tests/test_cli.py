@@ -322,6 +322,9 @@ def test_link_vertex_mismatch_is_verify_failure(tmp_path, capsys,
     {"b": [["1", "1", "1", "1"]]},
     {"tolerances": [1e-9]},
     {"b": {"9,9": ["1", "1"]}},
+    {"b": {"4,3,2,1": ["p2", "1", "1", "1"]}},
+    {"b": {"1,2,3,4": ["1", "1", "1", "p2"],
+           "4,3,2,1": ["p2", "1", "1", "1"]}},
     {"samples": True},
     {"seed": True},
     {"tolerances": {"residual": "nan"}},
@@ -336,6 +339,18 @@ def test_malformed_options_are_parse_errors(tmp_path, capsys, options):
     assert "Traceback" not in err
     diags = _diags(err)
     assert len(diags) == 1 and diags[0]["error"] == "parse"
+
+
+@pytest.mark.parametrize("keys", [["4,3,2,1"], ["1,2,3,4", "4,3,2,1"]])
+def test_unordered_b_keys_are_named(tmp_path, capsys, keys):
+    b = {key: ["1", "1", "1", "p2"] for key in keys}
+    path = _write_spec(tmp_path, _pyramid_spec(b=b))
+    assert main(["analyze", path, "--only", "links"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (diag,) = _diags(captured.err)
+    assert diag["error"] == "parse" and "'4,3,2,1'" in diag["detail"]
+    assert "increasing" in diag["detail"]
 
 
 @pytest.mark.parametrize("where, key", [

@@ -10,13 +10,12 @@ intersections, and a face's dimension the rank of its points.
 import random
 
 import pytest
-from families import family
+from families import KINDS, family
 from oracles import brute_force_vertices
 
 from polystrat.polytope import HPolytope
 from polystrat.scalars import ParamRegistry
 
-KINDS = ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism")
 
 
 def _hull_f_vector(points, n):

@@ -3,7 +3,7 @@
 The face-transfer checks here recompute the expected correspondence
 from the two face lattices directly instead of trusting the checks
 built into link_polytope, and rebuild each link by the intrinsic route
-(validation, and a lattice closed from the slice's own vertices).
+(validation, which link_polytope skips).
 """
 
 import random
@@ -24,8 +24,8 @@ from polystrat.scalars import ParamRegistry
 def _recheck_transfer(parent_poly, face, lp):
     """Independent bijection + dimension + singularity audit.
 
-    The slice rebuilt with validation must have the installed vertices
-    and face lattice.
+    The slice rebuilt with validation must have the same vertices and
+    face lattice.
     """
     sup = {g.index_set: g
            for g in parent_poly.face_lattice.superfaces(face)}

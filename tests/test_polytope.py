@@ -8,9 +8,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import bound_loop_first_code, frac_active_set, \
-    frac_constraint_value, frac_contains, gj_rref, rref_kernel_vector
+from families import KINDS, family
+from oracles import bound_loop_first_code, closure_face_lattice, \
+    frac_active_set, frac_constraint_value, frac_contains, gj_rref, \
+    rref_kernel_vector
 
+import polystrat.linalg as linalg
+import polystrat.polytope as polytope
 from polystrat.links import link_tree
 from polystrat.polytope import (
     Face,
@@ -253,6 +257,65 @@ def test_vertex_coordinates_are_symbolic(pyramid):
                    if v.coords == (0, 0, 1))
     sym = p.vertex_point(apex_id)
     assert tuple(str(c) for c in sym) == ("0", "0", "1")
+
+
+# -- the graded lattice against the meet closure ----------------------------
+
+SEEDED = {
+    **{f"cross{n}": lambda m, n=n: m.cross_polytope(n, random.Random(1))
+       for n in range(2, 7)},
+    "cell24": lambda m: m.cell24(random.Random(1)),
+    "cross_pyramid": lambda m: m.cross_pyramid(random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_lattice_matches_closure_on_fixtures(name, request):
+    p = request.getfixturevalue(name)[0]
+    assert p.face_lattice.faces == closure_face_lattice(p).faces
+
+
+@pytest.mark.parametrize("name", ["tent", "pyramid"])
+def test_link_lattices_match_closure(name, request):
+    p, _, options = request.getfixturevalue(name)
+    nodes = [node for root in link_tree(p, options) for node in root.walk()]
+    assert nodes
+    for node in nodes:
+        poly = node.link.polytope
+        assert poly.face_lattice.faces == closure_face_lattice(poly).faces, \
+            node.chain
+
+
+@pytest.mark.parametrize("name", list(SEEDED))
+def test_lattice_matches_closure_on_benchmark_inputs(name, bench_inputs):
+    p = parse_spec(SEEDED[name](bench_inputs))[0]
+    assert p.face_lattice.faces == closure_face_lattice(p).faces
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lattice_matches_closure_on_families(kind):
+    rng = random.Random(f"families-{kind}")  # test_families.py's polytopes
+    for _ in range(12):
+        normals, offsets = family(rng, kind)
+        p = HPolytope(ParamRegistry([]), normals, offsets)
+        assert p.face_lattice.faces == closure_face_lattice(p).faces, \
+            (normals, offsets)
+
+
+def test_building_a_lattice_computes_no_rank(tent, bench_inputs,
+                                             monkeypatch):
+    polys = [tent[0], parse_spec(bench_inputs.cell24(random.Random(1)))[0],
+             link_tree(tent[0], tent[2])[0].link.polytope]
+    for p in polys:
+        assert p.vertices  # each certified by a rank, before the guard
+
+    def no_rank(rows):
+        raise AssertionError("a face dimension was computed by a rank")
+
+    monkeypatch.setattr(polytope, "int_rank", no_rank)
+    monkeypatch.setattr(linalg, "int_rank", no_rank)
+    for p in polys:
+        assert p._build_lattice().faces == p.face_lattice.faces
 
 
 # -- validation ------------------------------------------------------------

@@ -110,6 +110,11 @@ def test_parse_spec_options():
     lambda d: _pyramid(b={"1,2,3,4": 5}),
     lambda d: _pyramid(b={"1,2": ["1", "1"]}),  # a nonsingular edge
     lambda d: _pyramid(b={"1,2,3,4": ["1", "1", "1", True]}),
+    # labels out of order: p2 would silently go to label 1, not 4
+    lambda d: _pyramid(b={"4,3,2,1": ["p2", "1", "1", "1"]}),
+    # two spellings of one face: the later would overwrite the earlier
+    lambda d: _pyramid(b={"1,2,3,4": ["1", "1", "1", "p2"],
+                          "4,3,2,1": ["p2", "1", "1", "1"]}),
     lambda d: _broken(dimension=True),
     lambda d: _broken(dimension=0),
     lambda d: _broken(parameters=True),
@@ -235,9 +240,9 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     assert nodes == 33
     # one intrinsic polytope per link node, none rebuilt for the DOT file
     assert counts["HPolytope"] == nodes
-    # the tent's lattice was built by parse_spec; each link's lattice is
-    # its parent's interval, never closed from its own vertices
-    assert counts["_build_lattice"] == 0
+    # the tent's lattice was built by parse_spec; each link polytope
+    # builds its own once, and none is built for the DOT file
+    assert counts["_build_lattice"] == nodes
     # at most one index family per polytope: the tent and each link
     assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
     # one regular chart per admissible set, plus one flag chart per

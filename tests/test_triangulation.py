@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from families import family
+from families import KINDS, family
 from oracles import box_sample_polytope_points, frac_contains, \
     pulling_triangulation
 from scipy.spatial import ConvexHull
@@ -25,7 +25,6 @@ from polystrat.scalars import ParamRegistry
 
 FIXTURES = ("pyramid", "tent", "pyramid_unit", "tent_unit", "cube3",
             "simplex3")
-KINDS = ("pyramid", "bipyramid", "polygon-prism", "pyramid-prism")
 
 
 def standard_simplex(n):

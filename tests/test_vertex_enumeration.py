@@ -114,8 +114,11 @@ def test_random_degenerate_systems_match_brute_force():
         assert p.vertices == brute_force_vertices(p), (i, p._int_x, p._int_l)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_cross_polytope_faces_at_scale(n, bench_inputs, tmp_path, capsys):
+    # n = 7 and 8 take well under a second with the graded lattice and
+    # about 7 s with a meet closure, so a return of that shows in the
+    # suite's time
     path = tmp_path / f"cross{n}.json"
     bench_inputs.write_spec(bench_inputs.cross_polytope(n, random.Random(1)),
                             path)
