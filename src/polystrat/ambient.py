@@ -10,7 +10,9 @@ lambda_k = sum_h a_hk lambda_h on a vertex's active set is the
 polytope's symbolic vertex certificate.  The symbolic A_I is the
 reference for charts, which share its flag labels and kernel vectors
 (_flag_labels, _kernel_vector) but take their numbers from the integer
-rows.
+rows.  The admissible A_I of one vertex come from one polynomial solve
+and exchange pivots between neighbouring bases, on a scaled tableau
+D * A_J the vertex keeps in the polytope's memo.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import itertools
 from typing import NamedTuple
 
 from .linalg import SingularMatrixError, _independent_rows, \
-    _int_solve_scaled, int_rank, mat_solve
+    _int_solve_scaled, _poly_solve_scaled, int_rank, mat_solve
 from .polytope import Face, HPolytope, Quasilattice, ValidationError, \
     _memoized
-from .scalars import monomial_rows
+from .scalars import _p_div_exact, _p_mul, _p_sub, _reduced, \
+    monomial_rows, over_common_denominator
 
 
 class ProjectionMap(NamedTuple):
@@ -99,13 +102,41 @@ def _solve_in_basis(i_sorted, rows, rhs):
         raise ValueError(f"normals of {i_sorted} are not a basis") from None
 
 
+def _exchange(tableau, i_sorted):
+    """(D', D' A_I) from a tableau (J, D, N = D A_J), one label at a time.
+
+    Bringing k into the basis at a row h0 with N[h0][k] != 0 makes row k
+    N[h0], every other row h (N[h] N[h0][k] - N[h][k] N[h0]) / D and D'
+    = N[h0][k]; each D is +-det of the cleared rows on the basis
+    columns, so the division is exact (Sylvester's identity, as in
+    Bareiss 1968; the exchange is Edmonds' 1967 pivoting on integers).
+    """
+    j_set, d, n_rows = tableau
+    rows = dict(zip(j_set, n_rows))
+    for k in sorted(set(i_sorted) - set(j_set)):
+        # some X_h, h outside I, takes part in X_k, as I is a basis
+        h0 = next(h for h in sorted(rows)
+                  if h not in i_sorted and rows[h][k - 1])
+        top = rows.pop(h0)
+        pv = top[k - 1]
+        rows = {h: [_p_div_exact(_p_sub(_p_mul(x, pv),
+                                        _p_mul(row[k - 1], y)), d)
+                    for x, y in zip(row, top)]
+                for h, row in rows.items()}
+        rows[k], d = top, pv
+    return d, [rows[h] for h in i_sorted]
+
+
 def change_of_basis(p: HPolytope, index_set):
     """Matrix A_I with X_j = sum_{h in I} a_hj X_h, rows ordered by sorted I.
 
     Columns restricted to I form the identity by construction.  Results
-    are memoized on the polytope.  mat_solve clears each row of
-    [M_I | pi] to polynomials over the lcm of that pi row's denominators
-    (scaling a row of M_I A_I = pi keeps A_I).
+    are memoized on the polytope.  An admissible I is read off the
+    tableau (J, D, D * A_J) its vertex keeps in the memo: the first I
+    at a vertex solves [M_I | pi], each row of pi cleared once per
+    polytope to polynomials over one denominator (scaling a row of
+    M_I A_I = pi keeps A_I), and every later one exchanges labels from
+    the last (_exchange).  Any other I is solved afresh.
     """
     i_sorted = tuple(sorted(index_set))
 
@@ -113,8 +144,22 @@ def change_of_basis(p: HPolytope, index_set):
         if len(i_sorted) != p.n:
             raise ValueError(f"index set {i_sorted} has size "
                              f"{len(i_sorted)}, need n={p.n}")
-        rows = [list(row) for row in zip(*p.normals)]
-        return tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
+        family = admissible_index_sets(p)
+        if i_sorted not in family:
+            rows = [list(row) for row in zip(*p.normals)]
+            return tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
+        key = ("exchange_tableau", family.vertex_of(i_sorted))
+        if key in p.memo:
+            d, dx = _exchange(p.memo[key], i_sorted)
+        else:
+            rows = _memoized(p, ("poly_rows",), lambda: [
+                over_common_denominator(row)[0] for row in zip(*p.normals)])
+            d, dx = _poly_solve_scaled(
+                [[row[h - 1] for h in i_sorted] for row in rows], rows,
+                p.registry._unit)
+        p.memo[key] = (i_sorted, d, dx)
+        return tuple(tuple(_reduced(p.registry, v, d) for v in row)
+                     for row in dx)
     return _memoized(p, ("change_of_basis", i_sorted), build)
 
 

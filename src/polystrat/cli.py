@@ -41,13 +41,17 @@ def _diag(kind: str, detail: str):
 def _load_spec_file(path: str) -> dict:
     from .report import SpecError
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise SpecError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path} is not UTF-8 text: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON in {path}: {e}") from e
+    except RecursionError as e:
+        raise SpecError(f"JSON in {path} is nested too deeply") from e
 
 
 def fixture_spec(name: str) -> dict:

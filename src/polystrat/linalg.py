@@ -82,15 +82,27 @@ def mat_solve(a, b):
     """Solve a @ x = b for a square invertible Scalar matrix a.
 
     b is a vector or a matrix of column right-hand sides, and the result
-    has its shape.  Rows of [a | b] are cleared to polynomials; back
-    substitution runs on d * x, polynomial for d = +-det, the last pivot.
+    has its shape.  Rows of [a | b] are cleared to polynomials and solved
+    by _poly_solve_scaled; each entry of d * x over d is one Scalar.
     """
     vector = b and not isinstance(b[0], list)
     bm = [[x] for x in b] if vector else b
     n = len(a)
     m = [over_common_denominator([*a[i], *bm[i]])[0] for i in range(n)]
     reg = a[0][0].registry
-    if _bareiss(m, _poly_step, reg._unit)[:n] != list(range(n)):
+    d, dx = _poly_solve_scaled([row[:n] for row in m],
+                               [row[n:] for row in m], reg._unit)
+    sol = [[_reduced(reg, v, d) for v in row] for row in dx]
+    return [row[0] for row in sol] if vector else sol
+
+
+def _poly_solve_scaled(a, bm, unit):
+    """(d, d * x) with a @ x = bm for polynomial term dicts, unit the
+    ring's one, as _int_solve_scaled does on ints.  Back substitution runs
+    on d * x, polynomial for d the last pivot (+-det a)."""
+    n = len(a)
+    m = [[*row, *rhs] for row, rhs in zip(a, bm)]
+    if _bareiss(m, _poly_step, unit)[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     d = m[n - 1][n - 1]
     dx = [None] * n
@@ -99,8 +111,7 @@ def mat_solve(a, b):
         for j in range(i + 1, n):
             acc = [_p_sub(s, _p_mul(m[i][j], v)) for s, v in zip(acc, dx[j])]
         dx[i] = [_p_div_exact(s, m[i][i]) for s in acc]
-    sol = [[_reduced(reg, v, d) for v in row] for row in dx]
-    return [row[0] for row in sol] if vector else sol
+    return d, dx
 
 
 def int_rank(rows) -> int:

@@ -7,9 +7,11 @@ along Y = sum b_j X_j yields an (n-p-1)-polytope whose faces are in
 order-preserving bijection with the faces of the original polytope
 strictly containing F.  The intrinsic presentation lives in an exact
 orthogonal basis of the Y-annihilator, so its coordinates stay
-rational at the evaluation point.  Y and the level are read only there,
-so they are Fraction sums of the evaluated b_j (evaluation is a ring
-map), as is the Gram-Schmidt step (_dot).
+rational at the evaluation point.  Y, the level and that basis are
+read only there (evaluation is a ring map), and are computed on the
+polytope's primitive integer rows: each Gram-Schmidt vector is an
+integer vector over one positive denominator, reduced by its gcd after
+each projection, and every Fraction of the section is built once.
 
 The slice itself is not validated.  Its face lattice is built from its
 own vertices, as every polytope's is, and the one cross-check is that
@@ -22,16 +24,18 @@ relations among the X_j of I_F, so b is in their span iff Y = sum b_j X_j = 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .charts import _coerce_b
 from .polytope import Face, HPolytope, _memoized
-from .scalars import ParamRegistry
+from .scalars import ParamRegistry, _clear_denominators
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+def _idot(u, v):
+    return sum(map(mul, u, v))
 
 
 class ConeSection(NamedTuple):
@@ -59,43 +63,56 @@ def cone_section(p: HPolytope, face: Face, b=None,
         raise ValueError("epsilon must be positive")
     labels = face.index_set
     b = _coerce_b(p, labels, b)
-    b_num = [s.evaluate() for s in b]
-    y_num = tuple(_dot(b_num, [p._num_x[j - 1][i] for j in labels])
-                  for i in range(p.n))
-    yy = _dot(y_num, y_num)
+    # X_j = a_j / m_j and lambda_j = l_j / m_j on the primitive rows, so
+    # Y = y / den and the level is lvl / (den * epsilon.denominator)
+    rows = [p._int_x[j - 1] for j in labels]
+    offs = [p._int_l[j - 1] for j in labels]
+    scales = [p._int_scale[j - 1] for j in labels]
+    den, coef = _clear_denominators([bj.evaluate() / m
+                                     for bj, m in zip(b, scales)])
+    y = [_idot(coef, col) for col in zip(*rows)]
+    yy = _idot(y, y)
     if yy == 0:
         raise ValueError("Y vanishes at the evaluation point")
-    lvl = _dot(b_num, [p._num_l[j - 1] for j in labels]) + epsilon
-    xi0 = tuple(lvl * c / yy for c in y_num)
+    lvl = epsilon.denominator * _idot(coef, offs) + epsilon.numerator * den
+    lvl_den = epsilon.denominator * yy  # xi0 = lvl * y / lvl_den
 
     # orthogonal basis of the Y-annihilator inside span{X_j : j in I_F},
-    # by exact unnormalized Gram-Schmidt over the projected normals
-    basis = []
-    for j in labels:
-        v = [p._num_x[j - 1][i] for i in range(p.n)]
-        coef = _dot(v, y_num) / yy
-        v = [v[i] - coef * y_num[i] for i in range(p.n)]
-        for u in basis:
-            c = _dot(v, u) / _dot(u, u)
-            v = [v[i] - c * u[i] for i in range(p.n)]
-        if any(x != 0 for x in v):
-            basis.append(v)
+    # by exact unnormalized Gram-Schmidt over the projected normals: the
+    # projection of w / s against u is (w <u,u> - <w,u> u) / (s <u,u>)
+    basis = []  # (w, s) for the vector w / s
+    against = [(y, yy)]  # (u, <u,u>) for Y and each basis vector so far
+    for a, m in zip(rows, scales):
+        w, s = [x * m.denominator for x in a], m.numerator
+        for u, uu in against:
+            c = _idot(w, u)
+            if c:
+                w = [x * uu - c * v for x, v in zip(w, u)]
+                g = math.gcd(s * uu, *w)
+                w, s = [x // g for x in w], s * uu // g
+        if any(w):
+            basis.append((w, s))
+            against.append((w, _idot(w, w)))
     expect = p.n - face.dim - 1
     if len(basis) != expect:
         raise ValueError(f"section of face {labels} has dimension "
                          f"{len(basis)}, expected {expect}")
     normals = []
     offsets = []
-    for j in labels:
-        xj = [p._num_x[j - 1][i] for i in range(p.n)]
-        normals.append([_dot(u, xj) for u in basis])
-        offsets.append(p._num_l[j - 1] - _dot(xi0, xj))
+    for a, m, l in zip(rows, scales, offs):
+        normals.append([Fraction(_idot(w, a) * m.denominator, s * m.numerator)
+                        for w, s in basis])
+        offsets.append(Fraction(
+            (l * lvl_den - lvl * _idot(y, a)) * m.denominator,
+            lvl_den * m.numerator))
     # valid since p is, b > 0 and epsilon > 0; link_polytope checks it
     poly = HPolytope(ParamRegistry([]), normals, offsets, validate=False)
-    return ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
-                       y_num=y_num, xi0=xi0,
-                       ann_basis=tuple(tuple(u) for u in basis),
-                       polytope=poly)
+    return ConeSection(
+        face_index_set=labels, b=b, epsilon=epsilon,
+        y_num=tuple(Fraction(c, den) for c in y),
+        xi0=tuple(Fraction(lvl * c, lvl_den) for c in y),
+        ann_basis=tuple(tuple(Fraction(x, s) for x in w) for w, s in basis),
+        polytope=poly)
 
 
 class LinkPolytope(NamedTuple):

@@ -141,6 +141,16 @@ def _memoized(p, key, build):
     return p.memo[key]
 
 
+def _set_bits(mask):
+    """The positions of the set bits of mask, in increasing order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
 def _primitive_row(values):
     """(integers, m): m * values is the primitive integer row, m > 0."""
     den, ints = _clear_denominators(values)
@@ -174,9 +184,9 @@ class HPolytope:
         self._int_scale = tuple(m for _r, m in rows)
         self._vertices = None
         # objects derived from this polytope (face lattice, symbolic
-        # vertices and slacks, index family, A_I, charts, link forest,
-        # sampling triangulation), keyed by (function, args); see
-        # _memoized
+        # vertices and slacks, index family, A_I and each vertex's
+        # exchange tableau, charts, link forest, sampling triangulation),
+        # keyed by (function, args); see _memoized
         self.memo = {}
         if validate:
             self._validate()
@@ -382,8 +392,7 @@ class HPolytope:
         while level:
             covers = set()
             for h in level:
-                index_set = tuple(j for j in range(1, self.d + 1)
-                                  if h >> j & 1)
+                index_set = _set_bits(h)
                 faces.append(Face(
                     index_set=index_set, dim=p, r=len(index_set),
                     singular=len(index_set) > self.n - p,

@@ -442,6 +442,8 @@ class Scalar:
     def evaluate(self, values: Mapping[str, object] | None = None) -> Fraction:
         """Exact value at the registry point (or at an override mapping)."""
         if values is None:
+            if self.is_rational_constant():
+                return self._c
             point = self.registry.point
         else:
             self.registry._check_names(values)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from polystrat.cli import fixture_spec
+from families import KINDS, family
+from polystrat.cli import FIXTURES, fixture_spec
 from polystrat.report import parse_spec
 
 
@@ -65,3 +66,25 @@ def bench_inputs():
 def cross3(bench_inputs):
     """The benchmark's 3-cross-polytope at seed 1."""
     return parse_spec(bench_inputs.cross_polytope(3, random.Random(1)))
+
+
+@pytest.fixture(scope="session")
+def oracle_specs(bench_inputs):
+    """Specs by name for the exact-layer oracles: the six fixtures, the
+    benchmark's seed-1 cross-polytopes n=3 and n=4, 24-cell and
+    pyramid over the 4-cross-polytope, and three polytopes of each
+    kind in families.py."""
+    specs = {name: fixture_spec(name) for name in sorted(FIXTURES)}
+    specs["cross3"] = bench_inputs.cross_polytope(3, random.Random(1))
+    specs["cross4"] = bench_inputs.cross_polytope(4, random.Random(1))
+    specs["cell24"] = bench_inputs.cell24(random.Random(1))
+    specs["cross-pyramid"] = bench_inputs.cross_pyramid(random.Random(1))
+    for kind in KINDS:
+        rng = random.Random(f"oracle-{kind}")
+        for i in range(3):
+            normals, offsets = family(rng, kind)
+            specs[f"{kind}-{i}"] = {
+                "dimension": len(normals[0]), "parameters": [],
+                "normals": [[str(x) for x in row] for row in normals],
+                "offsets": [str(x) for x in offsets]}
+    return specs

@@ -33,7 +33,8 @@ rejection sampling, which the draw from a pulling triangulation
 replaced and which stays as a distribution oracle, and the face
 lattice closed under meets of the vertex active sets, with one rank
 per face for its dimension, which the pass graded up from the vertex
-incidences replaced.
+incidences replaced, and the cone section by Gram-Schmidt on Fraction
+vectors, which the same steps on the integer constraint rows replaced.
 """
 
 import bisect
@@ -755,3 +756,63 @@ def closure_face_lattice(p):
         faces.append(Face(index_set=index_set, dim=dim, r=r,
                           singular=r > p.n - dim, vertex_ids=vids))
     return FaceLattice(p.n, faces)
+
+
+# -- the cone section by Fraction Gram-Schmidt -------------------------------
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def fraction_cone_section(p, face, b=None, epsilon=Fraction(1)):
+    """links.cone_section with Y, the level, the annihilator basis and the
+    link rows computed on the evaluated Fraction normals and offsets."""
+    from polystrat.charts import _coerce_b
+    from polystrat.links import ConeSection
+    from polystrat.polytope import HPolytope
+    from polystrat.scalars import ParamRegistry
+
+    if not face.singular:
+        raise ValueError(f"face {face.index_set} is not singular")
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    labels = face.index_set
+    b = _coerce_b(p, labels, b)
+    b_num = [s.evaluate() for s in b]
+    y_num = tuple(_dot(b_num, [p._num_x[j - 1][i] for j in labels])
+                  for i in range(p.n))
+    yy = _dot(y_num, y_num)
+    if yy == 0:
+        raise ValueError("Y vanishes at the evaluation point")
+    lvl = _dot(b_num, [p._num_l[j - 1] for j in labels]) + epsilon
+    xi0 = tuple(lvl * c / yy for c in y_num)
+
+    # orthogonal basis of the Y-annihilator inside span{X_j : j in I_F},
+    # by exact unnormalized Gram-Schmidt over the projected normals
+    basis = []
+    for j in labels:
+        v = [p._num_x[j - 1][i] for i in range(p.n)]
+        coef = _dot(v, y_num) / yy
+        v = [v[i] - coef * y_num[i] for i in range(p.n)]
+        for u in basis:
+            c = _dot(v, u) / _dot(u, u)
+            v = [v[i] - c * u[i] for i in range(p.n)]
+        if any(x != 0 for x in v):
+            basis.append(v)
+    expect = p.n - face.dim - 1
+    if len(basis) != expect:
+        raise ValueError(f"section of face {labels} has dimension "
+                         f"{len(basis)}, expected {expect}")
+    normals = []
+    offsets = []
+    for j in labels:
+        xj = [p._num_x[j - 1][i] for i in range(p.n)]
+        normals.append([_dot(u, xj) for u in basis])
+        offsets.append(p._num_l[j - 1] - _dot(xi0, xj))
+    # valid since p is, b > 0 and epsilon > 0; link_polytope checks it
+    poly = HPolytope(ParamRegistry([]), normals, offsets, validate=False)
+    return ConeSection(face_index_set=labels, b=b, epsilon=epsilon,
+                       y_num=y_num, xi0=xi0,
+                       ann_basis=tuple(tuple(u) for u in basis),
+                       polytope=poly)

@@ -169,6 +169,53 @@ def test_reconstruction_for_every_admissible_set(pyramid, tent):
                     assert rhs == lhs
 
 
+def _with_values(name, values):
+    spec = fixture_spec(name)
+    spec["parameters"] = [{"name": nm, "value": v}
+                          for nm, v in values.items()]
+    return spec
+
+
+def test_exchange_pivots_match_fresh_solves(oracle_specs):
+    """Every admissible A_I equals a fresh solve of [M_I | pi] as strings,
+    with the sets requested in sorted, reversed and shuffled order, so
+    that each vertex's tableau pivots from many different bases."""
+    specs = {**oracle_specs,
+             "pyramid-values": _with_values("pyramid",
+                                            {"p2": "5", "p5": "7/2"}),
+             "tent-values": _with_values("tent", {"p1": "7", "p5": "11/2",
+                                                  "p8": "13"})}
+    for name, spec in specs.items():
+        p = parse_spec(spec)[0]
+        sets = list(admissible_index_sets(p))
+        if len(sets) > 500:
+            # the cross-pyramid has 3472; a seeded sample of them still
+            # makes the tableau at the apex exchange several labels at once
+            sets = sorted(random.Random(name).sample(sets, 300))
+        rows = [list(row) for row in zip(*p.normals)]
+        want = {i: _strs(ambient._solve_in_basis(i, rows, rows))
+                for i in sets}
+        shuffled = sets[:]
+        random.Random(name).shuffle(shuffled)
+        for order in (sets, sets[::-1], shuffled):
+            fresh = parse_spec(spec)[0]
+            for i in order:
+                assert _strs(change_of_basis(fresh, i)) == want[i], (name, i)
+
+
+def test_charts_section_solves_once_per_vertex(bench_inputs, monkeypatch):
+    p, q, options = parse_spec(bench_inputs.cross_polytope(
+        4, random.Random(1)))
+    fills = []
+    for module in (linalg, ambient):
+        monkeypatch.setattr(module, "_poly_solve_scaled", lambda *args,
+                            inner=module._poly_solve_scaled: (
+                                fills.append(args) or inner(*args)))
+    build_report(p, q, options, sections=("charts",))
+    assert len(admissible_index_sets(p)) == 464
+    assert len(p.vertices) == len(fills) == 8
+
+
 def test_change_of_basis_rejects_non_basis():
     reg = ParamRegistry([])
     # square: normals 1 and 3 are parallel
@@ -411,24 +458,33 @@ def test_classify_choice_takes_no_symbolic_solve(bench_inputs, monkeypatch):
 
 
 def test_explicit_basis_coordinates_solved_once_per_index_set(monkeypatch):
-    # split_gamma and gamma_face_group read the same I; with explicit
-    # generators as with the normals, each flag I is solved once
+    # split_gamma and gamma_face_group read the same I.  With explicit
+    # generators each flag I is solved once; with the normals A_I is
+    # solved once per vertex and reached from there by exchange pivots
     identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
     for quasilattice in ("normals", identity):
         spec = fixture_spec("tent")
         spec["quasilattice"] = quasilattice
         p, q, options = parse_spec(spec)
+        family = admissible_index_sets(p)
         flags = {find_flag_index_set(p, face)[0]
                  for face in p.face_lattice.singular_faces()}
         assert len(flags) == 8
-        solves = []
-        inner = ambient._solve_in_basis
-        monkeypatch.setattr(ambient, "_solve_in_basis", lambda *args: (
-            solves.append(args) or inner(*args)))
+        calls = {"_solve_in_basis": [], "_poly_solve_scaled": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(ambient, name, lambda *args, seen=seen,
+                                inner=getattr(ambient, name): (
+                                    seen.append(args) or inner(*args)))
         build_report(p, q, options, sections=("groups",))
         monkeypatch.undo()
         assert len(p.face_lattice.singular_faces()) == 15
-        assert sorted(args[0] for args in solves) == sorted(flags)
+        solves, fills = calls["_solve_in_basis"], calls["_poly_solve_scaled"]
+        if quasilattice == "normals":
+            assert solves == []
+            assert len(fills) == len({family.vertex_of(i) for i in flags})
+        else:
+            assert sorted(args[0] for args in solves) == sorted(flags)
+            assert fills == []
 
 
 def test_quasilattice_of_the_wrong_dimension_is_rejected():

@@ -136,10 +136,18 @@ def test_missing_file_is_parse_error(tmp_path, capsys):
 
 
 def test_invalid_json_is_parse_error(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["analyze", str(path)]) == EXIT_PARSE
-    assert _diags(capsys.readouterr().err)[0]["error"] == "parse"
+    # broken JSON, a UTF-16 byte-order mark and nesting past the
+    # recursion limit of the json module
+    for i, data in enumerate((b"{not json", b"\xff\xfe{}",
+                              b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / f"bad{i}.json"
+        path.write_bytes(data)
+        assert main(["analyze", str(path), "--only", "faces"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        diags = _diags(err)
+        assert len(diags) == 1 and diags[0]["error"] == "parse"
+        assert str(path) in diags[0]["detail"]
 
 
 def test_bad_schema_is_parse_error(tmp_path, capsys):

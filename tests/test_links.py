@@ -13,8 +13,9 @@ import pytest
 from families import family
 
 import polystrat.links as L
-from oracles import flag_chart_fibration, intrinsic_polytope, \
-    symbolic_section
+from oracles import flag_chart_fibration, fraction_cone_section, \
+    intrinsic_polytope, symbolic_section
+from polystrat import scalars
 from polystrat.cli import fixture_spec
 from polystrat.polytope import HPolytope, ValidationError
 from polystrat.report import parse_spec
@@ -151,6 +152,38 @@ def test_fibration_split_matches_flag_chart_oracle(
             assert node.fibration.split_ok is True
             assert node.fibration.split_ok == split
             assert rank == face.r - (poly.n - face.dim) + 1
+
+
+def test_integer_sections_match_fraction_oracle(oracle_specs):
+    """At every node of every link forest, for three epsilons and the
+    fixtures' b, the section and its link rows are those of Gram-Schmidt
+    on the evaluated Fraction normals."""
+    for name, spec in oracle_specs.items():
+        p, _, options = parse_spec(spec)
+        for eps in (Fraction(1), Fraction(1, 3), Fraction(7, 2)):
+            nodes = list(_nodes(p, L.link_tree(p, {**options,
+                                                   "epsilon": eps})))
+            assert nodes or p.is_simple, name
+            for poly, node in nodes:
+                section = node.link.section
+                want = fraction_cone_section(
+                    poly, poly.face_lattice.face(node.face_index_set),
+                    b=section.b, epsilon=eps)
+                assert section[:-1] == want[:-1], (name, eps, node.chain)
+                got, ref = section.polytope, want.polytope
+                assert got.numeric_normals() == ref.numeric_normals()
+                assert got.numeric_offsets() == ref.numeric_offsets()
+
+
+def test_parameter_free_link_forest_evaluates_no_polynomial(monkeypatch):
+    # every value of a parameter-free link is a rational constant
+    p, _, options = parse_spec(fixture_spec("tent_unit"))
+    calls = []
+    inner = scalars._p_eval
+    monkeypatch.setattr(scalars, "_p_eval",
+                        lambda *args: calls.append(args) or inner(*args))
+    assert list(_nodes(p, L.link_tree(p, options)))
+    assert calls == []
 
 
 def test_link_tree_builds_no_chart():
