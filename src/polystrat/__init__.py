@@ -20,7 +20,7 @@ _EXPORTS = {
     **dict.fromkeys(("Face", "FaceLattice", "HPolytope", "Quasilattice",
                      "ValidationError", "Vertex", "classify_face"),
                     "polytope"),
-    **dict.fromkeys(("AdaptedBasisData", "IndexFamily", "ProjectionMap",
+    **dict.fromkeys(("AdaptedBasisData", "ProjectionMap", "vertex_of",
                      "adapted_kernel_basis", "admissible_index_sets",
                      "change_of_basis", "classify_choice",
                      "find_flag_index_set", "projection_matrix"), "ambient"),

@@ -12,7 +12,9 @@ reference for charts, which share its flag labels and kernel vectors
 (_flag_labels, _kernel_vector) but take their numbers from the integer
 rows.  The admissible A_I of one vertex come from one polynomial solve
 and exchange pivots between neighbouring bases, on a scaled tableau
-D * A_J the vertex keeps in the polytope's memo.
+D * A_J the vertex keeps in the polytope's memo.  One I is decided at
+its own vertex (vertex_of); only the sections that list every I build
+admissible_index_sets.
 """
 
 from __future__ import annotations
@@ -50,48 +52,42 @@ def projection_matrix(p: HPolytope) -> ProjectionMap:
     return ProjectionMap(matrix=tuple(tuple(r) for r in rows))
 
 
-class IndexFamily:
-    """The admissible index sets, grouped by the vertex owning them.
+def _sorted_labels(p: HPolytope, index_set):
+    """I as a sorted tuple, provided its labels are distinct, in 1..d."""
+    i_sorted = tuple(sorted(index_set))
+    if len(set(i_sorted)) != len(i_sorted) or \
+            not all(1 <= h <= p.d for h in i_sorted):
+        raise ValueError(f"index set {i_sorted} needs distinct labels "
+                         f"in 1..{p.d}")
+    return i_sorted
 
-    Each member I is a subset of some vertex's active set whose normals
-    form a basis at the evaluation point; such an I determines its
-    vertex uniquely.
+
+def vertex_of(p: HPolytope, index_set):
+    """The vertex whose active set contains I, or None.
+
+    None unless I has n labels whose integer rows have rank n; the n
+    hyperplanes of such an I meet in one point, so at most one vertex
+    has them all active.  Memoized per polytope and sorted I.
     """
+    i_sorted = _sorted_labels(p, index_set)
 
-    def __init__(self, by_vertex):
-        self.by_vertex = {v: tuple(sets) for v, sets in by_vertex.items()}
-        self._vertex_of = {}
-        for v, sets in self.by_vertex.items():
-            for i_set in sets:
-                if i_set in self._vertex_of:
-                    raise AssertionError(
-                        f"index set {i_set} claimed by two vertices")
-                self._vertex_of[i_set] = v
-        self.sets = tuple(sorted(self._vertex_of))
-
-    def vertex_of(self, index_set) -> int:
-        return self._vertex_of[tuple(sorted(index_set))]
-
-    def for_vertex(self, vertex_id: int):
-        return self.by_vertex.get(vertex_id, ())
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __contains__(self, index_set):
-        return tuple(sorted(index_set)) in self._vertex_of
+    def build():
+        if len(i_sorted) != p.n or \
+                int_rank([p._int_x[h - 1] for h in i_sorted]) != p.n:
+            return None
+        return next((vid for vid, v in enumerate(p.vertices)
+                     if set(i_sorted).issubset(v.active)), None)
+    return _memoized(p, ("vertex_of", i_sorted), build)
 
 
-def admissible_index_sets(p: HPolytope) -> IndexFamily:
-    """All I contained in a vertex's active set with {X_h : h in I} a basis."""
+def admissible_index_sets(p: HPolytope):
+    """All I contained in a vertex's active set with {X_h : h in I} a
+    basis, sorted; each lies in the active set of one vertex only."""
     # nonempty per vertex: every vertex's active rows have rank n
-    return _memoized(p, ("admissible_index_sets",), lambda: IndexFamily({
-        vid: [subset for subset in itertools.combinations(v.active, p.n)
-              if int_rank([p._int_x[j - 1] for j in subset]) == p.n]
-        for vid, v in enumerate(p.vertices)}))
+    return _memoized(p, ("admissible_index_sets",), lambda: tuple(sorted(
+        subset for v in p.vertices
+        for subset in itertools.combinations(v.active, p.n)
+        if int_rank([p._int_x[j - 1] for j in subset]) == p.n)))
 
 
 def _solve_in_basis(i_sorted, rows, rhs):
@@ -138,17 +134,17 @@ def change_of_basis(p: HPolytope, index_set):
     M_I A_I = pi keeps A_I), and every later one exchanges labels from
     the last (_exchange).  Any other I is solved afresh.
     """
-    i_sorted = tuple(sorted(index_set))
+    i_sorted = _sorted_labels(p, index_set)
 
     def build():
         if len(i_sorted) != p.n:
             raise ValueError(f"index set {i_sorted} has size "
                              f"{len(i_sorted)}, need n={p.n}")
-        family = admissible_index_sets(p)
-        if i_sorted not in family:
+        vid = vertex_of(p, i_sorted)
+        if vid is None:
             rows = [list(row) for row in zip(*p.normals)]
             return tuple(map(tuple, _solve_in_basis(i_sorted, rows, rows)))
-        key = ("exchange_tableau", family.vertex_of(i_sorted))
+        key = ("exchange_tableau", vid)
         if key in p.memo:
             d, dx = _exchange(p.memo[key], i_sorted)
         else:
@@ -184,11 +180,10 @@ def _flag_labels(p: HPolytope, index_set, face: Face):
     """(sorted I, vertex, I_mu, I cap I_F, kernel labels, stabilizer count)
     for an admissible I at a face through its vertex; the stabilizer
     labels of I_F come first, then those outside I union I_F."""
-    family = admissible_index_sets(p)
     i_sorted = tuple(sorted(index_set))
-    if i_sorted not in family:
+    vid = vertex_of(p, i_sorted)
+    if vid is None:
         raise ValueError(f"{i_sorted} is not an admissible index set")
-    vid = family.vertex_of(i_sorted)
     i_mu = p.vertices[vid].active
     i_f = face.index_set
     if not set(i_f) <= set(i_mu):
@@ -248,20 +243,19 @@ def flag_intersection(p: HPolytope, face: Face, index_set):
 
 
 def find_flag_index_set(p: HPolytope, face: Face):
-    """First (vertex, I) pair meeting card(I cap I_F) = n - p.
+    """(I, v): the first admissible I at the face's first vertex v with
+    card(I cap I_F) = n - p.
 
-    Scans the face's vertices in order; a suitable I exists for at least
-    one of them whenever the input data is consistent.
+    As I_F has rank n - p, these I are the bases of M|I_F (+) M/I_F, M
+    the matroid of v's active normals; the first is the greedy basis
+    (Edmonds 1971), over the labels of I_F and then v's other labels.
+    A face whose normals lack that rank fails in flag_intersection.
     """
-    family = admissible_index_sets(p)
-    want = p.n - face.dim
-    i_f = set(face.index_set)
-    for vid in face.vertex_ids:
-        for i_set in family.for_vertex(vid):
-            if len(i_f & set(i_set)) == want:
-                return i_set, vid
-    raise ValueError(f"no admissible index set meets the flag condition "
-                     f"for face {face.index_set}")
+    vid = face.vertex_ids[0]
+    labels = [*face.index_set, *(j for j in p.vertices[vid].active
+                                 if j not in face.index_set)]
+    picked = _independent_rows([p._int_x[j - 1] for j in labels])
+    return tuple(sorted(labels[k] for k in picked)), vid
 
 
 class ChoiceClassification(NamedTuple):
@@ -286,7 +280,7 @@ def basis_coordinates(p: HPolytope, q: Quasilattice, index_set):
     quasilattice, under the generators and I otherwise.
     """
     _check_dimension(p, q)
-    i_sorted = tuple(sorted(index_set))
+    i_sorted = _sorted_labels(p, index_set)
     if q.source_polytope is p:
         a = change_of_basis(p, i_sorted)
         return tuple(tuple(a[h][j] for h in range(p.n)) for j in range(p.d))

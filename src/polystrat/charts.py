@@ -30,7 +30,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
-    find_flag_index_set
+    _sorted_labels, find_flag_index_set
 from .linalg import _bareiss, _int_solve_scaled, _int_step
 from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
@@ -262,7 +262,7 @@ def singular_slice(p: HPolytope, chart: Chart, w):
 
 def torus_action(p: HPolytope, index_set, x_vec, z):
     """Rotate z by the phases of exp applied to the I-block preimage of x."""
-    i_sorted = tuple(sorted(index_set))
+    i_sorted = _sorted_labels(p, index_set)
     if len(i_sorted) != p.n:
         raise ValueError(f"I={i_sorted} must have {p.n} labels")
     if len(x_vec) != p.n or len(z) != p.d:

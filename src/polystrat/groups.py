@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ambient import admissible_index_sets, basis_coordinates, \
-    find_flag_index_set, flag_intersection
+from .ambient import basis_coordinates, find_flag_index_set, \
+    flag_intersection, vertex_of
 from .intlattice import integer_kernel, quotient_structure, solve_integer
 from .polytope import Face, HPolytope, Quasilattice
 from .scalars import _int_dot, monomial_rows, over_common_denominator
@@ -154,7 +154,7 @@ def gamma_group(p: HPolytope, q: Quasilattice, index_set) -> GroupDescriptor:
     the columns of A_I.  I must be admissible.
     """
     i_sorted = tuple(sorted(index_set))
-    if i_sorted not in admissible_index_sets(p):
+    if vertex_of(p, i_sorted) is None:
         raise ValueError(f"{i_sorted} is not an admissible index set")
     coords = basis_coordinates(p, q, i_sorted)
     return GroupDescriptor(p.registry, i_sorted, coords)

@@ -184,9 +184,12 @@ class HPolytope:
         self._int_scale = tuple(m for _r, m in rows)
         self._vertices = None
         # objects derived from this polytope (face lattice, symbolic
-        # vertices and slacks, index family, A_I and each vertex's
-        # exchange tableau, charts, link forest, sampling triangulation),
-        # keyed by (function, args); see _memoized
+        # vertices and slacks, admissible sets and each set's vertex, A_I,
+        # charts, link forest, sampling triangulation), keyed by
+        # (function, args); see _memoized.  change_of_basis alone writes
+        # ("exchange_tableau", vertex) directly: a cursor it overwrites
+        # with the last A_I reached, since pivoting from the last I is
+        # cheaper than from a fixed first one
         self.memo = {}
         if validate:
             self._validate()

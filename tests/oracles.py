@@ -34,7 +34,10 @@ replaced and which stays as a distribution oracle, and the face
 lattice closed under meets of the vertex active sets, with one rank
 per face for its dimension, which the pass graded up from the vertex
 incidences replaced, and the cone section by Gram-Schmidt on Fraction
-vectors, which the same steps on the integer constraint rows replaced.
+vectors, which the same steps on the integer constraint rows replaced,
+and the flag index set of a face found by scanning the n-subsets of
+each of its vertices, which the greedy basis at its first vertex
+replaced.
 """
 
 import bisect
@@ -581,6 +584,24 @@ def bound_loop_first_code(normals, offsets):
            for j in range(1, p.d + 1)):
         return "redundant-constraint"
     return None
+
+
+# -- the flag index set by scanning n-subsets ------------------------------
+
+def scan_flag_index_set(p, face):
+    """(I, vertex): the first n-subset I of an active set, over the
+    face's vertices in order and each active set's subsets in
+    combinations order, with card(I cap I_F) = n - p and normals of
+    rank n at the evaluation point (Fraction ranks)."""
+    xs = [[x.evaluate() for x in row] for row in p.normals]
+    want = p.n - face.dim
+    for vid in face.vertex_ids:
+        for i_set in itertools.combinations(p.vertices[vid].active, p.n):
+            if len(set(i_set) & set(face.index_set)) == want and \
+                    gj_rank([xs[j - 1] for j in i_set]) == p.n:
+                return i_set, vid
+    raise ValueError(f"no index set meets the flag condition at "
+                     f"{face.index_set}")
 
 
 # -- offset identity and Psi constants through A_I ----------------------------

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from families import family
+from families import KINDS, family
 from oracles import check_vertex_lambda_identity, gj_rank, \
-    symbolic_delzant_like
+    scan_flag_index_set, symbolic_delzant_like
 from polystrat import ambient, linalg, polytope
 from polystrat.ambient import (
     adapted_kernel_basis,
@@ -17,6 +18,7 @@ from polystrat.ambient import (
     classify_choice,
     find_flag_index_set,
     projection_matrix,
+    vertex_of,
 )
 from polystrat.cli import FIXTURES, fixture_spec
 from polystrat.groups import gamma_group
@@ -79,14 +81,23 @@ def test_admissible_sets_match_rank_oracle(pyramid, tent):
             expected = {
                 s for s in itertools.combinations(v.active, p.n)
                 if gj_rank([xs[j - 1] for j in s]) == p.n}
-            assert set(fam.for_vertex(vid)) == expected
+            assert {s for s in fam if vertex_of(p, s) == vid} == expected
+            # vertex_of decides each subset of the active set on its own
+            for s in itertools.combinations(v.active, p.n):
+                assert (vertex_of(p, s) == vid) == (s in expected)
+        # an n-subset that no active set contains has no vertex
+        outside = next(s for s in itertools.combinations(range(1, p.d + 1),
+                                                          p.n)
+                       if not any(set(s) <= set(v.active)
+                                  for v in p.vertices))
+        assert vertex_of(p, outside) is None
 
 
 def test_base_vertex_of_pyramid_has_unique_index_set(pyramid):
     p, _, _ = pyramid
     fam = admissible_index_sets(p)
     mu1 = next(i for i, v in enumerate(p.vertices) if v.coords == (1, 0, 0))
-    assert fam.for_vertex(mu1) == ((1, 4, 5),)
+    assert tuple(s for s in fam if vertex_of(p, s) == mu1) == ((1, 4, 5),)
 
 
 def test_named_index_sets_are_admissible(pyramid, tent):
@@ -94,25 +105,23 @@ def test_named_index_sets_are_admissible(pyramid, tent):
     fam = admissible_index_sets(p)
     assert (2, 3, 4) in fam
     apex = next(i for i, v in enumerate(p.vertices) if v.coords == (0, 0, 1))
-    assert fam.vertex_of((2, 3, 4)) == apex
+    assert vertex_of(p, (2, 3, 4)) == apex
 
     t, _, _ = tent
     fam_t = admissible_index_sets(t)
     assert (1, 2, 3, 6) in fam_t
     nu1 = next(i for i, v in enumerate(t.vertices)
                if v.coords == (1, -1, 0, 0))
-    assert fam_t.vertex_of((1, 2, 3, 6)) == nu1
+    assert vertex_of(t, (1, 2, 3, 6)) == nu1
 
 
 def test_index_sets_are_owned_by_a_single_vertex(tent):
     p, _, _ = tent
     fam = admissible_index_sets(p)
-    seen = {}
-    for vid in range(len(p.vertices)):
-        for i_set in fam.for_vertex(vid):
-            assert i_set not in seen
-            seen[i_set] = vid
-    assert len(seen) == len(fam)
+    owners = Counter(i_set for v in p.vertices for i_set in fam
+                     if set(i_set) <= set(v.active))
+    assert set(owners.values()) == {1}
+    assert len(owners) == len(fam)
 
 
 # -- change of basis ---------------------------------------------------------
@@ -226,6 +235,16 @@ def test_change_of_basis_rejects_non_basis():
         change_of_basis(p, (1, 3))
     with pytest.raises(ValueError):
         change_of_basis(p, (1,))
+    # labels outside 1..d, or repeated, are refused by name: unchecked,
+    # row[h - 1] reads label 0 as label d, and label d + 1 overruns
+    q = Quasilattice(reg, [[1, 0], [0, 1]])
+    for i_set in ((0, 1), (-1, 2), (1, 5), (2, 2)):
+        match = rf"index set \({i_set[0]}, {i_set[1]}\)"
+        for call in (change_of_basis, vertex_of):
+            with pytest.raises(ValueError, match=match):
+                call(p, i_set)
+        with pytest.raises(ValueError, match=match):
+            basis_coordinates(p, q, i_set)
 
 
 # -- adapted kernel bases ----------------------------------------------------
@@ -285,8 +304,7 @@ def test_rejects_inadmissible_index_set(pyramid):
 
 def test_pyramid_offset_identity_and_slack(pyramid):
     p, _, _ = pyramid
-    fam = admissible_index_sets(p)
-    apex = fam.vertex_of((2, 3, 4))
+    apex = vertex_of(p, (2, 3, 4))
     ok, slacks = check_vertex_lambda_identity(p, apex, (2, 3, 4))
     assert ok
     assert set(slacks) == {5}
@@ -298,7 +316,7 @@ def test_offset_identity_all_sets_positive_slack(pyramid, tent):
         p = fx[0]
         fam = admissible_index_sets(p)
         for i_set in fam:
-            vid = fam.vertex_of(i_set)
+            vid = vertex_of(p, i_set)
             ok, slacks = check_vertex_lambda_identity(p, vid, i_set)
             assert ok
             out = set(range(1, p.d + 1)) - set(p.vertices[vid].active)
@@ -308,9 +326,8 @@ def test_offset_identity_all_sets_positive_slack(pyramid, tent):
 
 def test_offset_identity_vacuous_for_simple_vertex(cube3):
     p, _, _ = cube3
-    fam = admissible_index_sets(p)
-    i_set = fam.sets[0]
-    vid = fam.vertex_of(i_set)
+    i_set = admissible_index_sets(p)[0]
+    vid = vertex_of(p, i_set)
     ok, slacks = check_vertex_lambda_identity(p, vid, i_set)
     assert ok
     assert len(slacks) == p.d - p.n
@@ -318,13 +335,21 @@ def test_offset_identity_vacuous_for_simple_vertex(cube3):
 
 # -- flag search -------------------------------------------------------------
 
-def test_flag_index_set_meets_face(pyramid, tent):
-    for fx in (pyramid, tent):
-        p = fx[0]
+def test_flag_index_set_meets_face(oracle_specs):
+    # every face, singular or not, of the oracle specs and of forty
+    # seeded polytopes of each family kind: the greedy basis at the first
+    # vertex is the first I the scan over n-subsets finds
+    polys = [parse_spec(spec)[0] for spec in oracle_specs.values()]
+    polys += [HPolytope(ParamRegistry([]), *family(random.Random(seed), kind))
+              for kind in KINDS for seed in range(40)]
+    for p in polys:
         fam = admissible_index_sets(p)
-        for face in p.face_lattice.singular_faces():
+        for face in p.face_lattice.faces:
             i_set, vid = find_flag_index_set(p, face)
+            assert (i_set, vid) == scan_flag_index_set(p, face), \
+                (p.normals, face.index_set)
             assert i_set in fam
+            assert vertex_of(p, i_set) == vid
             assert vid in face.vertex_ids
             assert len(set(i_set) & set(face.index_set)) == p.n - face.dim
 
@@ -466,7 +491,6 @@ def test_explicit_basis_coordinates_solved_once_per_index_set(monkeypatch):
         spec = fixture_spec("tent")
         spec["quasilattice"] = quasilattice
         p, q, options = parse_spec(spec)
-        family = admissible_index_sets(p)
         flags = {find_flag_index_set(p, face)[0]
                  for face in p.face_lattice.singular_faces()}
         assert len(flags) == 8
@@ -481,7 +505,7 @@ def test_explicit_basis_coordinates_solved_once_per_index_set(monkeypatch):
         solves, fills = calls["_solve_in_basis"], calls["_poly_solve_scaled"]
         if quasilattice == "normals":
             assert solves == []
-            assert len(fills) == len({family.vertex_of(i) for i in flags})
+            assert len(fills) == len({vertex_of(p, i) for i in flags})
         else:
             assert sorted(args[0] for args in solves) == sorted(flags)
             assert fills == []

@@ -9,6 +9,7 @@ the float solve and moment maps against numpy at the same points.
 import cmath
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from oracles import check_vertex_lambda_identity, evaluated_chart, \
 
 import polystrat.charts as C
 from polystrat.ambient import adapted_kernel_basis, admissible_index_sets, \
-    change_of_basis
+    change_of_basis, vertex_of
 from polystrat.links import link_tree
 from polystrat.lp import open_feasible_point
 from polystrat.polytope import HPolytope
@@ -84,9 +85,8 @@ def _check_slack_table(p, rng):
     Every admissible I is checked at the whole polytope and at one
     seeded random face through its vertex that meets the flag condition.
     """
-    fam = admissible_index_sets(p)
-    for i_set in fam:
-        vid = fam.vertex_of(i_set)
+    for i_set in admissible_index_sets(p):
+        vid = vertex_of(p, i_set)
         active = p.vertices[vid].active
         table = p.vertex_slacks(vid)
         assert len(table) == p.d
@@ -135,9 +135,9 @@ def _chart_pairs(p):
     fam = admissible_index_sets(p)
     pairs = [(p.face_lattice.top, i_set) for i_set in fam]
     for face in p.face_lattice.singular_faces():
-        pairs += [(face, i_set) for vid in face.vertex_ids
-                  for i_set in fam.for_vertex(vid)
-                  if len(set(face.index_set) & set(i_set))
+        pairs += [(face, i_set) for i_set in fam
+                  if vertex_of(p, i_set) in face.vertex_ids
+                  and len(set(face.index_set) & set(i_set))
                   == p.n - face.dim]
     return pairs
 
@@ -512,6 +512,11 @@ def test_torus_action_rejects_a_rank_deficient_block(pyr, tnt):
     with pytest.raises(ValueError,
                        match=r"I=\(1, 2, 3, 4\) must have 3 labels"):
         C.torus_action(p, (1, 2, 3, 4), [0.5, 0, 0], z)
+    # labels outside 1..d are refused by name: unchecked, label 0 would
+    # rotate z_d, and label d + 1 overruns
+    for bad in ((0, 1, 2), (-1, 1, 2), (1, 2, 6)):
+        with pytest.raises(ValueError, match=re.escape(f"set {bad} needs")):
+            C.torus_action(p, bad, [0.5, 0, 0], z)
     t, _ = tnt
     with pytest.raises(ValueError, match=r"I=\(3, 5, 7, 9\)"):
         C.torus_action(t, (3, 5, 7, 9), [1, 0, 0, 0], [1j] * t.d)

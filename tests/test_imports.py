@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses what it imports,
-and none imports numpy or scipy.
+every private function or class is used somewhere in the package, and
+no module imports numpy or scipy.
 
 No linter ships with the project, so this reads each module with the
 standard library's ast.  __init__.py is exempt from the unused-import
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,27 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def test_no_orphaned_private_helpers():
+    # every private function or class is referenced somewhere in src/
+    # outside its own body, so no change leaves a helper nothing calls
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES + [Path(polystrat.__file__)]]
+
+    def references(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(references, trees), Counter())
+    private = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert len(private) > 80
+    orphans = [node.name for node in private
+               if everywhere[node.name] == references(node)[node.name]]
+    assert not orphans, f"private definitions nothing uses: {orphans}"
 
 
 def test_charts_import_no_symbolic_change_of_basis():

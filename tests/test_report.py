@@ -213,7 +213,6 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     counts = Counter()
     for owner, name in ((HPolytope, "__init__"),
                         (HPolytope, "_build_lattice"),
-                        (ambient.IndexFamily, "__init__"),
                         (charts, "Chart")):
         monkeypatch.setattr(owner, name, _counting(
             counts, owner.__name__ if name == "__init__" else name,
@@ -224,9 +223,12 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     def counting_memoized(poly, key, build):
         if key[0] == "vertex_slacks":
             build = _counting(slack_tables, (id(poly), key), build)
+        if key[0] == "admissible_index_sets":
+            build = _counting(counts, key[0], build)
         return memoized(poly, key, build)
 
-    monkeypatch.setattr(polytope, "_memoized", counting_memoized)
+    for module in (polytope, ambient):
+        monkeypatch.setattr(module, "_memoized", counting_memoized)
     report, ok = build_report(p, q, dict(options, samples=10))
     dot_export(p, options)
     assert ok
@@ -244,7 +246,7 @@ def test_report_and_dot_derive_each_object_once(monkeypatch):
     # builds its own once, and none is built for the DOT file
     assert counts["_build_lattice"] == nodes
     # at most one index family per polytope: the tent and each link
-    assert counts["IndexFamily"] <= 1 + counts["HPolytope"]
+    assert 1 <= counts["admissible_index_sets"] <= 1 + counts["HPolytope"]
     # one regular chart per admissible set, plus one flag chart per
     # singular face of the tent, shared by its embedding constants and
     # samples; the link nodes below build none
@@ -336,6 +338,17 @@ def test_numeric_sections_solve_no_symbolic_chart(name, section):
     for poly in polys:
         assert not [k for k in poly.memo
                     if k[0] in ("change_of_basis", "vertex_slacks")]
+    if section == "links":
+        # each flag I is decided at its own vertex: neither the links
+        # section nor a DOT export of a fresh polytope lists the
+        # admissible sets of any polytope in the forest
+        fresh, _q, fresh_options = parse_spec(fixture_spec(name))
+        dot_export(fresh, fresh_options)
+        for poly in polys + [fresh] + [
+                node.link.polytope
+                for root in link_tree(fresh, fresh_options)
+                for node in root.walk()]:
+            assert ("admissible_index_sets",) not in poly.memo
 
 
 # -- pinned content -------------------------------------------------------
