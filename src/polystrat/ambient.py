@@ -13,8 +13,8 @@ reference for charts, which share its flag labels and kernel vectors
 rows.  The admissible A_I of one vertex come from one polynomial solve
 and exchange pivots between neighbouring bases, on a scaled tableau
 D * A_J the vertex keeps in the polytope's memo.  One I is decided at
-its own vertex (vertex_of); only the sections that list every I build
-admissible_index_sets.
+its own vertex (vertex_of); classify_choice walks I lazily, and only
+the sections that list every I build admissible_index_sets.
 """
 
 from __future__ import annotations
@@ -80,14 +80,19 @@ def vertex_of(p: HPolytope, index_set):
     return _memoized(p, ("vertex_of", i_sorted), build)
 
 
-def admissible_index_sets(p: HPolytope):
-    """All I contained in a vertex's active set with {X_h : h in I} a
-    basis, sorted; each lies in the active set of one vertex only."""
+def _admissible_walk(p: HPolytope):
+    """Each I in a vertex's active set with {X_h : h in I} a basis, lazily,
+    vertex by vertex; each lies in the active set of one vertex only."""
     # nonempty per vertex: every vertex's active rows have rank n
-    return _memoized(p, ("admissible_index_sets",), lambda: tuple(sorted(
-        subset for v in p.vertices
-        for subset in itertools.combinations(v.active, p.n)
-        if int_rank([p._int_x[j - 1] for j in subset]) == p.n)))
+    return (subset for v in p.vertices
+            for subset in itertools.combinations(v.active, p.n)
+            if int_rank([p._int_x[j - 1] for j in subset]) == p.n)
+
+
+def admissible_index_sets(p: HPolytope):
+    """All admissible I (_admissible_walk), sorted and memoized."""
+    return _memoized(p, ("admissible_index_sets",),
+                     lambda: tuple(sorted(_admissible_walk(p))))
 
 
 def _solve_in_basis(i_sorted, rows, rhs):
@@ -297,41 +302,36 @@ def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     """Rationality and Delzant-likeness of the chosen normals and lattice.
 
     Both are decided on one integer matrix F, whose columns are X_1..X_d
-    and Q_1..Q_g (only the Q_g when they are the normals) flattened per
-    coordinate by monomial_rows over one common denominator.  Flattening
-    is Z-linear and injective, so F's columns have the Q-linear
-    relations of the vectors.
+    and Q_1..Q_g flattened per coordinate by monomial_rows over one
+    common denominator.  Flattening is Z-linear and injective, so F's
+    columns have the Q-linear relations of the vectors.
 
     The Z-span of the generators is an honest lattice (rational) exactly
     when their Q-span has dimension n: the rank of F_Q, which is at
     least n since the generators span.  Delzant-like means rational with
     every generator's coordinates in every admissible basis
-    {X_h : h in I} integers.  An admissible X_I is independent over
-    Q(p), so F_I has rank n.  If F has rank n (which makes the choice
-    rational), each column of F is a unique rational combination of F_I,
-    and restricting to n independent rows R keeps it, so R_I^-1 R_Q are
-    exactly those coordinates.  If F has rank above n, some X_j lies
-    outside the Q-span of the generators; X_j lies in some admissible
-    I, since no constraint is redundant, and the generators do not all
-    lie in the Q-span of that X_I, so some coordinate is not a constant.
-    One integer solve per I decides; no A_I is built.
+    {X_h : h in I} integers: every X_I a Z-basis of Q, as each X_j lies
+    in Q (parse_spec refuses generators that miss one).  An admissible
+    X_I is independent over Q(p), so F_I has rank n.  If F has rank n
+    (which makes the choice rational), each column of F is a unique
+    rational combination of F_I, and restricting to n independent rows
+    R keeps it, so R_I^-1 R_Q are exactly those coordinates.  If F has
+    rank above n, some X_j lies outside the Q-span of the generators;
+    X_j lies in some admissible I, since no constraint is redundant, and
+    the generators do not all lie in the Q-span of that X_I, so some
+    coordinate is not a constant.  One integer solve per I decides,
+    along _admissible_walk up to the first failure.
     """
     _check_dimension(p, q)
-    gens = q.generators if q.source_polytope is p \
-        else p.normals + q.generators
-    first = len(gens) - len(q.generators)
     f = [row for c in range(q.n)
-         for row in monomial_rows([g[c] for g in gens])]
-    rational = int_rank([row[first:] for row in f]) == q.n
-    basis = _independent_rows(f)
-    if len(basis) != p.n:
-        return ChoiceClassification(rational=rational, delzant_like=False)
-    r = [f[i] for i in basis]
-    r_q = [row[first:] for row in r]
+         for row in monomial_rows([g[c] for g in p.normals + q.generators])]
+    rational = int_rank([row[p.d:] for row in f]) == q.n
+    r = [f[i] for i in _independent_rows(f)]
+    r_q = [row[p.d:] for row in r]
 
     def integral(i_set):
         d, dx = _int_solve_scaled([[row[h - 1] for h in i_set] for row in r],
                                   r_q)
         return all(v % d == 0 for x in dx for v in x)
-    return ChoiceClassification(rational=rational, delzant_like=all(
-        map(integral, admissible_index_sets(p))))
+    return ChoiceClassification(rational=rational, delzant_like=len(r) == p.n
+                                and all(map(integral, _admissible_walk(p))))

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import ALL_SECTIONS
 from .polytope import HPolytope, Quasilattice
-from .scalars import ParamRegistry, ScalarError
+from .scalars import ParamRegistry, ScalarError, monomial_rows
 
 DEFAULT_SAMPLES = 100
 DEFAULT_TOL = {"residual": 1e-9, "embedding": 1e-8}
@@ -71,6 +71,20 @@ def _scalar(reg, x, where):
         return reg.scalar(x)
     except (ArithmeticError, ValueError) as e:
         raise SpecError(f"bad scalar {x!r} in {where}: {e}") from e
+
+
+def _require_normals_in(p: HPolytope, q: Quasilattice):
+    """Refuse generators whose Z-span misses a normal X_j: X_j must be an
+    integer combination of them as an identity of rational functions,
+    solved per coordinate and monomial (as GroupDescriptor._system)."""
+    from .intlattice import solve_integer
+    for j, x in enumerate(p.normals, 1):
+        rows = [row for c in range(p.n) for row in monomial_rows(
+            [g[c] for g in q.generators] + [x[c]])]
+        if solve_integer([r[:-1] for r in rows],
+                         [r[-1] for r in rows]) is None:
+            raise SpecError(f"bad quasilattice: normal {j} is not in the "
+                            "Z-span of the generators")
 
 
 def parse_spec(data: dict):
@@ -126,6 +140,7 @@ def parse_spec(data: dict):
             q = Quasilattice(reg, rows)
         except ValueError as e:
             raise SpecError(f"bad quasilattice: {e}") from e
+        _require_normals_in(p, q)
     else:
         raise SpecError(f'quasilattice must be "normals" or generator rows '
                         f"of {n} entries")

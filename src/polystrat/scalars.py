@@ -765,7 +765,8 @@ def dot(u, v) -> Scalar:
 
 def _int_dot(reg: ParamRegistry, nums, den, ints) -> Scalar:
     """sum_i ints_i * nums_i / den, for over_common_denominator's output."""
-    return _reduced(reg, _p_sum(map(_p_scale, nums, ints)), den)
+    return _reduced(reg, _p_sum(_p_scale(a, k)
+                                for a, k in zip(nums, ints) if k), den)
 
 
 def monomial_rows(scalars: Iterable[Scalar]):

@@ -466,6 +466,50 @@ def test_classify_choice_matches_symbolic_scan(bench_inputs):
                                      (True, True)}
 
 
+def test_classify_choice_lists_no_admissible_family(bench_inputs):
+    # the index sets are walked lazily; only the charts section and
+    # verification keep the sorted family
+    specs = [fixture_spec(name) for name in sorted(FIXTURES)]
+    specs.append(bench_inputs.cross_polytope(4, random.Random(1)))
+    for spec in specs:
+        p, q, _ = parse_spec(spec)
+        classify_choice(p, q)
+        assert ("admissible_index_sets",) not in p.memo
+
+
+def test_classify_choice_stops_at_the_first_failing_index_set(
+        bench_inputs, monkeypatch):
+    # the seed-1 6-cross-polytope has millions of admissible I (C(32, 6)
+    # subsets at each of 12 vertices); a non-integral one comes early
+    p, q, _ = parse_spec(bench_inputs.cross_polytope(6, random.Random(1)))
+    calls = itertools.count()
+
+    def counted(rows):
+        if next(calls) == 20_000:
+            raise AssertionError("more than 20,000 rank tests")
+        return linalg.int_rank(rows)
+    monkeypatch.setattr(ambient, "int_rank", counted)
+    assert classify_choice(p, q) == (True, False)
+
+
+def test_delzant_like_exactly_when_every_chart_group_is_trivial():
+    # the groups section's answer against the charts section's Gamma_I,
+    # on the quasilattice of the normals: the fixtures and the rectangle
+    # with a doubled normal, whose Gamma_I are Z/2
+    cases = [parse_spec(fixture_spec(name))[:2] for name in sorted(FIXTURES)]
+    rect = HPolytope(ParamRegistry([]), [[2, 0], [0, 1], [-1, 0], [0, -1]],
+                     [0, 0, -1, -1])
+    cases.append((rect, Quasilattice.from_normals(rect)))
+    seen = []
+    for p, q in cases:
+        choice = classify_choice(p, q)
+        trivial = all(gamma_group(p, q, i_set).structure().is_trivial
+                      for i_set in admissible_index_sets(p))
+        assert choice.delzant_like == trivial, p.normals
+        seen.append((choice.rational, trivial))
+    assert set(seen) == {(False, False), (True, False), (True, True)}
+
+
 def test_classify_choice_takes_no_symbolic_solve(bench_inputs, monkeypatch):
     # Delzant-likeness is decided on integer rows: no A_I is built and no
     # Scalar system is solved
@@ -486,11 +530,13 @@ def test_explicit_basis_coordinates_solved_once_per_index_set(monkeypatch):
     # split_gamma and gamma_face_group read the same I.  With explicit
     # generators each flag I is solved once; with the normals A_I is
     # solved once per vertex and reached from there by exchange pivots
+    # the tent's normals carry parameters, so the identity generators,
+    # which miss them, are built through the library, not a spec file
     identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
     for quasilattice in ("normals", identity):
-        spec = fixture_spec("tent")
-        spec["quasilattice"] = quasilattice
-        p, q, options = parse_spec(spec)
+        p, q, options = parse_spec(fixture_spec("tent"))
+        if quasilattice != "normals":
+            q = Quasilattice(p.registry, quasilattice)
         flags = {find_flag_index_set(p, face)[0]
                  for face in p.face_lattice.singular_faces()}
         assert len(flags) == 8

@@ -85,7 +85,7 @@ E2, E3 = ["0", "1", "0"], ["0", "0", "1"]
 
 @pytest.mark.parametrize("fixture, generators, delzant", [
     ("pyramid_unit", [["1/2", "0", "0"], E2, E3], False),
-    ("pyramid_unit", [["2", "0", "0"], E2, E3], True),
+    ("pyramid_unit", [["1", "0", "0"], E2, ["1", "1", "1"]], True),
     ("cube3", [["1", "1", "0"], E2, E3], True),
     ("cube3", [["1", "0", "0"], E2, E3, ["1/3", "0", "0"]], False),
 ])
@@ -98,6 +98,25 @@ def test_explicit_quasilattice_choice(tmp_path, capsys, fixture, generators,
     report = json.loads(capsys.readouterr().out)
     assert report["choice"] == {"rational": True, "delzant_like": delzant,
                                 "label": "rational"}
+
+
+@pytest.mark.parametrize("fixture, generators, label", [
+    # X_1 = (-1, 0, -1) is not in 2Z x Z x Z
+    ("pyramid_unit", [["2", "0", "0"], E2, E3], 1),
+    # X_2 = (0, -p2, -p2) is no integer combination of e1, e2, e3
+    ("pyramid", [["1", "0", "0"], E2, E3], 2),
+])
+def test_quasilattice_missing_a_normal_is_refused(tmp_path, capsys, fixture,
+                                                   generators, label):
+    data = fixture_spec(fixture)
+    data["quasilattice"] = generators
+    path = _write_spec(tmp_path, data)
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--out", str(out)]) == EXIT_PARSE
+    assert _diags(capsys.readouterr().err) == [{
+        "error": "parse", "detail": f"bad quasilattice: normal {label} is "
+        "not in the Z-span of the generators"}]
+    assert not out.exists()
 
 
 def test_analyze_only_section(tmp_path, capsys):

@@ -59,9 +59,12 @@ def test_parse_spec_good_path():
 
 
 def test_parse_spec_explicit_quasilattice():
-    data = _broken(quasilattice=[["1", "0"], ["0", "1"]])
+    # the generators must hold every normal, here X_3 = (-p1, 0)
+    data = _broken(quasilattice=[["1", "0"], ["0", "1"], ["p1", "0"]])
     _p, q, _ = parse_spec(data)
-    assert len(q.generators) == 2
+    assert len(q.generators) == 3
+    with pytest.raises(SpecError, match="normal 3 is not in the Z-span"):
+        parse_spec(_broken(quasilattice=[["1", "0"], ["0", "1"]]))
 
 
 def test_parse_spec_options():
