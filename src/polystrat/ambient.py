@@ -10,9 +10,10 @@ lambda_k = sum_h a_hk lambda_h on a vertex's active set is the
 polytope's symbolic vertex certificate.  The symbolic A_I is the
 reference for charts, which share its flag labels and kernel vectors
 (_flag_labels, _kernel_vector) but take their numbers from the integer
-rows.  The admissible A_I of one vertex come from one polynomial solve
-and exchange pivots between neighbouring bases, on a scaled tableau
-D * A_J the vertex keeps in the polytope's memo.  One I is decided at
+rows.  The admissible A_I of one vertex come from one polynomial
+Gauss-Jordan solve, whose reduced tableau D * A_J the vertex keeps in
+the polytope's memo, and from one more pivot step of that elimination
+per label exchanged between neighbouring bases.  One I is decided at
 its own vertex (vertex_of); classify_choice walks I lazily, and only
 the sections that list every I build admissible_index_sets.
 """
@@ -22,12 +23,11 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .linalg import SingularMatrixError, _independent_rows, \
-    _int_solve_scaled, _poly_solve_scaled, int_rank, mat_solve
+from .linalg import SingularMatrixError, _independent_rows, _poly_step, \
+    _solve_scaled, int_rank, mat_solve
 from .polytope import Face, HPolytope, Quasilattice, ValidationError, \
     _memoized
-from .scalars import _p_div_exact, _p_mul, _p_sub, _reduced, \
-    monomial_rows, over_common_denominator
+from .scalars import _reduced, monomial_rows, over_common_denominator
 
 
 class ProjectionMap(NamedTuple):
@@ -106,11 +106,12 @@ def _solve_in_basis(i_sorted, rows, rhs):
 def _exchange(tableau, i_sorted):
     """(D', D' A_I) from a tableau (J, D, N = D A_J), one label at a time.
 
-    Bringing k into the basis at a row h0 with N[h0][k] != 0 makes row k
-    N[h0], every other row h (N[h] N[h0][k] - N[h][k] N[h0]) / D and D'
-    = N[h0][k]; each D is +-det of the cleared rows on the basis
-    columns, so the division is exact (Sylvester's identity, as in
-    Bareiss 1968; the exchange is Edmonds' 1967 pivoting on integers).
+    N is pi's part of [M_J | pi] reduced by Gauss-Jordan (_solve_scaled):
+    row h is D on column h and zero on J's other columns.  Bringing k into the
+    basis at a row h0 with N[h0][k] != 0 is one more pivot of that
+    elimination, _poly_step on every other row against N[h0] with D
+    the previous pivot, so the division is exact; N[h0] becomes row k
+    and D' = N[h0][k] (Edmonds' 1967 pivoting on integers).
     """
     j_set, d, n_rows = tableau
     rows = dict(zip(j_set, n_rows))
@@ -119,12 +120,8 @@ def _exchange(tableau, i_sorted):
         h0 = next(h for h in sorted(rows)
                   if h not in i_sorted and rows[h][k - 1])
         top = rows.pop(h0)
-        pv = top[k - 1]
-        rows = {h: [_p_div_exact(_p_sub(_p_mul(x, pv),
-                                        _p_mul(row[k - 1], y)), d)
-                    for x, y in zip(row, top)]
-                for h, row in rows.items()}
-        rows[k], d = top, pv
+        rows = {h: _poly_step(row, top, k - 1, d) for h, row in rows.items()}
+        rows[k], d = top, top[k - 1]
     return d, [rows[h] for h in i_sorted]
 
 
@@ -155,9 +152,9 @@ def change_of_basis(p: HPolytope, index_set):
         else:
             rows = _memoized(p, ("poly_rows",), lambda: [
                 over_common_denominator(row)[0] for row in zip(*p.normals)])
-            d, dx = _poly_solve_scaled(
+            d, dx = _solve_scaled(
                 [[row[h - 1] for h in i_sorted] for row in rows], rows,
-                p.registry._unit)
+                _poly_step, p.registry._unit)
         p.memo[key] = (i_sorted, d, dx)
         return tuple(tuple(_reduced(p.registry, v, d) for v in row)
                      for row in dx)
@@ -330,8 +327,8 @@ def classify_choice(p: HPolytope, q: Quasilattice) -> ChoiceClassification:
     r_q = [row[p.d:] for row in r]
 
     def integral(i_set):
-        d, dx = _int_solve_scaled([[row[h - 1] for h in i_set] for row in r],
-                                  r_q)
+        d, dx = _solve_scaled([[row[h - 1] for h in i_set] for row in r],
+                              r_q)
         return all(v % d == 0 for x in dx for v in x)
     return ChoiceClassification(rational=rational, delzant_like=len(r) == p.n
                                 and all(map(integral, _admissible_walk(p))))

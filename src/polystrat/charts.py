@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .ambient import AdaptedBasisData, _flag_labels, _kernel_vector, \
     _sorted_labels, find_flag_index_set
-from .linalg import _bareiss, _int_solve_scaled, _int_step
+from .linalg import _bareiss, _int_step, _solve_scaled
 from .polytope import Face, HPolytope, _clear_denominators, _memoized
 
 
@@ -93,7 +93,7 @@ def _chart(p: HPolytope, face: Face, index_set) -> Chart:
             p, index_set, face)
         # primitive row j is m_j X_j: a_hj = b_hj m_h / m_j, b = e_b / e
         m = p._int_scale
-        e, e_b = _int_solve_scaled(
+        e, e_b = _solve_scaled(
             [*zip(*(p._int_x[h - 1] for h in i_sorted))], [*zip(*p._int_x)])
         a_num = tuple(tuple(Fraction(v * m[h - 1].numerator * mj.denominator,
                                      e * m[h - 1].denominator * mj.numerator)

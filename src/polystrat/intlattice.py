@@ -1,12 +1,15 @@
 """Integer-matrix normal forms and lattice utilities.
 
 Everything here works on plain Python ints (arbitrary precision) in
-lists of lists.  The Smith normal form drives kernel computation,
-divisibility-aware linear solving, and the structure of finitely
-generated abelian groups presented by relation matrices.
+lists of lists.  The Smith normal form drives kernel computation and
+divisibility-aware linear solving; the structure of a finitely
+generated abelian group presented by relation rows needs only its
+invariant factors, which alternating Hermite normal forms reach.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -95,15 +98,6 @@ def smith_normal_form(a):
     return a, u, v
 
 
-def invariant_factors(a) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
-
-
 def integer_kernel(a) -> list[list[int]]:
     """Basis of {x in Z^m : a @ x = 0}; the basis spans a saturated lattice."""
     n = len(a)
@@ -133,12 +127,56 @@ def solve_integer(a, b) -> list[int] | None:
     return [sum(v[i][k] * y[k] for k in range(m)) for i in range(m)]
 
 
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s * a + t * b."""
+    s, t, u, v = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, t, u, v = b, a - q * b, u, v, s - q * u, t - q * v
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
+
+
+def _hermite_rows(a):
+    """The nonzero rows of the row Hermite normal form of a: positive
+    pivots, zeros below them and entries in [0, pivot) above them."""
+    a = [list(row) for row in a]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r == len(a):
+            break
+        for i in range(r + 1, len(a)):
+            if a[i][c]:
+                # [[s, t], [-y, x]] is unimodular: g in row r, 0 in row i
+                g, s, t = _xgcd(a[r][c], a[i][c])
+                x, y = a[r][c] // g, a[i][c] // g
+                a[r], a[i] = ([s * u + t * v for u, v in zip(a[r], a[i])],
+                              [x * v - y * u for u, v in zip(a[r], a[i])])
+        if not a[r][c]:
+            continue
+        if a[r][c] < 0:
+            a[r] = [-u for u in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            a[i] = [u - q * v for u, v in zip(a[i], a[r])]
+        r += 1
+    return a[:r]
+
+
 def quotient_structure(rel_rows, ncols: int) -> tuple[int, list[int]]:
     """Structure of Z^ncols / (row span of rel_rows).
 
     Returns (free_rank, torsion) with torsion the invariant factors > 1.
+    Row Hermite forms of the relations and of their transpose, each a
+    unimodular change of rows or of columns, alternate until every row
+    has one nonzero entry (Kannan and Bachem 1979); gcd and lcm then
+    make each entry divide the next, as Z/a + Z/b = Z/gcd + Z/lcm.
     """
-    if not rel_rows:
-        return ncols, []
-    facs = invariant_factors(rel_rows)
+    h = _hermite_rows(rel_rows)
+    while any(sum(map(bool, row)) > 1 for row in h):
+        h = _hermite_rows(zip(*h))
+    facs = [max(row) for row in h]
+    for i in range(len(facs)):
+        for j in range(i + 1, len(facs)):
+            g = gcd(facs[i], facs[j])
+            facs[i], facs[j] = g, facs[i] * facs[j] // g
     return ncols - len(facs), [f for f in facs if f > 1]

@@ -38,8 +38,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import _bareiss, _independent_rows, _int_step, int_rank, \
-    int_solve, mat_solve
+from .linalg import _bareiss, _independent_rows, _int_step, _solve_scaled, \
+    int_rank, mat_solve
 from .scalars import _clear_denominators, dot
 
 
@@ -253,7 +253,7 @@ class HPolytope:
         # rays on the pivot columns, which span the column space of A, so
         # feasibility is kept; positive row scales change no decision
         echelon = [list(row) for row in self._int_x]
-        pivots = _bareiss(echelon, _int_step, 1)
+        pivots = _bareiss(echelon, _int_step, 1, jordan=True)
         rays = [y for y, _z in self._rays(tuple(pivots))]
         if not any(y[-1] for y in rays):
             raise ValidationError([("empty", "no point satisfies all "
@@ -281,15 +281,13 @@ class HPolytope:
         """A primitive integer y != 0 with A y >= 0, or None, for a
         nonempty system: below rank n a line, else a ray with t = 0."""
         if len(pivots) < self.n:
-            # a line: the kernel vector that is 1 on the first free column
-            # and 0 on the others; the pivot entries solve the triangular
-            # pivot block of the echelon rows
+            # a line: y zero on the free columns but the first.  Reduced
+            # row i holds d, the last pivot, on its pivot p_i, so y[free] =
+            # d and y[p_i] = -row_i[free]; times d turns y by sign(d)
             free = min(set(range(self.n)) - set(pivots))
-            top = echelon[:len(pivots)]
-            y = dict(zip(pivots, int_solve(
-                [[row[c] for c in pivots] for row in top],
-                [-row[free] for row in top])))
-            y[free] = 1
+            d = echelon[len(pivots) - 1][pivots[-1]]
+            y = dict(zip(pivots, (-row[free] * d for row in echelon)))
+            y[free] = d * d
             return _primitive_row([y.get(c, 0) for c in range(self.n)])[0]
         return next((y[:-1] for y in rays if not y[-1]), None)
 
@@ -349,9 +347,11 @@ class HPolytope:
                                    "unbounded")
             a = [rows[i] for i in block]
             full = sum(1 << i for i in block)
-            rays = [(_primitive_row(int_solve(a, [int(h == k)
-                                                  for h in range(m + 1)]))[0],
-                     full & ~(1 << i)) for k, i in enumerate(block)]
+            # the columns of d * a^-1, times d to turn them by sign(d)
+            d, dx = _solve_scaled(a, [[int(h == k) for k in range(m + 1)]
+                                      for h in range(m + 1)])
+            rays = [(_primitive_row([x * d for x in col])[0], full & ~(1 << i))
+                    for col, i in zip(zip(*dx), block)]
             for i, row in enumerate(rows):
                 if (full >> i) & 1:
                     continue

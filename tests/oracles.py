@@ -37,7 +37,9 @@ incidences replaced, and the cone section by Gram-Schmidt on Fraction
 vectors, which the same steps on the integer constraint rows replaced,
 and the flag index set of a face found by scanning the n-subsets of
 each of its vertices, which the greedy basis at its first vertex
-replaced.
+replaced, and the scaled solves by forward elimination and back
+substitution on ints and on polynomials, which one Gauss-Jordan pass
+of the same fraction-free step replaced.
 """
 
 import bisect
@@ -221,6 +223,48 @@ def gj_solve(a, b):
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     sol = [row[n:] for row in m]
     return [row[0] for row in sol] if vector else sol
+
+
+def backsub_int_solve_scaled(a, bm):
+    """(d, d * x) with a @ x = bm, bm's rows holding any number of
+    right-hand sides, in one elimination.  Back substitution runs on d * x,
+    integral for d the last pivot (+-det a), so each divide is exact."""
+    from polystrat.linalg import SingularMatrixError, _bareiss, _int_step
+
+    n = len(a)
+    m = [[*row, *rhs] for row, rhs in zip(a, bm)]
+    if _bareiss(m, _int_step, 1)[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    d = m[n - 1][n - 1]
+    dx = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = [d * v for v in row[n:]]
+        for j in range(i + 1, n):
+            acc = [s - row[j] * v for s, v in zip(acc, dx[j])]
+        dx[i] = [s // row[i] for s in acc]
+    return d, dx
+
+
+def backsub_poly_solve_scaled(a, bm, unit):
+    """(d, d * x) with a @ x = bm for polynomial term dicts, unit the
+    ring's one, as backsub_int_solve_scaled does on ints.  Back
+    substitution runs on d * x, polynomial for d the last pivot (+-det a)."""
+    from polystrat.linalg import SingularMatrixError, _bareiss, _poly_step
+    from polystrat.scalars import _p_div_exact, _p_mul, _p_sub
+
+    n = len(a)
+    m = [[*row, *rhs] for row, rhs in zip(a, bm)]
+    if _bareiss(m, _poly_step, unit)[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    d = m[n - 1][n - 1]
+    dx = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = [_p_mul(d, v) for v in m[i][n:]]
+        for j in range(i + 1, n):
+            acc = [_p_sub(s, _p_mul(m[i][j], v)) for s, v in zip(acc, dx[j])]
+        dx[i] = [_p_div_exact(s, m[i][i]) for s in acc]
+    return d, dx
 
 
 def gesv_solve(rows, rhs, i_sorted):

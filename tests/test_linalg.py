@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gj_rank, gj_solve, greedy_independent_rows, \
+from oracles import backsub_int_solve_scaled, backsub_poly_solve_scaled, \
+    gj_rank, gj_solve, greedy_independent_rows, \
     sym_element, sym_rank, sym_solve
 
+from polystrat.ambient import admissible_index_sets
 from polystrat.linalg import SingularMatrixError, _independent_rows, \
-    int_rank, int_solve, mat_rank, mat_solve
-from polystrat.scalars import ParamRegistry
+    _poly_step, _solve_scaled, int_rank, int_solve, mat_rank, mat_solve
+from polystrat.report import parse_spec
+from polystrat.scalars import ParamRegistry, over_common_denominator
 
 
 def _random_matrix(rng, rows, cols):
@@ -224,3 +227,61 @@ def test_symbolic_rank_matches_sympy_and_gauss_jordan():
         deficient += got < min(len(m), len(m[0]))
     # the seeded draws cover rank-deficient matrices of every kind
     assert deficient > 100
+
+
+# -- Gauss-Jordan against back substitution -----------------------------------
+
+def _scaled_or_none(solve, *args):
+    try:
+        return solve(*args)
+    except SingularMatrixError:
+        return None
+
+
+def test_gauss_jordan_solve_matches_back_substitution_on_ints():
+    """(d, d * x) agree exactly, the sign of d included, for 1x1 to 6x6
+    systems with up to four right-hand sides."""
+    rng = random.Random(41)
+    negative = singular = 0
+    sizes = set()
+    for _ in range(600):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        a = _random_matrix(rng, n, n)
+        bm = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(n)]
+        want = _scaled_or_none(backsub_int_solve_scaled, a, bm)
+        got = _scaled_or_none(_solve_scaled, a, bm)
+        assert got == want, (a, bm)
+        if want is None:
+            singular += 1
+            continue
+        sizes.add(n)
+        negative += want[0] < 0
+        d, dx = got
+        assert all(sum(r * x[j] for r, x in zip(row, dx)) == d * v[j]
+                   for row, v in zip(a, bm) for j in range(k))
+    assert sizes == set(range(1, 7))
+    assert negative > 100 and singular > 50
+
+
+def test_gauss_jordan_solve_matches_back_substitution_on_polynomials(
+        oracle_specs):
+    """[M_I | pi] on the cleared normal rows of the oracle specs at up to
+    twelve admissible I each; a repeated row makes M_I singular."""
+    solved = singular = 0
+    for name, spec in oracle_specs.items():
+        p = parse_spec(spec)[0]
+        rows = [over_common_denominator(row)[0] for row in zip(*p.normals)]
+        sets = list(admissible_index_sets(p))
+        for i_set in random.Random(name).sample(sets, min(12, len(sets))):
+            a = [[row[h - 1] for h in i_set] for row in rows]
+            unit = p.registry._unit
+            assert _solve_scaled(a, rows, _poly_step, unit) == \
+                backsub_poly_solve_scaled(a, rows, unit), (name, i_set)
+            solved += 1
+            a[-1] = a[0]
+            with pytest.raises(SingularMatrixError):
+                _solve_scaled(a, rows, _poly_step, unit)
+            with pytest.raises(SingularMatrixError):
+                backsub_poly_solve_scaled(a, rows, unit)
+            singular += 1
+    assert solved == singular > 200
