@@ -20,7 +20,7 @@ import pytest
 
 from oracles import sym_element, sym_solve
 import polystrat
-from polystrat import links, scalars
+from polystrat import cli, links, scalars
 from polystrat.cli import EXIT_PARSE, EXIT_VALIDATION, EXIT_VERIFY, \
     fixture_spec, main
 from polystrat.polytope import HPolytope
@@ -418,6 +418,99 @@ def test_unwritable_outputs_are_io_errors(tmp_path, capsys):
             assert captured.out == "" and not report.exists(), argv
 
 
+def test_failed_report_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # reports go through a temporary file beside the target, renamed onto
+    # it on success: a failed write leaves neither a partial report nor
+    # the temporary file, and the diagnostic names the --out path
+    path = _write_spec(tmp_path, _pyramid_spec())
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    assert main(["analyze", path, "--only", "faces",
+                 "--out", str(target)]) == EXIT_PARSE
+    (diag,) = _diags(capsys.readouterr().err)
+    assert diag["detail"] == f"[Errno 21] Is a directory: {str(target)!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a-directory", "spec.json"]
+    assert list(target.iterdir()) == []
+
+    # a rename that fails keeps the earlier report whole
+    report = tmp_path / "report.json"
+    assert main(["analyze", path, "--only", "faces",
+                 "--out", str(report)]) == 0
+    before = report.read_bytes()
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    assert report.stat().st_mode == reference.stat().st_mode
+    reference.unlink()
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src)
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["analyze", path, "--only", "groups",
+                 "--out", str(report)]) == EXIT_PARSE
+    (diag,) = _diags(capsys.readouterr().err)
+    assert diag["detail"] == f"[Errno 13] Permission denied: {str(report)!r}"
+    assert report.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a-directory", "report.json", "spec.json"]
+
+
+def test_reports_to_other_than_a_plain_file_are_written_through(tmp_path,
+                                                                capsys):
+    # only a missing path or a plain file of one's own is replaced by a
+    # renamed new file; a symlink, a FIFO or a file with another link is
+    # written through, and an existing report keeps its permissions
+    import threading
+
+    path = _write_spec(tmp_path, _pyramid_spec())
+    argv = ["analyze", path, "--only", "faces", "--out"]
+    expected = tmp_path / "expected.json"
+    assert main(argv + [str(expected)]) == 0
+    report = expected.read_bytes()
+
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == report
+
+    other = tmp_path / "other-name.json"
+    os.link(target, other)
+    target.write_text("old")
+    assert main(argv + [str(target)]) == 0
+    assert other.read_bytes() == report
+    assert os.path.samefile(target, other)
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + [str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert received == [report]
+    assert fifo.is_fifo()
+
+    private = tmp_path / "private.json"
+    private.write_text("old")
+    private.chmod(0o640)
+    assert main(argv + [str(private)]) == 0
+    assert private.read_bytes() == report
+    assert private.stat().st_mode & 0o777 == 0o640
+    if os.geteuid() == 0:
+        # a report owned by another user keeps its owner
+        os.chown(private, 12345, 12345)
+        private.write_text("old")
+        assert main(argv + [str(private)]) == 0
+        assert private.read_bytes() == report
+        assert (private.stat().st_uid, private.stat().st_gid) == (
+            12345, 12345)
+    assert capsys.readouterr().err == ""
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 # -- fixtures -------------------------------------------------------------
 
 
@@ -450,6 +543,241 @@ def test_fixtures_run_out_dir(tmp_path, capsys):
 def test_fixtures_unknown_name(capsys):
     assert main(["fixtures", "run", "dodecahedron"]) == EXIT_PARSE
     assert _diags(capsys.readouterr().err)[0]["error"] == "parse"
+
+
+def _run_with_cpus(monkeypatch, capsys, cpus, argv, out):
+    """main(ARGV) as if the process may use CPUS CPUs, writing into the
+    empty directory OUT: its exit code, stdout, stderr and the files it
+    left in OUT (None for a directory)."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    code = main(argv)
+    captured = capsys.readouterr()
+    files = {p.name: None if p.is_dir() else p.read_bytes()
+             for p in sorted(out.iterdir())}
+    shutil.rmtree(out)
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("case", ["all", "unknown", "blocked", "crash"])
+def test_fixtures_fan_out_matches_one_worker(tmp_path, capsys, monkeypatch,
+                                             case):
+    # forked workers print, write and exit exactly as one process does
+    runs = {"all": [(None, seed) for seed in (0, 1, 2)],
+            "unknown": [(["tent", "cube3", "dodecahedron", "pyramid"], 0),
+                        (["simplex3", "dodecahedron"], 1)],
+            "blocked": [(["pyramid_unit", "pyramid", "cube3"], 0)],
+            "crash": [(None, 0)]}[case]
+    if case == "crash":
+        analyze = cli._analyze
+
+        def fail_on_pyramid_unit(data, *args, **kwargs):
+            if data == fixture_spec("pyramid_unit"):
+                raise ValueError("no pyramid_unit today")
+            return analyze(data, *args, **kwargs)
+        monkeypatch.setattr(cli, "_analyze", fail_on_pyramid_unit)
+    out = tmp_path / "out"
+    for names, seed in runs:
+        argv = ["fixtures", "run", *(names or []), "--out", str(out),
+                "--seed", str(seed)]
+        results = []
+        for cpus in (1, 2, 3):
+            out.mkdir()
+            if case == "blocked":
+                (out / "pyramid.report.json").mkdir()
+            results.append(
+                _run_with_cpus(monkeypatch, capsys, cpus, argv, out))
+        assert results[1] == results[0] and results[2] == results[0]
+        code, stdout, stderr, files = results[0]
+        if case == "all":
+            assert code == 0 and stderr == ""
+            assert stdout == "".join(f"{n}\tpass\n" for n in sorted(
+                cli.FIXTURES))
+            assert sorted(files) == [f"{n}.report.json"
+                                     for n in sorted(cli.FIXTURES)]
+        elif case == "unknown":
+            # the names before the unknown one run, then it is reported
+            ran = names[:names.index("dodecahedron")]
+            assert code == EXIT_PARSE
+            assert stdout == "".join(f"{n}\tpass\n" for n in ran)
+            (diag,) = _diags(stderr)
+            assert diag["error"] == "parse"
+            assert "dodecahedron" in diag["detail"]
+            assert sorted(files) == sorted(f"{n}.report.json" for n in ran)
+        elif case == "crash":
+            # the traceback ends the run: no later fixture is reported or
+            # writes its report, and no worker leaves a file behind
+            assert code == 1
+            assert stdout == "cube3\tpass\npyramid\tpass\n"
+            assert stderr.startswith("Traceback (most recent call last):")
+            assert stderr.endswith("ValueError: no pyramid_unit today\n")
+            assert sorted(files) == ["cube3.report.json",
+                                     "pyramid.report.json"]
+        else:
+            assert code == EXIT_PARSE
+            assert stdout == ("pyramid_unit\tpass\npyramid\tfail (2)\n"
+                              "cube3\tpass\n")
+            (diag,) = _diags(stderr)
+            blocked = out / "pyramid.report.json"
+            assert diag == {"error": "io", "detail": "[Errno 21] Is a "
+                            f"directory: {str(blocked)!r}"}
+            assert sorted(files) == ["cube3.report.json",
+                                     "pyramid.report.json",
+                                     "pyramid_unit.report.json"]
+            assert files["pyramid.report.json"] is None
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns in this process, with two usable CPUs."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    return pids
+
+
+def test_fixture_workers_are_reaped(tmp_path, capsys, monkeypatch, forked):
+    assert main(["fixtures", "run", "cube3", "simplex3",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "cube3\tpass\nsimplex3\tpass\n"
+    assert len(forked) == 2 and not any(map(_alive, forked))
+
+    # a fixture that raises ends the command as an uncaught exception
+    # would, after the status lines of the fixtures named before it
+    analyze = cli._analyze
+
+    def fail_on_cube(data, *args, **kwargs):
+        if data["normals"] == fixture_spec("cube3")["normals"]:
+            raise ValueError("no cube today")
+        return analyze(data, *args, **kwargs)
+    monkeypatch.setattr(cli, "_analyze", fail_on_cube)
+    forked.clear()
+    assert main(["fixtures", "run", "simplex3", "cube3", "pyramid_unit",
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "simplex3\tpass\n"
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("ValueError: no cube today\n")
+    assert len(forked) == 2 and not any(map(_alive, forked))
+
+
+def test_interrupted_fixture_run_reaps_its_workers(tmp_path, capsys,
+                                                   monkeypatch, forked):
+    import signal
+    import time
+
+    def killed_while_writing(name, out_dir, seed, many):
+        # the new file a worker killed in _write_atomic would leave
+        pathlib.Path(out_dir, f"{name}.report.json.{os.getpid()}.0.tmp") \
+            .write_text("")
+        time.sleep(60)
+    monkeypatch.setattr(cli, "_run_fixture", killed_while_writing)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+    # interval timers are not inherited by forked children, so only the
+    # parent is interrupted, while it waits for the first result
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            main(["fixtures", "run", "cube3", "simplex3",
+                  "--out", str(tmp_path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 30
+    assert len(forked) == 2 and not any(map(_alive, forked))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# a parent that forks two workers for twenty slow fixtures and prints
+# each worker's pid on stderr; the fixtures write reports when --out is
+# given, so the workers wait for their turns
+KILLED_PARENT = """
+import os, sys, time
+from polystrat import cli
+
+def slow(name, out_dir, seed, many):
+    time.sleep(0.3)
+    if out_dir:
+        cli._write_atomic(os.path.join(out_dir, name), "report")
+    return 0
+
+fork = os.fork
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        sys.stderr.write(f"{pid}\\n")
+        sys.stderr.flush()
+    return pid
+
+cli._run_fixture = slow
+cli._usable_cpus = lambda: 2
+os.fork = recording_fork
+cli.main(["fixtures", "run", *["cube3", "tent"] * 10, *sys.argv[1:]])
+"""
+
+
+def _running(pid):
+    """Whether PID runs; a zombie, whose parent has not waited for it,
+    has ended."""
+    try:
+        state = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return state.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists()
+                    or not hasattr(os, "fork"), reason="needs /proc and fork")
+@pytest.mark.parametrize("write", [False, True])
+def test_fixture_workers_end_with_a_killed_parent(tmp_path, write):
+    # the parent is killed without running its finally; each worker ends
+    # at its next result (EPIPE) or turn (EOF), within one fixture
+    import signal
+    import time
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    args = ["--out", str(tmp_path)] if write else []
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_PARENT, *args],
+                            cwd=root, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        pids = [int(proc.stderr.readline()) for _ in range(2)]
+        time.sleep(0.5)
+        assert all(map(_running, pids))
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    # ten fixtures of 0.3 s remain per worker; one is allowed
+    deadline = time.monotonic() + 2
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    running = [pid for pid in pids if _running(pid)]
+    for pid in running:  # leave no process behind when this fails
+        os.kill(pid, signal.SIGKILL)
+    assert running == []
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # -- output strings survive the scalar grammar round trip ------------------

@@ -12,7 +12,8 @@ validation decides from the double description alone.  Others check
 that ``fixtures list`` loads no module beyond the package and its
 command line, since the package resolves its public names on first
 access, and that ``analyze --only SECTION`` loads only the modules
-that section runs.
+that section runs; neither loads what ``fixtures run``'s fan-out uses
+beyond os and json.
 """
 
 import ast
@@ -128,21 +129,28 @@ LOADED_CHILD = """
 import json, sys
 before = set(sys.modules)
 from polystrat.cli import main
-code = main(sys.argv[1:])
+code = main(sys.argv[2:])
 print(json.dumps({"code": code,
                   "loaded": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "polystrat"),
-                  "added": sorted(m for m in ("dataclasses", "inspect")
+                  "added": sorted(m for m in sys.argv[1].split(",")
                                   if m in sys.modules and m not in before)}))
 """
 
+# dataclasses pulls in inspect; fixtures run's fan-out imports signal,
+# and traceback in a worker whose fixture raises, and it must stay off
+# the multiprocessing and concurrent.futures path (and pickle with them)
+NOT_LOADED = ("dataclasses", "inspect", "signal", "traceback", "pickle",
+              "multiprocessing", "concurrent")
+
 
 def _loaded(args):
-    """The polystrat modules one command loads in a fresh process, and
-    which of dataclasses and inspect it adds to those loaded before."""
+    """The polystrat modules one command loads in a fresh process; it
+    must add none of NOT_LOADED to the modules loaded before."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run([sys.executable, "-c", LOADED_CHILD, *args],
+    proc = subprocess.run([sys.executable, "-c", LOADED_CHILD,
+                           ",".join(NOT_LOADED), *args],
                           cwd=root, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
